@@ -11,6 +11,18 @@ iterate seen wins; a closing SVD refit against its sparse part makes the
 returned (A, B) the exact truncated SVD of the remaining residual, which is
 what lets the rank allocator slice factors instead of re-decomposing.
 Stored factors are de-scaled so A @ B + expand(S) approximates W directly.
+
+Only the first L-step (S = 0, so the first iterate is the plain rank-r SVD
+and the best iterate can never lose to it) and the closing refit use an
+exact LAPACK SVD. Every other L-step warm-starts from the previous
+iterate's right subspace V: one subspace-iteration step plus a small
+Rayleigh-Ritz SVD (``linalg.warm_truncated_svd``). Its fit is at least as
+close as the previous (A, B), whose rows lie in span(V), so no L-step
+raises the objective.
+
+Local adaptation works in Gram form: with G = X X^T computed once per
+layer, each step costs O(m n^2) instead of O(m n T) for T calibration
+tokens.
 """
 from __future__ import annotations
 
@@ -18,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import balanced_factors, frobenius_norm, truncated_svd
+from .linalg import balanced_factors, frobenius_norm, truncated_svd, warm_truncated_svd
 from .util import as_matrix, philox_rng
 
 EPS_SCALE = 1e-8  # floor for D entries, relative to the largest entry
@@ -109,15 +121,14 @@ def structured_sparsify(residual: np.ndarray, g: int, s: float) -> StructuredSpa
         raise ValueError("sparse budget rounds to zero columns")
 
     num_chunks = -(-m // g)
-    kept = np.empty((num_chunks, d), dtype=np.int64)
-    condensed = np.empty((m, d))
-    for i in range(num_chunks):
-        lo, hi = i * g, min((i + 1) * g, m)
-        norms = np.abs(r[lo:hi]).sum(axis=0)
-        order = np.argsort(-norms, kind="stable")  # stable: ties keep lower index first
-        cols = np.sort(order[:d])
-        kept[i] = cols
-        condensed[lo:hi] = r[lo:hi, cols]
+    mag = np.abs(r)
+    if num_chunks * g != m:  # zero rows pad the ragged last chunk
+        mag = np.concatenate([mag, np.zeros((num_chunks * g - m, n))])
+    norms = mag.reshape(num_chunks, g, n).sum(axis=1)
+    order = np.argsort(-norms, axis=1, kind="stable")  # stable: ties keep lower index first
+    kept = np.sort(order[:, :d], axis=1)
+    rows = np.arange(m)
+    condensed = r[rows[:, None], kept[rows // g]]
     return StructuredSparse(granularity=g, full_rows=m, full_cols=n, kept_cols=kept, condensed=condensed)
 
 
@@ -184,12 +195,16 @@ def decompose_layer(
     sparse_exp = expand(sparse)
     trace: list[float] = []
     best: tuple[float, np.ndarray, np.ndarray, StructuredSparse] | None = None
+    svd = None
     for _ in range(iters):
-        svd = truncated_svd(wd - sparse_exp, r)
+        resid = wd - sparse_exp
+        svd = truncated_svd(resid, r) if svd is None else warm_truncated_svd(resid, svd.vt)
         a, b = balanced_factors(svd)
         low = a @ b
         obj = frobenius_norm(wd - low - sparse_exp)
-        # Eckart-Young: with S fixed, the L half-step never raises the objective.
+        # With S fixed, the L half-step never raises the objective: the first
+        # is exact (Eckart-Young); a warm step fits at least as well as the
+        # previous (A, B), whose rows lie in its starting subspace.
         assert not trace or obj <= trace[-1] + 1e-9 * (1.0 + trace[-1])
         trace.append(obj)
         if best is None or obj < best[0]:
@@ -244,6 +259,22 @@ def layer_error(w: np.ndarray, d: ScalingDiag, dec: Decomposition) -> float:
 # --- local low-rank adaptation ----------------------------------------------
 
 
+def _adapter_step(target, gram, a, b, ua, va, ub, vb):
+    """Gram-form objective and adapter gradients; see adapter_objective_and_grads.
+
+    With E = A_eff B_eff - (W - S) and G = X X^T, f = sum(E * (E G)),
+    df/dA_eff = 2 E G B_eff^T and df/dB_eff = 2 A_eff^T E G.
+    """
+    a_eff = a + ua @ va
+    b_eff = b + ub @ vb
+    err = a_eff @ b_eff - target  # (m x n)
+    err_g = err @ gram  # (m x n)
+    f = float(np.sum(err * err_g))
+    ga = 2.0 * (err_g @ b_eff.T)  # df/d(A_eff), (m x r)
+    gb = 2.0 * (a_eff.T @ err_g)  # df/d(B_eff), (r x n)
+    return f, (ga @ va.T, ua.T @ ga, gb @ vb.T, ub.T @ gb)
+
+
 def adapter_objective_and_grads(
     w: np.ndarray,
     x: np.ndarray,
@@ -258,16 +289,10 @@ def adapter_objective_and_grads(
     """Calibration objective and its exact gradients w.r.t. the adapters.
 
     f = || W X - [(A + Ua Va)(B + Ub Vb) + S] X ||_F^2
+
+    Evaluated by the same Gram-form kernel that ``local_adapt`` steps with.
     """
-    target = (w - sparse_exp) @ x  # (m x T), constant across steps
-    a_eff = a + ua @ va
-    b_eff = b + ub @ vb
-    bx = b_eff @ x  # (r x T)
-    err = a_eff @ bx - target  # (m x T)
-    f = float(np.sum(err * err))
-    ga = 2.0 * (err @ bx.T)  # df/d(A_eff), (m x r)
-    gb = 2.0 * (a_eff.T @ err) @ x.T  # df/d(B_eff), (r x n)
-    return f, (ga @ va.T, ua.T @ ga, gb @ vb.T, ub.T @ gb)
+    return _adapter_step(w - sparse_exp, x @ x.T, a, b, ua, va, ub, vb)
 
 
 def local_adapt(
@@ -277,8 +302,13 @@ def local_adapt(
     steps: int = 100,
     lr: float = 1e-2,
     seed: int = 0,
+    key: int = 0,
 ) -> Decomposition:
     """Refine (A, B) with rank-limited adapters against raw calibration data.
+
+    The adapters start from the random stream keyed on (seed, 3, key); the
+    pipeline passes the layer name's ``stable_key`` so that a layer's stream
+    does not depend on its position in the model.
 
     Adapters dA = Ua Va and dB = Ub Vb have rank at most floor(r/4) (min 1)
     and are merged back on return, so the parameter count is unchanged. Uses
@@ -295,14 +325,15 @@ def local_adapt(
     m, r = dec.a.shape
     n = dec.b.shape[1]
     q = max(1, r // 4)
-    rng = philox_rng(seed, 3)
+    rng = philox_rng(seed, 3, key)
     ua = rng.uniform(-1e-3, 1e-3, size=(m, q))
     ub = rng.uniform(-1e-3, 1e-3, size=(r, q))
     va = np.zeros((q, r))
     vb = np.zeros((q, n))
-    sparse_exp = expand(dec.sparse)
+    target = w - expand(dec.sparse)
+    gram = x @ x.T  # (n x n), constant across steps
 
-    f, grads = adapter_objective_and_grads(w, x, dec.a, dec.b, sparse_exp, ua, va, ub, vb)
+    f, grads = _adapter_step(target, gram, dec.a, dec.b, ua, va, ub, vb)
     trace = [f]
     best = (f, ua.copy(), va.copy(), ub.copy(), vb.copy())
     step_lr = lr
@@ -311,7 +342,7 @@ def local_adapt(
             raise FloatingPointError(f"non-finite adapter gradient at step {step}")
         while True:
             cand = (ua - step_lr * grads[0], va - step_lr * grads[1], ub - step_lr * grads[2], vb - step_lr * grads[3])
-            f_new, grads_new = adapter_objective_and_grads(w, x, dec.a, dec.b, sparse_exp, *cand)
+            f_new, grads_new = _adapter_step(target, gram, dec.a, dec.b, *cand)
             if f_new <= f:
                 break
             step_lr *= 0.5

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocate import CompressionPlan, allocate_ranks, basis_rank, prepare_full_rank
+from .config import ConfigError
 from .container import read_container, write_container
 from .decompose import (
     Decomposition,
@@ -52,11 +53,14 @@ def load_calibration_inputs(path) -> np.ndarray:
 
 def compress_model(cfg: dict, engines: EngineConfig):
     """Run the full pipeline; returns (graph, compressed layers, plan, summary)."""
+    t = cfg["targets"]
+    n_v = engines.sparse.ptc.n_v
+    if t["granularity"] > n_v:
+        raise ConfigError(f"targets.granularity={t['granularity']} exceeds the sparse PTC's n_v={n_v} rows")
     graph, tensors = load_model(cfg["paths"]["model"])
     calib_inputs = load_calibration_inputs(cfg["paths"]["calibration"])
     calib = collect_calibration(graph, tensors, calib_inputs)
 
-    t = cfg["targets"]
     dcfg = cfg["decomposition"]
     weights = {l.id: np.asarray(tensors[l.id], dtype=np.float64) for l in graph.compressible_layers()}
     scaling = {lid: compute_scaling(calib.activations[lid]) for lid in weights}
@@ -81,14 +85,14 @@ def compress_model(cfg: dict, engines: EngineConfig):
 
     compressed: dict[str, CompressedLayer] = {}
     ranks = {pl.id: pl.r for pl in plan.layers}
-    for idx, lid in enumerate(weights):
+    for lid in weights:
         w, d = weights[lid], scaling[lid]
         dec = decompose_layer(w, d, ranks[lid], t["sparse_ratio"], t["granularity"], iters=dcfg["iters"])
         if dcfg["adapt_steps"] > 0:
             dec = local_adapt(
                 dec, w, calib.activations[lid],
                 steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"],
-                seed=cfg["seed"] * 1_000_003 + idx,
+                seed=cfg["seed"], key=stable_key(lid),
             )
         compressed[lid] = CompressedLayer(a=dec.a, b=dec.b, sparse=dec.sparse)
         for pl in plan.layers:
@@ -305,16 +309,3 @@ def quantized_matmul_weights(weights: dict[str, np.ndarray], ratio: float, seed:
             wq = inject_noise(wq, ratio, seed, key=stable_key(name))
         out[name] = wq
     return out
-
-
-def activation_quant_matmul(ratio: float, seed: int):
-    """matmul_fn quantizing (and optionally noising) activations per tensor."""
-    counter = iter(range(1 << 30))
-
-    def mm(w, x):
-        xq = dequantize(quantize(x, "per_tensor"))
-        if ratio > 0.0:
-            xq = inject_noise(xq, ratio, seed, key=1_000_000 + next(counter))
-        return w @ xq
-
-    return mm

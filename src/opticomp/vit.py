@@ -198,13 +198,6 @@ def evaluate(model: ToyViT, dataset: ToyDataset, matmul_fn=None) -> float:
     return hits / len(dataset)
 
 
-def predict_logits(model: ToyViT, dataset: ToyDataset, matmul_fn=None) -> np.ndarray:
-    out = np.empty((len(dataset), model.weights["head"].shape[0]))
-    for i in range(len(dataset)):
-        out[i], _ = forward(model, dataset.inputs[i], matmul_fn=matmul_fn)
-    return out
-
-
 def collect_calibration(graph: ModelGraph, tensors: dict[str, np.ndarray], inputs: np.ndarray) -> CalibrationSet:
     """Record the exact activation matrix each compressible layer consumes."""
     model = ToyViT.from_tensors(graph, tensors)

@@ -1,10 +1,18 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from opticomp import pipeline
 from opticomp.cli import main
 from opticomp.container import read_container, write_container
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +83,42 @@ class TestCompress:
 
     def test_invalid_alpha_exits_two(self, toy_dir, tmp_path):
         assert main(compress_args(toy_dir, tmp_path, "--set", "targets.alpha=1.5")) == 2
+
+    def test_granularity_above_sparse_ptc_rows_exits_two(self, toy_dir, tmp_path, capsys, monkeypatch):
+        # Rejected before the model is even loaded, so no decomposition runs.
+        def unreachable(*args):
+            raise AssertionError("compress loaded the model before checking the granularity")
+
+        monkeypatch.setattr(pipeline, "load_model", unreachable)
+        code = main(compress_args(toy_dir, tmp_path, "--set", "targets.granularity=9"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "targets.granularity=9" in err and "n_v=8" in err
+        assert not (tmp_path / "plan.json").exists()
+
+    def test_artifacts_identical_across_blas_thread_counts(self, tmp_path):
+        def opticomp(*args, threads=1):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(SRC))
+            subprocess.run([sys.executable, "-m", "opticomp.cli", *args], env=env, check=True, capture_output=True)
+
+        toy = tmp_path / "toy96"
+        opticomp("gen-toy", "--out", str(toy), "--seed", "3", "--hidden", "96", "--calib-tokens", "256")
+        digests = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            opticomp(
+                "compress",
+                "--set", f"paths.model={toy}/model.lten",
+                "--set", f"paths.calibration={toy}/calib.lten",
+                "--set", "decomposition.iters=12",
+                "--set", "decomposition.adapt_steps=20",
+                "--out", str(out), "--seed", "3",
+                threads=threads,
+            )
+            digests.append(
+                [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("plan.json", "compressed.lten")]
+            )
+        assert digests[0] == digests[1]
 
 
 class TestSimulate:

@@ -1,9 +1,14 @@
 """Cross-module flows: compression quality as seen by the evaluation surface."""
 import numpy as np
 
+from opticomp import pipeline
+from opticomp.cli import main
+from opticomp.config import load_config
 from opticomp.decompose import compute_scaling, decompose_layer, local_adapt
-from opticomp.pipeline import CompressedLayer, effective_tensors
-from opticomp.util import philox_rng
+from opticomp.model import ModelGraph
+from opticomp.photonic import EngineConfig
+from opticomp.pipeline import CompressedLayer, compress_model, effective_tensors
+from opticomp.util import philox_rng, stable_key
 from opticomp.vit import ToyViT, block_loss, build_toy_graph, collect_calibration, forward, gen_toy_model
 
 
@@ -43,3 +48,34 @@ def test_block_loss_positive_and_adaptation_helps():
         assert loss_adapted > 0.0
         improved += loss_adapted < loss_raw
     assert improved >= 0.8 * trials, f"adaptation reduced feature drift in only {improved}/{trials}"
+
+
+def test_adapter_stream_does_not_depend_on_layer_position(tmp_path, monkeypatch):
+    assert main([
+        "gen-toy", "--out", str(tmp_path), "--seed", "5", "--hidden", "24", "--heads", "2",
+        "--blocks", "1", "--in-dim", "12", "--calib-tokens", "32", "--samples", "4",
+    ]) == 0
+    cfg = load_config(None, [
+        f"paths.model={tmp_path}/model.lten", f"paths.calibration={tmp_path}/calib.lten",
+        "decomposition.iters=2", "decomposition.adapt_steps=1", "seed=5",
+    ])
+    streams = []
+
+    def record(dec, w, x, **kwargs):
+        # seed and key select the adapter's random stream
+        streams[-1][w.tobytes()] = (kwargs["seed"], kwargs["key"])
+        return dec
+
+    monkeypatch.setattr(pipeline, "local_adapt", record)
+    in_order = ModelGraph.compressible_layers
+    for order in (in_order, lambda graph: in_order(graph)[::-1]):
+        monkeypatch.setattr(ModelGraph, "compressible_layers", order)
+        streams.append({})
+        compress_model(cfg, EngineConfig.default())
+    forward, backward = streams
+    assert list(forward) == list(backward)[::-1]  # visited in the opposite order
+    assert forward == backward
+    graph, tensors = pipeline.load_model(cfg["paths"]["model"])
+    for layer in in_order(graph):
+        w = np.asarray(tensors[layer.id], dtype=np.float64)
+        assert forward[w.tobytes()] == (5, stable_key(layer.id))
