@@ -12,7 +12,7 @@ from .decompose import (
     local_adapt,
     structured_sparsify,
 )
-from .linalg import SvdResult, frobenius_norm, matmul, truncated_svd
+from .linalg import SvdResult, frobenius_norm, truncated_svd
 from .model import CalibrationSet, LayerSpec, ModelGraph, load_model, save_model
 from .photonic import (
     CostReport,
@@ -25,7 +25,6 @@ from .photonic import (
     plan_splitters,
     ptc_matmul,
     simulate,
-    tile_weight,
 )
 from .quantize import QuantizedTensor, dequantize, inject_noise, quantize
 from .vit import ToyViT, block_loss, collect_calibration, evaluate, forward, logit_loss

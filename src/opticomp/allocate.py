@@ -1,12 +1,13 @@
 """Batch-wise greedy rank allocation under a global compression target.
 
-Every layer is decomposed once at its break-even rank
-r_max = floor(m n / (m + n)); because the stored factors are an exact
-truncated SVD of the residual (decompose module contract), the rank-r
-candidate is just a column/row slice and its error follows from the
-singular-value tail, with no further SVDs or data passes. The search
-raises ranks of high-error layers in batches until the parameter budget
-runs out, leaving the achieved reduction psi at or above the target alpha.
+The guide is one alternation per layer at its break-even rank
+r_max = floor(m n / (m + n)): the exact rank-r_max SVD of W D, one
+structured sparsify and the closing refit. The refit makes the stored
+singular values exact for W D - S, so the error at any rank r <= r_max
+against that S follows from the singular-value tail, with no further SVDs
+or data passes. The search raises ranks of high-error layers in batches
+until the parameter budget runs out, leaving the achieved reduction psi at
+or above the target alpha.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ class LayerState:
     cols: int
     r_max: int
     rank: int
-    decomposition: Decomposition  # full-rank factors, de-scaled
+    decomposition: Decomposition  # the rank-r_max guide, de-scaled
     wd_norm: float
     tail_sq: np.ndarray  # tail_sq[r] = best_obj^2 + sum of sigma[r:]^2
 
@@ -43,7 +44,7 @@ class LayerState:
         return self.rows + self.cols
 
     def error_at(self, r: int) -> float:
-        """Normalized scaled-domain error of the rank-r slice, O(1)."""
+        """Normalized scaled-domain error at rank r against the guide's S, O(1)."""
         if not 1 <= r <= self.r_max:
             raise ValueError(f"rank {r} outside [1, {self.r_max}] for layer {self.layer_id!r}")
         return math.sqrt(self.tail_sq[r]) / self.wd_norm
@@ -51,9 +52,6 @@ class LayerState:
     @property
     def error(self) -> float:
         return self.error_at(self.rank)
-
-    def sliced_factors(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.decomposition.a[:, :r], self.decomposition.b[:r, :]
 
 
 @dataclass
@@ -69,9 +67,13 @@ def prepare_full_rank(
     scaling: dict[str, ScalingDiag],
     s: float,
     g: int,
-    iters: int = 80,
+    iters: int = 1,
 ) -> RankState:
-    """Decompose every layer once at its maximum useful rank."""
+    """Fit every layer at its break-even rank to guide the allocator.
+
+    One alternation, the default, is the pipeline's guide; more barely
+    change the ranks the allocator assigns.
+    """
     states = []
     for layer_id, w in layers:
         w = as_matrix(w, layer_id)

@@ -1,9 +1,8 @@
 """Command-line pipeline driver.
 
-Verbs: gen-toy, calibrate, compress, simulate, verify, report. Every
-config field can be overridden with ``--set section.field=value``. Exit
-codes: 0 success, 1 failed invariant or pipeline error, 2 usage/config
-error.
+Verbs: gen-toy, compress, simulate, verify, report. Every config field
+can be overridden with ``--set section.field=value``. Exit codes: 0
+success, 1 failed invariant or pipeline error, 2 usage/config error.
 """
 from __future__ import annotations
 
@@ -20,14 +19,13 @@ from .photonic import EngineConfig, comparison, simulate
 from .pipeline import (
     compress_model,
     hardware_from_config,
-    load_calibration_inputs,
     read_plan,
     save_compressed,
     verify_artifacts,
     write_plan,
 )
 from .util import philox_rng
-from .vit import build_toy_graph, collect_calibration, gen_toy_dataset, gen_toy_model, save_dataset
+from .vit import build_toy_graph, gen_toy_dataset, gen_toy_model, save_dataset
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -63,22 +61,6 @@ def cmd_gen_toy(args) -> int:
     dataset = gen_toy_dataset(graph, tensors, samples=args.samples, tokens=args.tokens, seed=args.seed)
     save_dataset(out / "data.lten", dataset)
     print(f"wrote {out}/model.lten, calib.lten ({args.calib_tokens} tokens), data.lten ({args.samples} samples)")
-    return 0
-
-
-def cmd_calibrate(args) -> int:
-    cfg = _config_from(args)
-    graph, tensors = load_model(cfg["paths"]["model"])
-    inputs = load_calibration_inputs(cfg["paths"]["calibration"])
-    calib = collect_calibration(graph, tensors, inputs)
-    out = Path(cfg["paths"]["output"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_container(
-        out / "activations.lten",
-        dict(calib.activations),
-        extra={"kind": "calibration_activations", "sample_count": calib.sample_count},
-    )
-    print(f"recorded activations for {len(calib.activations)} layers ({calib.sample_count} tokens)")
     return 0
 
 
@@ -191,10 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--tokens", type=int, default=16)
     p.set_defaults(func=cmd_gen_toy)
-
-    p = sub.add_parser("calibrate", help="record per-layer input activations")
-    _add_config_args(p)
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("compress", help="run the full compression pipeline")
     _add_config_args(p)

@@ -49,6 +49,18 @@ class ShapeDisagreementError(ContainerError):
     """Manifest entry and blob extent disagree about a tensor's size."""
 
 
+class DuplicateTensorError(ContainerError):
+    """Two manifest entries share a tensor name."""
+
+
+class NegativeExtentError(ContainerError):
+    """A manifest entry has a negative byte offset, byte length or dimension."""
+
+
+class OverlappingTensorsError(ContainerError):
+    """Two tensors' byte extents share bytes of the blob."""
+
+
 def _dtype_name(arr: np.ndarray) -> str:
     if arr.dtype.kind == "f":
         return "f32"
@@ -123,13 +135,20 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
 
     blob = raw[16 + manifest_len :]
     tensors: dict[str, np.ndarray] = {}
+    extents: list[tuple[int, int, str]] = []
     for entry in manifest.get("tensors", []):
         name = entry["name"]
+        if name in tensors:
+            raise DuplicateTensorError(f"{path}: tensor {name!r} appears more than once in the manifest")
         dtype = _DTYPES.get(entry["dtype"])
         if dtype is None:
             raise ContainerError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
         shape = tuple(entry["shape"])
         start, length = entry["byte_offset"], entry["byte_len"]
+        if start < 0 or length < 0 or any(dim < 0 for dim in shape):
+            raise NegativeExtentError(
+                f"{path}: tensor {name!r} has offset {start}, length {length}, shape {shape}; none may be negative"
+            )
         expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         if expected != length:
             raise ShapeDisagreementError(
@@ -138,4 +157,10 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if start + length > len(blob):
             raise TruncatedBlobError(f"{path}: tensor {name!r} extends past end of blob")
         tensors[name] = np.frombuffer(blob, dtype=dtype, count=expected // dtype.itemsize, offset=start).reshape(shape)
+        if length:
+            extents.append((start, start + length, name))
+    extents.sort()
+    for (_, end, first), (start, _, second) in zip(extents, extents[1:]):
+        if start < end:
+            raise OverlappingTensorsError(f"{path}: tensors {first!r} and {second!r} share blob bytes")
     return manifest, tensors

@@ -8,9 +8,10 @@ columns by d_j = ||X[j, :]||_2 and alternately fit, in the scaled domain,
 where A B has rank at most r and S keeps, per row-chunk of height g, the
 round(n * s) columns with the largest L1 mass (stored condensed). The best
 iterate seen wins; a closing SVD refit against its sparse part makes the
-returned (A, B) the exact truncated SVD of the remaining residual, which is
-what lets the rank allocator slice factors instead of re-decomposing.
-Stored factors are de-scaled so A @ B + expand(S) approximates W directly.
+returned (A, B) the exact truncated SVD of W D - expand(S), so the returned
+singular values give the error at every lower rank against that S (the
+allocator's guide relies on this). Stored factors are de-scaled so
+A @ B + expand(S) approximates W directly.
 
 Only the first L-step (S = 0, so the first iterate is the plain rank-r SVD
 and the best iterate can never lose to it) and the closing refit use an

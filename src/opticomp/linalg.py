@@ -1,5 +1,5 @@
-"""Dense linear-algebra substrate: products, norms, truncated SVD (exact,
-or warm-started from a previous right subspace).
+"""Dense linear-algebra substrate: norms, truncated SVD (exact, or
+warm-started from a previous right subspace).
 
 All routines work on float64 2-D numpy arrays and are deterministic for
 identical inputs on a given platform. Factors returned by
@@ -35,17 +35,8 @@ class SvdResult:
         return (self.u * self.singular_values) @ self.vt
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return check_finite(a @ b, "matmul")
-
-
 def frobenius_norm(m: np.ndarray) -> float:
-    m = as_matrix(m, "m")
+    """Frobenius norm of a float64 array the caller has already validated."""
     return float(np.sqrt(np.sum(m * m)))
 
 

@@ -157,22 +157,6 @@ class EnergyParams:
 # --- functional PTC model ----------------------------------------------------
 
 
-def tile_weight(w: np.ndarray, ptc: PtcConfig) -> np.ndarray:
-    """Zero-padded (p, q, n_v, n_h) block grid with p = ceil(m/n_v), q = ceil(n/n_h)."""
-    w = as_matrix(w, "weight")
-    m, n = w.shape
-    p, q = ceil(m / ptc.n_v), ceil(n / ptc.n_h)
-    padded = np.zeros((p * ptc.n_v, q * ptc.n_h))
-    padded[:m, :n] = w
-    return padded.reshape(p, ptc.n_v, q, ptc.n_h).transpose(0, 2, 1, 3).copy()
-
-
-def untile_weight(grid: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    p, q, n_v, n_h = grid.shape
-    padded = grid.transpose(0, 2, 1, 3).reshape(p * n_v, q * n_h)
-    return padded[:rows, :cols].copy()
-
-
 def ptc_matmul(w_blk: np.ndarray, x_blk: np.ndarray, ptc: PtcConfig) -> np.ndarray:
     """One PTC invocation: (n_h x n_lambda) times (n_lambda x n_v)."""
     w_blk = as_matrix(w_blk, "weight block")

@@ -1,10 +1,10 @@
 """End-to-end compression pipeline and artifact verification.
 
 Glues the stages together: calibration capture -> activation scaling ->
-full-rank decomposition -> greedy rank allocation -> per-layer
-re-decomposition at the assigned rank -> local adaptation -> serialized
-compressed model + plan. Verification re-derives every stored quantity
-from the artifacts themselves.
+one-step rank-r_max guide -> greedy rank allocation -> per-layer
+decomposition at the assigned rank (``decomposition.iters`` alternations)
+-> local adaptation -> serialized compressed model + plan. Verification
+re-derives every stored quantity from the artifacts themselves.
 """
 from __future__ import annotations
 
@@ -70,7 +70,6 @@ def compress_model(cfg: dict, engines: EngineConfig):
         scaling,
         s=t["sparse_ratio"],
         g=t["granularity"],
-        iters=dcfg["iters"],
     )
     b = basis_rank(graph.hidden_size, engines.dense.ptc.n_h, override=cfg["allocator"]["basis_rank"])
     plan = allocate_ranks(

@@ -1,27 +1,13 @@
 """Independent reference implementations used only as test oracles.
 
-These deliberately avoid the code paths under test: matrix products use an
-explicit triple loop, and the full SVD is a textbook one-sided Jacobi
-(column-pair rotations until all cosines vanish), validated against hand
-cases in test_linalg before it is trusted anywhere else.
+These deliberately avoid the code paths under test: the full SVD is a
+textbook one-sided Jacobi (column-pair rotations until all cosines vanish),
+validated against hand cases in test_linalg before it is trusted anywhere
+else.
 """
 from __future__ import annotations
 
 import numpy as np
-
-
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def jacobi_svd(m: np.ndarray, max_sweeps: int = 60, tol: float = 1e-12):

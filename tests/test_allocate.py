@@ -37,10 +37,15 @@ class TestPrepareFullRank:
         scaling = {"l": ScalingDiag.identity(4)}
         state = prepare_full_rank([("l", w)], scaling, s=0.25, g=2, iters=2)
         layer = state.layers[0]
-        a, b = layer.sliced_factors(2)
-        assert a.shape == (4, 2) and b.shape == (2, 4)
         # top-2 triplets of the residual: singular values sorted descending
         assert layer.decomposition.singular_values[0] >= layer.decomposition.singular_values[1]
+
+    def test_default_guide_is_one_alternation(self):
+        layers, scaling = random_layers(8, 3, m=24, n=36)
+        state = prepare_full_rank(layers, scaling, s=0.125, g=4)
+        for layer in state.layers:
+            # first L-step, one S-step, closing refit
+            assert len(layer.decomposition.objective_trace) == 3
 
     def test_error_monotone_in_rank(self):
         layers, scaling = random_layers(0, 1)
@@ -52,7 +57,7 @@ class TestPrepareFullRank:
 
     def test_slice_matches_recompute_oracle(self):
         layers, scaling = random_layers(1, 4, m=24, n=36)
-        state = prepare_full_rank(layers, scaling, s=0.125, g=4, iters=5)
+        state = prepare_full_rank(layers, scaling, s=0.125, g=4)
         for (lid, w), layer in zip(layers, state.layers):
             d = scaling[lid]
             wd = w * d.d[None, :]

@@ -96,6 +96,24 @@ class TestCompress:
         assert "config error" in err and "targets.granularity=9" in err and "n_v=8" in err
         assert not (tmp_path / "plan.json").exists()
 
+    def test_ranks_do_not_depend_on_final_pass_iterations(self, tmp_path):
+        # decomposition.iters sets only the per-rank pass; the allocator's
+        # guide is a fixed single alternation. At hidden 32 a guide run for
+        # decomposition.iters alternations would assign other ranks.
+        toy = tmp_path / "toy32"
+        assert main([
+            "gen-toy", "--out", str(toy), "--seed", "5",
+            "--hidden", "32", "--heads", "2", "--blocks", "2", "--in-dim", "12",
+            "--calib-tokens", "32", "--samples", "12", "--tokens", "6",
+        ]) == 0
+        plans = []
+        for iters in (2, 6):
+            out = tmp_path / f"iters{iters}"
+            assert main(compress_args(toy, out, "--set", f"decomposition.iters={iters}")) == 0
+            plan = json.loads((out / "plan.json").read_text())
+            plans.append((plan["psi_achieved"], [(l["id"], l["r"], l["d"]) for l in plan["layers"]]))
+        assert plans[0] == plans[1]
+
     def test_artifacts_identical_across_blas_thread_counts(self, tmp_path):
         def opticomp(*args, threads=1):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(SRC))
@@ -119,6 +137,13 @@ class TestCompress:
                 [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("plan.json", "compressed.lten")]
             )
         assert digests[0] == digests[1]
+
+
+def test_calibrate_is_an_unknown_verb(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--out", "unused"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -7,12 +7,25 @@ import pytest
 from opticomp.container import (
     ALIGNMENT,
     BadMagicError,
+    DuplicateTensorError,
+    NegativeExtentError,
+    OverlappingTensorsError,
     ShapeDisagreementError,
     TruncatedBlobError,
     VersionMismatchError,
     read_container,
     write_container,
 )
+
+
+def rewrite_manifest(path, edit):
+    """Replace the manifest of an LTEN file with edit(manifest), keeping the blob."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack_from("<Q", raw, 8)
+    manifest = json.loads(raw[16 : 16 + mlen])
+    edit(manifest)
+    new_manifest = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new_manifest)) + new_manifest + raw[16 + mlen :])
 
 
 def test_round_trip_single_scalar(tmp_path):
@@ -87,12 +100,47 @@ def test_truncated_blob(tmp_path):
 def test_manifest_blob_shape_disagreement(tmp_path):
     path = tmp_path / "t.lten"
     write_container(path, {"a": np.ones((2, 2))})
-    raw = path.read_bytes()
-    (mlen,) = struct.unpack_from("<Q", raw, 8)
-    manifest = json.loads(raw[16 : 16 + mlen])
-    manifest["tensors"][0]["shape"] = [3, 3]  # lies about the stored extent
-    blob = raw[16 + mlen :]
-    new_manifest = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(raw[:8] + struct.pack("<Q", len(new_manifest)) + new_manifest + blob)
+
+    def lie(manifest):
+        manifest["tensors"][0]["shape"] = [3, 3]  # lies about the stored extent
+
+    rewrite_manifest(path, lie)
     with pytest.raises(ShapeDisagreementError):
+        read_container(path)
+
+
+def test_duplicate_tensor_name(tmp_path):
+    path = tmp_path / "t.lten"
+    write_container(path, {"a": np.ones((2, 2)), "b": np.zeros((2, 2))})
+
+    def rename(manifest):
+        manifest["tensors"][1]["name"] = "a"  # would silently shadow the first "a"
+
+    rewrite_manifest(path, rename)
+    with pytest.raises(DuplicateTensorError, match="'a'"):
+        read_container(path)
+
+
+@pytest.mark.parametrize("field,value", [("byte_offset", -64), ("byte_len", -16), ("shape", [-2, -2])])
+def test_negative_extent(tmp_path, field, value):
+    path = tmp_path / "t.lten"
+    write_container(path, {"a": np.ones((2, 2)), "b": np.ones((2, 2))})
+
+    def negate(manifest):
+        manifest["tensors"][1][field] = value
+
+    rewrite_manifest(path, negate)
+    with pytest.raises(NegativeExtentError, match="'b'"):
+        read_container(path)
+
+
+def test_overlapping_tensors(tmp_path):
+    path = tmp_path / "t.lten"
+    write_container(path, {"a": np.ones((4, 4)), "b": np.ones((2, 2))})
+
+    def alias(manifest):
+        manifest["tensors"][1]["byte_offset"] = 32  # inside a's 64 bytes
+
+    rewrite_manifest(path, alias)
+    with pytest.raises(OverlappingTensorsError, match="'a' and 'b'"):
         read_container(path)

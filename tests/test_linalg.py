@@ -1,35 +1,9 @@
 import numpy as np
 import pytest
 
-from opticomp.linalg import SvdError, balanced_factors, frobenius_norm, matmul, truncated_svd
+from opticomp.linalg import SvdError, balanced_factors, frobenius_norm, truncated_svd
 
-from oracles import jacobi_svd, naive_matmul
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        np.testing.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_2x2(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[2.0], [4.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(7, 5))
-        b = rng.normal(size=(5, 3))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() <= 1e-12
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match="3x4.*2x5"):
-            matmul(np.zeros((3, 4)), np.zeros((2, 5)))
-
-    def test_deterministic_bit_identical(self):
-        rng = np.random.default_rng(8)
-        a, b = rng.normal(size=(20, 30)), rng.normal(size=(30, 10))
-        assert matmul(a, b).tobytes() == matmul(a, b).tobytes()
+from oracles import jacobi_svd
 
 
 class TestFrobeniusNorm:

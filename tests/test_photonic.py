@@ -19,31 +19,11 @@ from opticomp.photonic import (
     ptc_layer_matmul,
     ptc_matmul,
     simulate,
-    tile_weight,
-    untile_weight,
 )
 from opticomp.util import philox_rng
 from opticomp.vit import ToyViT, build_toy_graph, forward, gen_toy_model
 
 PTC12 = PtcConfig(12, 12, 12)
-
-
-class TestTiling:
-    def test_exact_division(self):
-        grid = tile_weight(np.ones((24, 24)), PTC12)
-        assert grid.shape == (2, 2, 12, 12)
-
-    def test_ragged_rows_pad(self):
-        w = np.arange(13 * 12, dtype=float).reshape(13, 12)
-        grid = tile_weight(w, PTC12)
-        assert grid.shape == (2, 1, 12, 12)
-        np.testing.assert_array_equal(grid[1, 0, 1:, :], 0.0)
-
-    def test_round_trip_bit_exact(self):
-        rng = np.random.default_rng(0)
-        w = rng.normal(size=(30, 50))
-        grid = tile_weight(w, PTC12)
-        assert untile_weight(grid, 30, 50).tobytes() == w.tobytes()
 
 
 class TestPtcMatmul:
