@@ -92,12 +92,10 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     batch = cfg["hardware"]["batch_tokens"]
 
-    plan = None
-    if args.plan:
-        plan = read_plan(args.plan)
-    elif not args.baseline:
-        print("error: provide --plan PATH or --baseline", file=sys.stderr)
+    if bool(args.plan) == args.baseline:
+        print("error: provide exactly one of --plan PATH or --baseline", file=sys.stderr)
         return 2
+    plan = read_plan(args.plan) if args.plan else None
 
     if args.compare:
         if plan is None:
@@ -153,6 +151,12 @@ def cmd_report(args) -> int:
     print(f"total energy: {data['total_energy_pj']:.4e} pJ over {data['cycles']} cycles")
     for comp, value in sorted(data["energy_pj"].items()):
         print(f"  {comp:<16}{value:>16.4e} pJ")
+    print(f"{'layer':<20}{'dense cyc':>12}{'sparse cyc':>12}  {'bound':<8}top energy")
+    for layer in data["per_layer"]:
+        dense, sparse = layer["dense_cycles"], layer["sparse_cycles"]
+        bound = "tie" if dense == sparse else "dense" if dense > sparse else "sparse"
+        top = max(sorted(layer["energy_pj"]), key=layer["energy_pj"].get)
+        print(f"{layer['id']:<20}{dense:>12}{sparse:>12}  {bound:<8}{top}")
     return 0
 
 

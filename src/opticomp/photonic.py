@@ -2,10 +2,15 @@
 
 Functional side: a photonic tensor core (PTC) of size (n_v, n_h, n_lambda)
 multiplies an (n_h x n_lambda) weight block by an (n_lambda x n_v)
-activation block per invocation; full layers are tiled over those blocks,
-and condensed sparse chunks run on a reconfigurable engine whose input
-light can be gated in quarters of its n_v rows through a two-stage
-splitter tree (modes 2:0 / 1:1 / 0:2).
+activation block per invocation. ``ptc_matmul`` runs a batch of
+invocations, one per leading index of stacked blocks. Full layers are
+tiled over those blocks: for each of the pk inner block slices, one batch
+covers every (row block, column block) pair and its products are summed
+into the output, the analog accumulation over the inner dimension.
+Condensed sparse chunks run on a reconfigurable engine whose input light
+can be gated in quarters of its n_v rows through a two-stage splitter tree
+(modes 2:0 / 1:1 / 0:2); functionally, each chunk's kept input rows are
+gathered in one indexing step and multiplied by its condensed values.
 
 Cost side, per layer. A dense-engine matmul of (rows x inner) by
 (inner x batch) needs
@@ -81,7 +86,10 @@ class EngineBlock:
 
     def __post_init__(self):
         if self.tiles < 0 or self.cores_per_tile < 1:
-            raise ValueError("tile/core counts must be positive")
+            raise ValueError(
+                f"engine block needs tiles >= 0 and cores_per_tile >= 1, "
+                f"got tiles={self.tiles}, cores_per_tile={self.cores_per_tile}"
+            )
 
     @property
     def cores(self) -> int:
@@ -158,54 +166,66 @@ class EnergyParams:
 
 
 def ptc_matmul(w_blk: np.ndarray, x_blk: np.ndarray, ptc: PtcConfig) -> np.ndarray:
-    """One PTC invocation: (n_h x n_lambda) times (n_lambda x n_v)."""
-    w_blk = as_matrix(w_blk, "weight block")
-    x_blk = as_matrix(x_blk, "input block")
-    if w_blk.shape != (ptc.n_h, ptc.n_lambda):
-        raise ValueError(f"weight block {w_blk.shape} != PTC ({ptc.n_h}, {ptc.n_lambda})")
-    if x_blk.shape != (ptc.n_lambda, ptc.n_v):
-        raise ValueError(f"input block {x_blk.shape} != PTC ({ptc.n_lambda}, {ptc.n_v})")
+    """PTC invocations: (..., n_h x n_lambda) times (..., n_lambda x n_v).
+
+    One invocation per leading index; leading dimensions broadcast as in
+    ``np.matmul``, so a 2-D pair is a single invocation.
+    """
+    w_blk = np.asarray(w_blk, dtype=np.float64)
+    x_blk = np.asarray(x_blk, dtype=np.float64)
+    if w_blk.shape[-2:] != (ptc.n_h, ptc.n_lambda):
+        raise ValueError(f"weight block {w_blk.shape} != PTC (..., {ptc.n_h}, {ptc.n_lambda})")
+    if x_blk.shape[-2:] != (ptc.n_lambda, ptc.n_v):
+        raise ValueError(f"input block {x_blk.shape} != PTC (..., {ptc.n_lambda}, {ptc.n_v})")
+    if not np.isfinite(w_blk).all():
+        raise ValueError("weight block contains non-finite entries")
+    if not np.isfinite(x_blk).all():
+        raise ValueError("input block contains non-finite entries")
     return w_blk @ x_blk
 
 
 def ptc_layer_matmul(w: np.ndarray, x: np.ndarray, ptc: PtcConfig) -> np.ndarray:
-    """Full W @ X assembled from tiled PTC invocations (functional check path)."""
+    """Full W @ X assembled from tiled PTC invocations (functional check path).
+
+    W and X are zero-padded once and viewed as block grids (pr, pk, n_h,
+    n_lambda) and (pk, pb, n_lambda, n_v). Each inner slice k is one batch
+    of pr * pb invocations, summed into the (pr, pb, n_h, n_v) output
+    blocks: the analog accumulation over the inner dimension.
+    """
     w = as_matrix(w, "weight")
     x = as_matrix(x, "input")
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"cannot multiply {w.shape} by {x.shape}")
     m, inner = w.shape
     batch = x.shape[1]
-    pr, pk, pb = ceil(m / ptc.n_h), ceil(inner / ptc.n_lambda), ceil(batch / ptc.n_v)
-    wp = np.zeros((pr * ptc.n_h, pk * ptc.n_lambda))
+    n_h, n_l, n_v = ptc.n_h, ptc.n_lambda, ptc.n_v
+    pr, pk, pb = ceil(m / n_h), ceil(inner / n_l), ceil(batch / n_v)
+    wp = np.zeros((pr * n_h, pk * n_l))
     wp[:m, :inner] = w
-    xp = np.zeros((pk * ptc.n_lambda, pb * ptc.n_v))
+    xp = np.zeros((pk * n_l, pb * n_v))
     xp[:inner, :batch] = x
-    out = np.zeros((pr * ptc.n_h, pb * ptc.n_v))
-    for i in range(pr):
-        rs = slice(i * ptc.n_h, (i + 1) * ptc.n_h)
-        for j in range(pb):
-            cs = slice(j * ptc.n_v, (j + 1) * ptc.n_v)
-            acc = np.zeros((ptc.n_h, ptc.n_v))
-            for k in range(pk):  # analog accumulation over the inner dim
-                ks = slice(k * ptc.n_lambda, (k + 1) * ptc.n_lambda)
-                acc += ptc_matmul(wp[rs, ks], xp[ks, cs], ptc)
-            out[rs, cs] = acc
-    return out[:m, :batch].copy()
+    w_grid = wp.reshape(pr, n_h, pk, n_l).transpose(0, 2, 1, 3)
+    x_grid = xp.reshape(pk, n_l, pb, n_v).transpose(0, 2, 1, 3)
+    acc = np.zeros((pr, pb, n_h, n_v))
+    for k in range(pk):
+        acc += ptc_matmul(w_grid[:, k, None], x_grid[k], ptc)
+    return acc.transpose(0, 2, 1, 3).reshape(pr * n_h, pb * n_v)[:m, :batch].copy()
 
 
 def condensed_matmul(sp: StructuredSparse, x: np.ndarray) -> np.ndarray:
-    """expand(sp) @ x computed chunk-by-chunk from the condensed form."""
+    """expand(sp) @ x computed from the condensed form: one gather of each
+    chunk's kept input rows, then one product per chunk."""
     x = as_matrix(x, "input")
     if x.shape[0] != sp.full_cols:
         raise ValueError(f"input has {x.shape[0]} rows, sparse component expects {sp.full_cols}")
     if sp.kept_cols.min() < 0 or sp.kept_cols.max() >= sp.full_cols:
         raise IndexError("kept column index out of range for this input")
-    out = np.empty((sp.full_rows, x.shape[1]))
-    for i in range(sp.num_chunks):
-        lo, hi = sp.chunk_rows(i)
-        out[lo:hi] = sp.condensed[lo:hi] @ x[sp.kept_cols[i]]
-    return out
+    m, chunks, d, batch = sp.full_rows, sp.num_chunks, sp.kept_per_chunk, x.shape[1]
+    g = min(sp.granularity, m)  # one chunk of m rows when g >= m
+    values = np.zeros((chunks * g, d))
+    values[:m] = sp.condensed
+    gathered = x[sp.kept_cols]  # (chunks, d, batch)
+    return (values.reshape(chunks, g, d) @ gathered).reshape(chunks * g, batch)[:m]
 
 
 # --- splitter planning --------------------------------------------------------

@@ -187,6 +187,15 @@ class TestSimulate:
             "--out", str(tmp_path),
         ]) == 2
 
+    def test_plan_with_baseline_is_usage_error(self, toy_dir, compressed_dir, tmp_path, capsys):
+        assert main([
+            "simulate", "--plan", str(compressed_dir / "plan.json"), "--baseline",
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--out", str(tmp_path),
+        ]) == 2
+        assert "exactly one of --plan PATH or --baseline" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestVerify:
     def verify_args(self, toy_dir, run_dir, *extra):
@@ -233,3 +242,39 @@ class TestReport:
         assert main(["report", str(tmp_path / "comparison.json")]) == 0
         assert "ratio" in capsys.readouterr().out
         assert main(["report", str(tmp_path / "report.json")]) == 0
+
+    def test_report_prints_one_row_per_layer(self, toy_dir, compressed_dir, tmp_path, capsys):
+        assert main([
+            "simulate", "--plan", str(compressed_dir / "plan.json"),
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--set", "hardware.batch_tokens=24",
+            "--out", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "report.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        per_layer = json.loads((tmp_path / "report.json").read_text())["per_layer"]
+        header = next(i for i, line in enumerate(lines) if line.startswith("layer"))
+        rows = [line.split() for line in lines[header + 1:]]
+        assert len(rows) == len(per_layer)
+        for row, layer in zip(rows, per_layer):
+            dense, sparse = layer["dense_cycles"], layer["sparse_cycles"]
+            bound = "tie" if dense == sparse else "dense" if dense > sparse else "sparse"
+            top = max(layer["energy_pj"], key=layer["energy_pj"].get)
+            assert row == [layer["id"], str(dense), str(sparse), bound, top]
+        # Compressed layers share the cycle budget with the sparse engine;
+        # embedding and head run dense only.
+        assert {row[3] for row in rows} >= {"dense"}
+        assert any(layer["sparse_cycles"] > 0 for layer in per_layer)
+
+    def test_comparison_report_has_no_layer_table(self, toy_dir, compressed_dir, tmp_path, capsys):
+        assert main([
+            "simulate", "--plan", str(compressed_dir / "plan.json"), "--compare",
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--out", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "comparison.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["metric", "baseline", "compressed", "ratio"]
+        assert len(lines) == 4

@@ -1,6 +1,10 @@
-"""Property tests for the decomposition inner-loop kernels: the warm-started
-L-step, the vectorized structured sparsify and the Gram-form adapter step."""
+"""Property tests for the vectorized kernels: the warm-started L-step, the
+vectorized structured sparsify, the Gram-form adapter step, and the batched
+functional PTC model (stacked invocations and the condensed sparse gather)."""
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +17,9 @@ from opticomp.decompose import (
     structured_sparsify,
 )
 from opticomp.linalg import balanced_factors, frobenius_norm, truncated_svd, warm_truncated_svd
+from opticomp.photonic import PtcConfig, condensed_matmul, ptc_layer_matmul, ptc_matmul
+
+from oracles import blockwise_ptc_matmul, chunkwise_condensed_matmul
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -153,3 +160,105 @@ class TestGramFormAdapter:
         assert abs(f - f_ref) <= 1e-10 * f_ref
         for got, want in zip(grads, grads_ref):
             assert frobenius_norm(got - want) <= 1e-10 * max(frobenius_norm(want), 1e-300)
+
+
+ptc_dims = st.integers(1, 16)
+
+
+class TestBatchedPtc:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 80), st.integers(1, 80), st.integers(1, 80), ptc_dims, ptc_dims, ptc_dims,
+           st.integers(0, 2**32 - 1))
+    @example(25, 13, 7, 12, 12, 12, 0)  # ragged tails on every axis, batch < n_v
+    @example(1, 1, 1, 16, 16, 16, 1)  # one padded block
+    @example(48, 36, 24, 12, 12, 12, 2)  # exact multiples, no padding
+    @example(5, 80, 3, 1, 1, 16, 3)  # single-row PTC, long inner accumulation
+    def test_layer_matmul_matches_blockwise_loop(self, m, inner, batch, n_v, n_h, n_lambda, seed):
+        rng = np.random.default_rng(seed)
+        w, x = rng.normal(size=(m, inner)), rng.normal(size=(inner, batch))
+        ptc = PtcConfig(n_v, n_h, n_lambda)
+        got = ptc_layer_matmul(w, x, ptc)
+        want = blockwise_ptc_matmul(w, x, ptc)
+        assert got.shape == (m, batch)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @SETTINGS
+    @given(st.integers(1, 4), st.integers(1, 4), ptc_dims, ptc_dims, ptc_dims, st.integers(0, 2**32 - 1))
+    def test_stacked_invocations_equal_two_dimensional_calls(self, a, b, n_v, n_h, n_lambda, seed):
+        rng = np.random.default_rng(seed)
+        ptc = PtcConfig(n_v, n_h, n_lambda)
+        w, x = rng.normal(size=(a, b, n_h, n_lambda)), rng.normal(size=(a, b, n_lambda, n_v))
+        got = ptc_matmul(w, x, ptc)
+        # Broadcast leading dims, as ptc_layer_matmul uses them.
+        w_row, x_col = rng.normal(size=(a, 1, n_h, n_lambda)), rng.normal(size=(b, n_lambda, n_v))
+        got_bc = ptc_matmul(w_row, x_col, ptc)
+        assert got.shape == got_bc.shape == (a, b, n_h, n_v)
+        for i in range(a):
+            for j in range(b):
+                np.testing.assert_array_equal(got[i, j], ptc_matmul(w[i, j], x[i, j], ptc))
+                np.testing.assert_array_equal(got_bc[i, j], ptc_matmul(w_row[i, 0], x_col[j], ptc))
+
+    def test_stacked_call_rejects_a_wrong_trailing_shape(self):
+        ptc = PtcConfig(4, 3, 2)
+        with pytest.raises(ValueError, match="PTC"):
+            ptc_matmul(np.ones((5, 3, 2)), np.ones((5, 2, 3)), ptc)
+        with pytest.raises(ValueError, match="PTC"):
+            ptc_matmul(np.ones((5, 2, 3)), np.ones((5, 2, 4)), ptc)
+
+    @pytest.mark.parametrize("operand", ["weight", "input"])
+    def test_nan_is_rejected(self, operand):
+        ptc = PtcConfig(4, 3, 2)
+        w, x = np.ones((7, 5)), np.ones((5, 6))
+        w_blk, x_blk = np.ones((2, 3, 2)), np.ones((2, 2, 4))
+        (w if operand == "weight" else x)[4, 2] = np.nan
+        (w_blk if operand == "weight" else x_blk)[1, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ptc_layer_matmul(w, x, ptc)
+        with pytest.raises(ValueError, match="non-finite"):
+            ptc_matmul(w_blk, x_blk, ptc)
+
+    def test_peak_memory_holds_no_product_tensor(self):
+        # A (pr, pb, pk, n_h, n_v) tensor of every invocation's product would
+        # be pk = 64 times the output; the batched path holds the padded
+        # operands, the output accumulator and one slice's products.
+        ptc = PtcConfig(12, 12, 12)
+        rng = np.random.default_rng(0)
+        w, x = rng.normal(size=(3072, 768)), rng.normal(size=(768, 197))
+        padded_w = 3072 * 768 * 8
+        padded_x = 768 * 204 * 8
+        out = 3072 * 197 * 8
+        tracemalloc.start()
+        try:
+            ptc_layer_matmul(w, x, ptc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (padded_w + padded_x + out)
+
+
+@st.composite
+def condensed_cases(draw):
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(2, 40))
+    g = draw(st.integers(1, m + 3))
+    d = draw(st.integers(1, n - 1))
+    batch = draw(st.integers(1, 12))
+    return m, n, g, (d + 0.25) / n, batch, draw(st.integers(0, 2**32 - 1))
+
+
+class TestCondensedGather:
+    @settings(max_examples=120, deadline=None)
+    @given(condensed_cases())
+    @example((7, 9, 3, 0.45, 4, 0))  # ragged last chunk
+    @example((6, 8, 1, 0.3, 5, 1))  # g = 1
+    @example((5, 9, 5, 0.5, 2, 2))  # g = m
+    @example((5, 9, 12, 0.2, 3, 3))  # g > m
+    def test_matches_per_chunk_loop(self, case):
+        m, n, g, s, batch, seed = case
+        rng = np.random.default_rng(seed)
+        sp = structured_sparsify(rng.normal(size=(m, n)), g, s)
+        x = rng.normal(size=(n, batch))
+        got = condensed_matmul(sp, x)
+        want = chunkwise_condensed_matmul(sp, x)
+        assert got.shape == (m, batch)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)

@@ -146,6 +146,19 @@ def toy_plan(graph, ratio=0.5, s=0.125, g=6):
     return plan
 
 
+class TestEngineBlock:
+    def test_zero_tiles_is_valid(self):
+        assert EngineBlock(tiles=0, cores_per_tile=1, ptc=PTC12).cores == 0
+
+    def test_negative_tiles_rejected(self):
+        with pytest.raises(ValueError, match=r"tiles >= 0 .* got tiles=-1"):
+            EngineBlock(tiles=-1, cores_per_tile=1, ptc=PTC12)
+
+    def test_zero_cores_per_tile_rejected(self):
+        with pytest.raises(ValueError, match=r"cores_per_tile >= 1, got .*cores_per_tile=0"):
+            EngineBlock(tiles=2, cores_per_tile=0, ptc=PTC12)
+
+
 class TestSimulate:
     def test_hand_counted_single_invocation_ledger(self):
         graph = one_layer_graph()
