@@ -97,28 +97,28 @@ def cmd_simulate(args) -> int:
         return 2
     plan = read_plan(args.plan) if args.plan else None
 
-    if args.compare:
-        if plan is None:
-            print("error: --compare needs --plan", file=sys.stderr)
-            return 2
-        base_engines = EngineConfig.baseline_scaled() if cfg["hardware"]["engine_config"] is None else engines
-        base = simulate(None, graph, base_engines, params, batch)
-        comp = simulate(plan, graph, engines, params, batch)
-        base_json, comp_json = base.to_json(), comp.to_json()
-        (out / "report_baseline.json").write_text(json.dumps(base_json, sort_keys=True, indent=2) + "\n")
-        (out / "report.json").write_text(json.dumps(comp_json, sort_keys=True, indent=2) + "\n")
-        comp.write_csv(out / "report.csv")
-        cmp_data = comparison(base, comp)
-        (out / "comparison.json").write_text(json.dumps(cmp_data, sort_keys=True, indent=2) + "\n")
-        print(f"EDP ratio (baseline / compressed): {cmp_data['edp_ratio']:.3f}")
-        print(f"energy ratio: {cmp_data['energy_ratio']:.3f}, latency ratio: {cmp_data['latency_ratio']:.3f}")
-        return 0
+    if args.compare and plan is None:
+        print("error: --compare needs --plan", file=sys.stderr)
+        return 2
 
     report = simulate(plan, graph, engines, params, batch)
-    (out / "report.json").write_text(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+    _write_json(out / "report.json", report.to_json())
     report.write_csv(out / "report.csv")
-    print(f"total energy: {report.total_energy:.3e} pJ, cycles: {report.cycles}, EDP: {report.edp:.3e} pJ*s")
+    if not args.compare:
+        print(f"total energy: {report.total_energy:.3e} pJ, cycles: {report.cycles}, EDP: {report.edp:.3e} pJ*s")
+        return 0
+    base_engines = EngineConfig.baseline_scaled() if cfg["hardware"]["engine_config"] is None else engines
+    base = simulate(None, graph, base_engines, params, batch)
+    cmp_data = comparison(base, report)
+    _write_json(out / "report_baseline.json", base.to_json())
+    _write_json(out / "comparison.json", cmp_data)
+    print(f"EDP ratio (baseline / compressed): {cmp_data['edp_ratio']:.3f}")
+    print(f"energy ratio: {cmp_data['energy_ratio']:.3f}, latency ratio: {cmp_data['latency_ratio']:.3f}")
     return 0
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_verify(args) -> int:

@@ -1,35 +1,27 @@
 """Pipeline configuration: JSON file plus dotted command-line overrides."""
 from __future__ import annotations
 
-import copy
 import json
 
-DEFAULT_CONFIG = {
-    "paths": {"model": None, "calibration": None, "output": "out"},
-    "targets": {"alpha": 0.3, "sparse_ratio": 0.125, "granularity": 4},
-    "allocator": {"threshold": 0.5, "temperature": 1.0, "basis_rank": None},
-    "decomposition": {"iters": 80, "adapt_steps": 100, "adapt_lr": 1e-2},
-    "hardware": {"engine_config": None, "energy_params": None, "batch_tokens": 197},
-    "seed": 0,
-}
-
-_FIELD_TYPES = {
-    "paths.model": str,
-    "paths.calibration": str,
-    "paths.output": str,
-    "targets.alpha": float,
-    "targets.sparse_ratio": float,
-    "targets.granularity": int,
-    "allocator.threshold": float,
-    "allocator.temperature": float,
-    "allocator.basis_rank": int,
-    "decomposition.iters": int,
-    "decomposition.adapt_steps": int,
-    "decomposition.adapt_lr": float,
-    "hardware.engine_config": str,
-    "hardware.energy_params": str,
-    "hardware.batch_tokens": int,
-    "seed": int,
+# Every config field: dotted name -> (type, default). Fields whose default
+# is None may be null.
+_FIELDS = {
+    "paths.model": (str, None),
+    "paths.calibration": (str, None),
+    "paths.output": (str, "out"),
+    "targets.alpha": (float, 0.3),
+    "targets.sparse_ratio": (float, 0.125),
+    "targets.granularity": (int, 4),
+    "allocator.threshold": (float, 0.5),
+    "allocator.temperature": (float, 1.0),
+    "allocator.basis_rank": (int, None),
+    "decomposition.iters": (int, 80),
+    "decomposition.adapt_steps": (int, 100),
+    "decomposition.adapt_lr": (float, 1e-2),
+    "hardware.engine_config": (str, None),
+    "hardware.energy_params": (str, None),
+    "hardware.batch_tokens": (int, 197),
+    "seed": (int, 0),
 }
 
 
@@ -39,10 +31,18 @@ class ConfigError(ValueError):
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     """Merge defaults <- config file <- ``key.path=value`` overrides."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg: dict = {}
+    for dotted, (_, default) in _FIELDS.items():
+        node, leaf = _slot(cfg, dotted)
+        node[leaf] = default
     if path is not None:
         with open(path) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{path}: config must be a JSON object, got {file_cfg!r}")
         _merge(cfg, file_cfg, prefix="")
     for item in overrides or []:
         if "=" not in item:
@@ -56,24 +56,47 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
 def _merge(dst: dict, src: dict, prefix: str) -> None:
     for key, value in src.items():
         dotted = f"{prefix}{key}"
-        if isinstance(value, dict) and isinstance(dst.get(key), dict):
+        if isinstance(dst.get(key), dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {dotted!r} must be a JSON object, got {value!r}")
             _merge(dst[key], value, prefix=f"{dotted}.")
-        elif dotted in _FIELD_TYPES or key in dst:
-            dst[key] = value
+        elif dotted in _FIELDS:
+            dst[key] = _checked(dotted, value)
         else:
             raise ConfigError(f"unknown config field {dotted!r}")
 
 
+def _checked(dotted: str, value):
+    """``value`` as the field's type (an int is a valid float); ConfigError otherwise."""
+    kind, default = _FIELDS[dotted]
+    if value is None and default is None:
+        return None
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        nullable = " or null" if default is None else ""
+        raise ConfigError(f"config field {dotted!r} must be {kind.__name__}{nullable}, got {value!r}")
+    return value
+
+
 def set_field(cfg: dict, dotted: str, raw: str) -> None:
-    caster = _FIELD_TYPES.get(dotted)
-    if caster is None:
+    if dotted not in _FIELDS:
         raise ConfigError(f"unknown config field {dotted!r}")
-    value = None if raw in ("null", "none", "None") else caster(raw)
-    node = cfg
+    kind = _FIELDS[dotted][0]
+    try:
+        value = None if raw in ("null", "none", "None") else kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"config field {dotted!r} must be {kind.__name__}, got {raw!r}") from exc
+    node, leaf = _slot(cfg, dotted)
+    node[leaf] = _checked(dotted, value)
+
+
+def _slot(cfg: dict, dotted: str) -> tuple[dict, str]:
+    """The section of ``cfg`` holding a dotted field (made if missing) and the field's key in it."""
     *parents, leaf = dotted.split(".")
     for part in parents:
-        node = node[part]
-    node[leaf] = value
+        cfg = cfg.setdefault(part, {})
+    return cfg, leaf
 
 
 def _validate(cfg: dict) -> None:

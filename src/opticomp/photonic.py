@@ -12,29 +12,37 @@ can be gated in quarters of its n_v rows through a two-stage splitter tree
 (modes 2:0 / 1:1 / 0:2); functionally, each chunk's kept input rows are
 gathered in one indexing step and multiplied by its condensed values.
 
-Cost side, per layer. A dense-engine matmul of (rows x inner) by
-(inner x batch) needs
+Cost side, per layer. Both engines are charged through one pass ledger: a
+pass of row_blocks weight row blocks with lit_rows lit PTC rows each,
+against an (inner x batch) input, needs
 
-    inv = ceil(rows / n_h) * ceil(inner / n_lambda) * ceil(batch / n_v)
+    inv = row_blocks * ceil(inner / n_lambda) * ceil(batch / n_v)
 
-invocations; low-rank layers run two chained passes (B X, then A (B X))
-with the (r x batch) intermediate bounced through the output buffer. The
-sparse engine runs ceil(m / g) condensed chunks at the smallest quarter
-multiple of its n_v at or above g; gated quarters draw no laser power, but
-rows between g and that boundary stay lit and are charged. Engine cycles
-are ceil(invocations / cores); the two engines run a layer concurrently
-and accumulate in the analog domain, so a layer costs max(dense, sparse)
-cycles. Energy events per invocation:
+invocations. A dense pass of a (rows x inner) matmul has row_blocks =
+ceil(rows / n_h) and lit_rows = n_h; the baseline runs one per layer, a
+low-rank layer two chained ones (B X, then A (B X)) with the (r x batch)
+intermediate bounced through the output buffer. The sparse pass runs
+ceil(m / g) condensed chunks with lit_rows the smallest quarter multiple
+of its n_v at or above g; gated quarters draw no laser power, but rows
+between g and that boundary stay lit and are charged. Engine cycles are
+ceil(invocations / cores); the two engines run a layer concurrently and
+accumulate in the analog domain, so a layer costs max(dense, sparse)
+cycles. Energy events per invocation of a pass:
 
-    weight encode   rows_encoded * n_lambda * (dac_weight + modulation)
+    weight encode   lit_rows * n_lambda * (dac_weight + modulation)
     input encode    n_lambda * n_v * (dac_input + modulation), divided by
                     the dense tile count when input broadcast is enabled
                     (sparse tiles cannot broadcast)
-    readout         outputs * tia, plus outputs * adc where ADC events are
+    readout         lit_rows * n_v outputs * tia, plus their adc events,
                     divided by cores_per_tile when ADC/TIA sharing is on
-    laser           laser_per_channel_cycle * n_lambda * (n_v/4) * cores
-                    * cycles, times the number of active quarters
-    index fetch     one event per gathered input element, sparse side only
+
+and per engine and layer:
+
+    laser           laser_per_channel_cycle * n_lambda * lit rows * cores
+                    * cycles; the dense engine has no splitter tree, so all
+                    n_v rows are lit (no n_v % 4 needed), the sparse engine
+                    lights n_v/4 rows per active quarter
+    index fetch     chunks * d * batch gathered inputs, sparse side only
 
 Data movement charges DRAM for weight + index bytes (once per layer) and
 SRAM for activation traffic, at 1 byte per 8-bit value and 2 bytes per
@@ -46,13 +54,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from math import ceil
 
 import numpy as np
 
 from .allocate import CompressionPlan
+from .config import ConfigError
 from .decompose import StructuredSparse
 from .model import ModelGraph
 from .util import as_matrix
@@ -123,15 +132,7 @@ class EngineConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EngineConfig":
-        def block(d):
-            return EngineBlock(d["tiles"], d["cores_per_tile"], PtcConfig(**d["ptc"]))
-
-        return cls(
-            dense=block(obj["dense"]),
-            sparse=block(obj["sparse"]),
-            broadcast_enabled=bool(obj.get("broadcast_enabled", True)),
-            adc_sharing_enabled=bool(obj.get("adc_sharing_enabled", True)),
-        )
+        return _from_json(cls, obj)
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,36 @@ class EnergyParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EnergyParams":
-        return cls(**obj)
+        return _from_json(cls, obj)
+
+
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_NESTED = {"EngineBlock": EngineBlock, "PtcConfig": PtcConfig}
+
+
+def _from_json(cls, obj, where: str = ""):
+    """``cls`` built from a JSON object, nested config dataclasses included.
+
+    A missing field without a default, an unknown field or a value of the
+    wrong JSON type raises ConfigError naming the dotted field."""
+    if type(obj) is not dict:
+        raise ConfigError(f"{where.rstrip('.') or 'top level'} must be a JSON object, got {obj!r}")
+    known = {f.name: f for f in fields(cls)}
+    for name in obj:
+        if name not in known:
+            raise ConfigError(f"unknown field {where}{name}")
+    kwargs = {}
+    for name, f in known.items():
+        if name not in obj:
+            if f.default is MISSING:
+                raise ConfigError(f"missing field {where}{name}")
+        elif f.type in _NESTED:
+            kwargs[name] = _from_json(_NESTED[f.type], obj[name], f"{where}{name}.")
+        elif type(obj[name]) in _JSON_TYPES[f.type]:
+            kwargs[name] = obj[name]
+        else:
+            raise ConfigError(f"field {where}{name} must be {f.type}, got {obj[name]!r}")
+    return cls(**kwargs)
 
 
 # --- functional PTC model ----------------------------------------------------
@@ -344,57 +374,32 @@ class CostReport:
                     writer.writerow([lc.layer_id, comp, repr(lc.energy[comp])])
 
 
-def _zero_energy() -> dict[str, float]:
-    return {c: 0.0 for c in COMPONENTS}
-
-
-def _dense_pass(
-    rows: int,
-    inner: int,
-    batch: int,
+def _pass(
     engine: EngineBlock,
     params: EnergyParams,
+    row_blocks: int,
+    lit_rows: int,
+    inner: int,
+    batch: int,
     broadcast: bool,
     adc_sharing: bool,
-) -> tuple[int, dict[str, float]]:
-    """Invocations and per-event energy for one dense-engine matmul pass."""
+) -> tuple[int, float, float, float]:
+    """Invocations and (weight encode, input encode, readout) energy of one
+    engine pass: ``row_blocks`` weight row blocks of ``lit_rows`` lit rows
+    each, against an (inner x batch) input."""
     ptc = engine.ptc
-    inv = ceil(rows / ptc.n_h) * ceil(inner / ptc.n_lambda) * ceil(batch / ptc.n_v)
-    e = _zero_energy()
-    e["weight_encode"] = inv * ptc.n_h * ptc.n_lambda * (params.dac_weight + params.modulation)
+    inv = row_blocks * ceil(inner / ptc.n_lambda) * ceil(batch / ptc.n_v)
     input_events = inv * ptc.n_lambda * ptc.n_v
     if broadcast and engine.tiles > 1:
         input_events /= engine.tiles
-    e["input_encode"] = input_events * (params.dac_input + params.modulation)
-    outputs = inv * ptc.n_h * ptc.n_v
+    outputs = inv * lit_rows * ptc.n_v
     adc_events = outputs / engine.cores_per_tile if adc_sharing else outputs
-    e["readout"] = outputs * params.tia + adc_events * params.adc
-    return inv, e
-
-
-def _sparse_pass(
-    m: int,
-    d: int,
-    batch: int,
-    g: int,
-    engine: EngineBlock,
-    params: EnergyParams,
-    adc_sharing: bool,
-) -> tuple[int, int, dict[str, float]]:
-    """Invocations, operating height, and energy for a condensed sparse layer."""
-    ptc = engine.ptc
-    h_op = operating_height(g, ptc)
-    chunks = ceil(m / g)
-    inv = chunks * ceil(d / ptc.n_lambda) * ceil(batch / ptc.n_v)
-    e = _zero_energy()
-    e["weight_encode"] = inv * h_op * ptc.n_lambda * (params.dac_weight + params.modulation)
-    # No broadcast on the sparse side: every tile gathers its own inputs.
-    e["input_encode"] = inv * ptc.n_lambda * ptc.n_v * (params.dac_input + params.modulation)
-    outputs = inv * h_op * ptc.n_v
-    adc_events = outputs / engine.cores_per_tile if adc_sharing else outputs
-    e["readout"] = outputs * params.tia + adc_events * params.adc
-    e["index_overhead"] = chunks * d * batch * params.index_fetch
-    return inv, h_op, e
+    return (
+        inv,
+        inv * lit_rows * ptc.n_lambda * (params.dac_weight + params.modulation),
+        input_events * (params.dac_input + params.modulation),
+        outputs * params.tia + adc_events * params.adc,
+    )
 
 
 def simulate(
@@ -411,9 +416,10 @@ def simulate(
     embedding/head (and everything, in baseline mode) run as raw dense
     matmuls. The plan must cover every compressible layer.
     """
+    dense, sparse = engines.dense, engines.sparse
     if batch_tokens < 1:
         raise ValueError("batch_tokens must be >= 1")
-    if engines.dense.cores < 1:
+    if dense.cores < 1:
         raise ValueError("dense engine needs at least one core")
     # None or an empty plan both mean the raw dense baseline.
     plan_by_id = {} if plan is None or not plan.layers else {pl.id: pl for pl in plan.layers}
@@ -423,48 +429,28 @@ def simulate(
         if want != have:
             missing = sorted(want - have) + sorted(have - want)
             raise ValueError(f"plan/model mismatch at layer(s): {', '.join(missing)}")
+        if sparse.cores == 0:
+            raise ValueError("compressed plan given but the sparse engine has no tiles")
 
+    n_h, bc, adc = dense.ptc.n_h, engines.broadcast_enabled, engines.adc_sharing_enabled
     per_layer: list[LayerCost] = []
-    total_cycles = 0
-    totals = _zero_energy()
+    totals = dict.fromkeys(COMPONENTS, 0.0)
     for layer in graph.layers:
-        e = _zero_energy()
+        e = dict.fromkeys(COMPONENTS, 0.0)
         pl = plan_by_id.get(layer.id) if layer.compressible else None
-        dense_inv = 0
-        sparse_inv = 0
-        sparse_cycles = 0
+        # Each pass: (on the sparse engine, row blocks, lit rows, inner, broadcast).
         if pl is None:
-            inv, pe = _dense_pass(
-                layer.rows, layer.cols, batch_tokens, engines.dense, params,
-                engines.broadcast_enabled, engines.adc_sharing_enabled,
-            )
-            dense_inv = inv
-            for k, v in pe.items():
-                e[k] += v
+            passes = [(False, ceil(layer.rows / n_h), n_h, layer.cols, bc)]
             dram_bytes = layer.rows * layer.cols * WEIGHT_BYTES
             sram_bytes = (layer.cols + layer.rows) * batch_tokens * ACT_BYTES
         else:
-            inv1, pe1 = _dense_pass(
-                pl.r, layer.cols, batch_tokens, engines.dense, params,
-                engines.broadcast_enabled, engines.adc_sharing_enabled,
-            )
-            inv2, pe2 = _dense_pass(
-                layer.rows, pl.r, batch_tokens, engines.dense, params,
-                engines.broadcast_enabled, engines.adc_sharing_enabled,
-            )
-            dense_inv = inv1 + inv2
-            for pe in (pe1, pe2):
-                for k, v in pe.items():
-                    e[k] += v
-            if engines.sparse.cores == 0:
-                raise ValueError("compressed plan given but the sparse engine has no tiles")
-            sparse_inv, h_op, se = _sparse_pass(
-                layer.rows, pl.d, batch_tokens, pl.g, engines.sparse, params,
-                engines.adc_sharing_enabled,
-            )
-            for k, v in se.items():
-                e[k] += v
             chunks = ceil(layer.rows / pl.g)
+            h_op = operating_height(pl.g, sparse.ptc)
+            passes = [
+                (False, ceil(pl.r / n_h), n_h, layer.cols, bc),  # B X
+                (False, ceil(layer.rows / n_h), n_h, pl.r, bc),  # A (B X)
+                (True, chunks, h_op, pl.d, False),  # sparse tiles cannot broadcast
+            ]
             dram_bytes = (
                 (pl.r * (layer.rows + layer.cols) + layer.rows * pl.d) * WEIGHT_BYTES
                 + chunks * pl.d * INDEX_BYTES
@@ -475,35 +461,36 @@ def simulate(
                 (layer.cols + 2 * pl.r + layer.rows) * batch_tokens
                 + chunks * pl.d * batch_tokens
             ) * ACT_BYTES
-            sparse_cycles = ceil(sparse_inv / engines.sparse.cores)
-            e["laser"] += laser_energy(params, engines.sparse.ptc, h_op, engines.sparse.cores, sparse_cycles)
+            e["index_overhead"] = chunks * pl.d * batch_tokens * params.index_fetch
 
-        dense_cycles = ceil(dense_inv / engines.dense.cores) if dense_inv else 0
-        e["laser"] += laser_energy(
-            params, engines.dense.ptc, engines.dense.ptc.n_v, engines.dense.cores, dense_cycles
-        )
+        invocations = [0, 0]  # dense, sparse
+        for on_sparse, row_blocks, lit_rows, inner, broadcast in passes:
+            engine = sparse if on_sparse else dense
+            inv, weight, inputs, readout = _pass(engine, params, row_blocks, lit_rows, inner, batch_tokens, broadcast, adc)
+            invocations[on_sparse] += inv
+            e["weight_encode"] += weight
+            e["input_encode"] += inputs
+            e["readout"] += readout
+        dense_inv, sparse_inv = invocations
+        dense_cycles = ceil(dense_inv / dense.cores)
+        sparse_cycles = 0
+        if pl is not None:
+            sparse_cycles = ceil(sparse_inv / sparse.cores)
+            e["laser"] = laser_energy(params, sparse.ptc, h_op, sparse.cores, sparse_cycles)
+        # The dense engine has no splitter tree: all n_v rows stay lit.
+        e["laser"] += params.laser_per_channel_cycle * dense.ptc.n_lambda * dense.ptc.n_v * dense.cores * dense_cycles
         e["data_movement"] = dram_bytes * params.dram_per_byte + sram_bytes * params.sram_per_byte
 
+        for comp in COMPONENTS:
+            totals[comp] += e[comp]
         cycles = max(dense_cycles, sparse_cycles)
-        total_cycles += cycles
-        for k, v in e.items():
-            totals[k] += v
-        per_layer.append(
-            LayerCost(
-                layer_id=layer.id,
-                dense_invocations=dense_inv,
-                sparse_invocations=sparse_inv,
-                dense_cycles=dense_cycles,
-                sparse_cycles=sparse_cycles,
-                cycles=cycles,
-                energy=e,
-            )
-        )
+        per_layer.append(LayerCost(layer.id, dense_inv, sparse_inv, dense_cycles, sparse_cycles, cycles, e))
 
-    latency = total_cycles / (params.clock_ghz * 1e9)
-    report = CostReport(energy=totals, cycles=total_cycles, latency_s=latency, edp=0.0, per_layer=per_layer)
-    report.edp = edp(report)
-    return report
+    cycles = sum(lc.cycles for lc in per_layer)
+    latency = cycles / (params.clock_ghz * 1e9)
+    return CostReport(
+        energy=totals, cycles=cycles, latency_s=latency, edp=sum(totals.values()) * latency, per_layer=per_layer
+    )
 
 
 def edp(report: CostReport) -> float:
@@ -531,11 +518,18 @@ def comparison(baseline: CostReport, compressed: CostReport) -> dict:
     }
 
 
-def load_engine_config(path) -> EngineConfig:
+def _load_hardware(path, from_json):
+    """``from_json`` of a hardware JSON file; a defect raises ConfigError naming the file."""
     with open(path) as fh:
-        return EngineConfig.from_json(json.load(fh))
+        try:
+            return from_json(json.load(fh))
+        except ValueError as exc:  # invalid JSON, a ConfigError or a range check
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_engine_config(path) -> EngineConfig:
+    return _load_hardware(path, EngineConfig.from_json)
 
 
 def load_energy_params(path) -> EnergyParams:
-    with open(path) as fh:
-        return EnergyParams.from_json(json.load(fh))
+    return _load_hardware(path, EnergyParams.from_json)

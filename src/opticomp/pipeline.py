@@ -167,7 +167,12 @@ def write_plan(path, plan: CompressionPlan) -> None:
 
 
 def read_plan(path) -> CompressionPlan:
-    return CompressionPlan.from_json(json.loads(Path(path).read_text()))
+    try:
+        return CompressionPlan.from_json(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ValueError(f"{path}: plan has no field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed plan: {exc}") from exc
 
 
 def hardware_from_config(cfg: dict) -> tuple[EngineConfig, EnergyParams]:

@@ -11,6 +11,7 @@ import pytest
 from opticomp import pipeline
 from opticomp.cli import main
 from opticomp.container import read_container, write_container
+from opticomp.photonic import EngineConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -195,6 +196,80 @@ class TestSimulate:
         ]) == 2
         assert "exactly one of --plan PATH or --baseline" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+    def test_compare_writes_the_same_report(self, toy_dir, compressed_dir, tmp_path):
+        # --compare adds report_baseline.json and comparison.json only.
+        for name, extra in (("plain", ()), ("compare", ("--compare",))):
+            assert main([
+                "simulate", "--plan", str(compressed_dir / "plan.json"), *extra,
+                "--set", f"paths.model={toy_dir}/model.lten",
+                "--out", str(tmp_path / name),
+            ]) == 0
+        for name in ("report.json", "report.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "compare" / name).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "compare").iterdir()) == [
+            "comparison.json", "report.csv", "report.json", "report_baseline.json",
+        ]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "file_cfg,field",
+        [
+            ({"targets": 5}, "targets"),
+            ({"targets": {"alpha": "0.3"}}, "targets.alpha"),
+            ({"decomposition": {"iters": 2.5}}, "decomposition.iters"),
+        ],
+        ids=["section_not_an_object", "string_for_float", "float_for_int"],
+    )
+    def test_mistyped_config_file_exits_two(self, toy_dir, tmp_path, capsys, file_cfg, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(file_cfg))
+        assert main(compress_args(toy_dir, tmp_path / "run", "--config", str(path))) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(field) in err
+        assert not (tmp_path / "run").exists()
+
+    def test_null_for_a_field_without_null_default_exits_two(self, toy_dir, tmp_path, capsys):
+        assert main(compress_args(toy_dir, tmp_path, "--set", "targets.alpha=null")) == 2
+        assert "'targets.alpha' must be float" in capsys.readouterr().err
+
+    def simulate_baseline(self, toy_dir, tmp_path, *extra):
+        return main([
+            "simulate", "--baseline",
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--out", str(tmp_path / "out"),
+            *extra,
+        ])
+
+    def test_energy_params_unknown_key_exits_two(self, toy_dir, tmp_path, capsys):
+        path = tmp_path / "energy.json"
+        path.write_text(json.dumps({"adc": 1.0, "bogus": 2.0}))
+        assert self.simulate_baseline(toy_dir, tmp_path, "--set", f"hardware.energy_params={path}") == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: unknown field bogus" in err
+
+    def test_engine_config_missing_n_lambda_exits_two(self, toy_dir, tmp_path, capsys):
+        engines = EngineConfig.default().to_json()
+        del engines["dense"]["ptc"]["n_lambda"]
+        path = tmp_path / "engines.json"
+        path.write_text(json.dumps(engines))
+        assert self.simulate_baseline(toy_dir, tmp_path, "--set", f"hardware.engine_config={path}") == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: missing field dense.ptc.n_lambda" in err
+
+    def test_plan_without_layers_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
+        plan = json.loads((compressed_dir / "plan.json").read_text())
+        del plan["layers"]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main([
+            "simulate", "--plan", str(path),
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--out", str(tmp_path / "out"),
+        ]) == 1
+        assert f"error: {path}: plan has no field 'layers'" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ import pytest
 from opticomp.container import (
     ALIGNMENT,
     BadMagicError,
+    ContainerError,
     DuplicateTensorError,
     NegativeExtentError,
     OverlappingTensorsError,
@@ -19,11 +20,15 @@ from opticomp.container import (
 
 
 def rewrite_manifest(path, edit):
-    """Replace the manifest of an LTEN file with edit(manifest), keeping the blob."""
+    """Replace the manifest of an LTEN file with edit(manifest), keeping the blob.
+
+    ``edit`` changes the manifest in place or returns a replacement."""
     raw = path.read_bytes()
     (mlen,) = struct.unpack_from("<Q", raw, 8)
     manifest = json.loads(raw[16 : 16 + mlen])
-    edit(manifest)
+    replacement = edit(manifest)
+    if replacement is not None:
+        manifest = replacement
     new_manifest = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(raw[:8] + struct.pack("<Q", len(new_manifest)) + new_manifest + raw[16 + mlen :])
 
@@ -143,4 +148,34 @@ def test_overlapping_tensors(tmp_path):
 
     rewrite_manifest(path, alias)
     with pytest.raises(OverlappingTensorsError, match="'a' and 'b'"):
+        read_container(path)
+
+
+def _drop_dtype(manifest):
+    del manifest["tensors"][0]["dtype"]
+
+
+def _string_shape(manifest):
+    manifest["tensors"][0]["shape"] = "ab"
+
+
+def _tensors_as_object(manifest):
+    manifest["tensors"] = {entry["name"]: entry for entry in manifest["tensors"]}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_drop_dtype, "tensor entry 0 has no 'dtype'"),
+        (lambda manifest: [manifest], "manifest must be a JSON object"),
+        (_string_shape, "list of integers as shape"),
+        (_tensors_as_object, "'tensors' must be a list"),
+    ],
+    ids=["entry_without_dtype", "manifest_is_array", "string_shape", "tensors_not_a_list"],
+)
+def test_malformed_manifest(tmp_path, edit, message):
+    path = tmp_path / "t.lten"
+    write_container(path, {"a": np.ones((2, 2))})
+    rewrite_manifest(path, edit)
+    with pytest.raises(ContainerError, match=message):
         read_container(path)

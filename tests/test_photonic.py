@@ -180,6 +180,63 @@ class TestSimulate:
         assert lc.energy["index_overhead"] == 0.0
         assert report.total_energy == sum(lc.energy.values())
 
+    def test_hand_counted_compressed_layer_ledger(self):
+        # One 24x36 attn_q layer at r=5, d=7, g=5, batch 20 (ragged against
+        # every PTC dimension). Each component is written in the order the
+        # ledger adds its terms, so float equality is exact.
+        graph = ModelGraph([LayerSpec("q", "attn_q", 24, 36)], blocks=[{"attn": ["q"]}], hidden_size=24)
+        plan = CompressionPlan(
+            alpha=0.3, sparse_ratio=0.2, layers=[PlanLayer("q", 24, 36, 5, 7, 5, 5 * 60 + 24 * 7)],
+            psi_achieved=0.0, iterations=0,
+        )
+        engines = EngineConfig(
+            dense=EngineBlock(tiles=2, cores_per_tile=2, ptc=PTC12),
+            sparse=EngineBlock(tiles=2, cores_per_tile=2, ptc=PtcConfig(8, 12, 12)),
+        )
+        p = EnergyParams()
+        lc = simulate(plan, graph, engines, p, batch_tokens=20).per_layer[0]
+        weight, inputs = p.dac_weight + p.modulation, p.dac_input + p.modulation
+        # B X: ceil(5/12) * ceil(36/12) * ceil(20/12) = 6 invocations;
+        # A (B X): ceil(24/12) * ceil(5/12) * ceil(20/12) = 4.
+        # Sparse: ceil(24/5) = 5 chunks at operating height 6 (the quarter
+        # multiple of n_v = 8 at or above g = 5), 5 * ceil(7/12) * ceil(20/8) = 15.
+        assert (lc.dense_invocations, lc.sparse_invocations) == (6 + 4, 15)
+        assert (lc.dense_cycles, lc.sparse_cycles, lc.cycles) == (3, 4, 4)  # 4 cores each
+        assert lc.energy["weight_encode"] == 6 * 12 * 12 * weight + 4 * 12 * 12 * weight + 15 * 6 * 12 * weight
+        # Input broadcast over the 2 dense tiles; none on the sparse side.
+        assert lc.energy["input_encode"] == 6 * 12 * 12 / 2 * inputs + 4 * 12 * 12 / 2 * inputs + 15 * 12 * 8 * inputs
+        # Outputs charge tia each and adc once per 2 cores of a tile.
+        assert lc.energy["readout"] == (
+            (6 * 12 * 12 * p.tia + 6 * 12 * 12 / 2 * p.adc)
+            + (4 * 12 * 12 * p.tia + 4 * 12 * 12 / 2 * p.adc)
+            + (15 * 6 * 8 * p.tia + 15 * 6 * 8 / 2 * p.adc)
+        )
+        # Sparse: 3 of 4 quarters (n_v/4 = 2 rows each), 4 cores, 4 cycles;
+        # dense: all 4 quarters of n_v = 12, 4 cores, 3 cycles.
+        sparse_laser = p.laser_per_channel_cycle * 12 * 2 * 4 * 4 * 3
+        dense_laser = p.laser_per_channel_cycle * 12 * 3 * 4 * 3 * 4
+        assert lc.energy["laser"] == sparse_laser + dense_laser
+        assert lc.energy["index_overhead"] == 5 * 7 * 20 * p.index_fetch
+        # DRAM: weights r (m + n) + m d plus 2-byte indices per chunk and kept
+        # column. SRAM: input, intermediate write + read, output, gathered inputs.
+        dram_bytes = (5 * (24 + 36) + 24 * 7) * 1 + 5 * 7 * 2
+        sram_bytes = ((36 + 2 * 5 + 24) * 20 + 5 * 7 * 20) * 1
+        assert lc.energy["data_movement"] == dram_bytes * p.dram_per_byte + sram_bytes * p.sram_per_byte
+
+    def test_dense_engine_needs_no_quarter_rows(self):
+        # Only the sparse engine has a splitter tree; a dense PTC with
+        # n_v = 10 lights all of its rows.
+        graph = one_layer_graph()
+        engines = EngineConfig(
+            dense=EngineBlock(tiles=2, cores_per_tile=1, ptc=PtcConfig(10, 10, 10)),
+            sparse=EngineBlock(tiles=1, cores_per_tile=1, ptc=PtcConfig(8, 12, 12)),
+        )
+        p = EnergyParams()
+        lc = simulate(None, graph, engines, p, batch_tokens=12).per_layer[0]
+        assert lc.dense_invocations == 2 * 2 * 2  # ceil(12/10) for rows, inner and batch
+        assert lc.dense_cycles == 4  # 8 invocations on 2 cores
+        assert lc.energy["laser"] == p.laser_per_channel_cycle * 10 * 10 * 2 * 4
+
     def test_broadcast_exactly_halves_input_encode(self):
         graph = one_layer_graph(24, 24)
         params = EnergyParams()
