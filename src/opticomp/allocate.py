@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from .decompose import Decomposition, ScalingDiag, decompose_layer, frobenius_norm
-from .util import as_matrix
 
 BASE_SCALE_HIDDEN = 768  # hidden sizes at or above this use the full basis rank
 
@@ -76,7 +75,6 @@ def prepare_full_rank(
     """
     states = []
     for layer_id, w in layers:
-        w = as_matrix(w, layer_id)
         m, n = w.shape
         d = scaling[layer_id]
         r_top = max_rank(m, n)

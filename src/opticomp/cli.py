@@ -140,8 +140,14 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+_COMPARISON_FIELDS = {"edp_ratio", "baseline", "compressed"}
+_REPORT_FIELDS = {"total_energy_pj", "cycles", "energy_pj", "per_layer"}
+
+
 def cmd_report(args) -> int:
     data = json.loads(Path(args.report).read_text())
+    if not isinstance(data, dict) or not (_COMPARISON_FIELDS <= data.keys() or _REPORT_FIELDS <= data.keys()):
+        raise ValueError(f"{args.report}: neither a simulate report nor a comparison")
     if "edp_ratio" in data:
         print(f"{'metric':<18}{'baseline':>16}{'compressed':>16}{'ratio':>10}")
         for metric, key in (("energy (pJ)", "energy_pj"), ("latency (s)", "latency_s"), ("EDP (pJ*s)", "edp_pj_s")):

@@ -2,26 +2,34 @@
 from __future__ import annotations
 
 import json
+import math
 
-# Every config field: dotted name -> (type, default). Fields whose default
-# is None may be null.
+# Allowed ranges: (description, test). Float bounds exclude inf and NaN.
+_UNIT_OPEN = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
+_UNIT_HALF_OPEN = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_POSITIVE = ("> 0", lambda v: 0.0 < v < math.inf)
+_AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+
+# Every config field: dotted name -> (type, default, allowed range). Fields
+# whose default is None may be null; a range of None allows any value.
 _FIELDS = {
-    "paths.model": (str, None),
-    "paths.calibration": (str, None),
-    "paths.output": (str, "out"),
-    "targets.alpha": (float, 0.3),
-    "targets.sparse_ratio": (float, 0.125),
-    "targets.granularity": (int, 4),
-    "allocator.threshold": (float, 0.5),
-    "allocator.temperature": (float, 1.0),
-    "allocator.basis_rank": (int, None),
-    "decomposition.iters": (int, 80),
-    "decomposition.adapt_steps": (int, 100),
-    "decomposition.adapt_lr": (float, 1e-2),
-    "hardware.engine_config": (str, None),
-    "hardware.energy_params": (str, None),
-    "hardware.batch_tokens": (int, 197),
-    "seed": (int, 0),
+    "paths.model": (str, None, None),
+    "paths.calibration": (str, None, None),
+    "paths.output": (str, "out", None),
+    "targets.alpha": (float, 0.3, _UNIT_OPEN),
+    "targets.sparse_ratio": (float, 0.125, _UNIT_OPEN),
+    "targets.granularity": (int, 4, _AT_LEAST_ONE),
+    "allocator.threshold": (float, 0.5, _UNIT_HALF_OPEN),
+    "allocator.temperature": (float, 1.0, _POSITIVE),
+    "allocator.basis_rank": (int, None, _AT_LEAST_ONE),
+    "decomposition.iters": (int, 80, _AT_LEAST_ONE),
+    "decomposition.adapt_steps": (int, 100, _NON_NEGATIVE),
+    "decomposition.adapt_lr": (float, 1e-2, _POSITIVE),
+    "hardware.engine_config": (str, None, None),
+    "hardware.energy_params": (str, None, None),
+    "hardware.batch_tokens": (int, 197, _AT_LEAST_ONE),
+    "seed": (int, 0, _NON_NEGATIVE),
 }
 
 
@@ -32,7 +40,7 @@ class ConfigError(ValueError):
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     """Merge defaults <- config file <- ``key.path=value`` overrides."""
     cfg: dict = {}
-    for dotted, (_, default) in _FIELDS.items():
+    for dotted, (_, default, _) in _FIELDS.items():
         node, leaf = _slot(cfg, dotted)
         node[leaf] = default
     if path is not None:
@@ -68,7 +76,7 @@ def _merge(dst: dict, src: dict, prefix: str) -> None:
 
 def _checked(dotted: str, value):
     """``value`` as the field's type (an int is a valid float); ConfigError otherwise."""
-    kind, default = _FIELDS[dotted]
+    kind, default, _ = _FIELDS[dotted]
     if value is None and default is None:
         return None
     if kind is float and type(value) is int:
@@ -100,13 +108,8 @@ def _slot(cfg: dict, dotted: str) -> tuple[dict, str]:
 
 
 def _validate(cfg: dict) -> None:
-    alpha = cfg["targets"]["alpha"]
-    s = cfg["targets"]["sparse_ratio"]
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"targets.alpha must lie in (0, 1), got {alpha}")
-    if not 0.0 < s < 1.0:
-        raise ConfigError(f"targets.sparse_ratio must lie in (0, 1), got {s}")
-    if cfg["targets"]["granularity"] < 1:
-        raise ConfigError("targets.granularity must be >= 1")
-    if cfg["decomposition"]["iters"] < 1:
-        raise ConfigError("decomposition.iters must be >= 1")
+    for dotted, (_, _, allowed) in _FIELDS.items():
+        node, leaf = _slot(cfg, dotted)
+        value = node[leaf]
+        if allowed is not None and value is not None and not allowed[1](value):
+            raise ConfigError(f"config field {dotted!r} must be {allowed[0]}, got {value!r}")

@@ -53,8 +53,7 @@ class ScalingDiag:
         return cls(d=np.ones(n), epsilon_clamped=False)
 
 
-def compute_scaling(x_calib: np.ndarray) -> ScalingDiag:
-    x = as_matrix(x_calib, "calibration activations")
+def compute_scaling(x: np.ndarray) -> ScalingDiag:
     if x.shape[1] < 1:
         raise ValueError("calibration set is empty (no activation columns)")
     d = np.sqrt(np.sum(x * x, axis=1))
@@ -111,8 +110,7 @@ def structured_sparsify(residual: np.ndarray, g: int, s: float) -> StructuredSpa
 
     Ties rank the lower column index first so results are platform stable.
     """
-    r = as_matrix(residual, "residual")
-    m, n = r.shape
+    m, n = residual.shape
     if g < 1:
         raise ValueError(f"granularity must be >= 1, got {g}")
     if not 0.0 < s < 1.0:
@@ -122,14 +120,14 @@ def structured_sparsify(residual: np.ndarray, g: int, s: float) -> StructuredSpa
         raise ValueError("sparse budget rounds to zero columns")
 
     num_chunks = -(-m // g)
-    mag = np.abs(r)
+    mag = np.abs(residual)
     if num_chunks * g != m:  # zero rows pad the ragged last chunk
         mag = np.concatenate([mag, np.zeros((num_chunks * g - m, n))])
     norms = mag.reshape(num_chunks, g, n).sum(axis=1)
     order = np.argsort(-norms, axis=1, kind="stable")  # stable: ties keep lower index first
     kept = np.sort(order[:, :d], axis=1)
     rows = np.arange(m)
-    condensed = r[rows[:, None], kept[rows // g]]
+    condensed = residual[rows[:, None], kept[rows // g]]
     return StructuredSparse(granularity=g, full_rows=m, full_cols=n, kept_cols=kept, condensed=condensed)
 
 
@@ -248,7 +246,6 @@ def layer_error(w: np.ndarray, d: ScalingDiag, dec: Decomposition) -> float:
     The stored factors approximate W, so B and the sparse values are
     re-scaled by D before comparing against W D.
     """
-    w = as_matrix(w, "weight")
     wd = w * d.d[None, :]
     denom = frobenius_norm(wd)
     if denom == 0.0:
@@ -299,7 +296,7 @@ def adapter_objective_and_grads(
 def local_adapt(
     dec: Decomposition,
     w: np.ndarray,
-    x_calib: np.ndarray,
+    x: np.ndarray,
     steps: int = 100,
     lr: float = 1e-2,
     seed: int = 0,
@@ -321,8 +318,6 @@ def local_adapt(
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return dec
-    w = as_matrix(w, "weight")
-    x = as_matrix(x_calib, "calibration activations")
     m, r = dec.a.shape
     n = dec.b.shape[1]
     q = max(1, r // 4)
@@ -369,7 +364,7 @@ def local_adapt(
     )
 
 
-def calibration_objective(dec: Decomposition, w: np.ndarray, x_calib: np.ndarray) -> float:
+def calibration_objective(dec: Decomposition, w: np.ndarray, x: np.ndarray) -> float:
     """|| W X - (A B + expand(S)) X ||_F^2 on the raw calibration matrix."""
-    diff = (as_matrix(w, "weight") - dec.reconstruct()) @ as_matrix(x_calib, "calibration activations")
+    diff = (w - dec.reconstruct()) @ x
     return float(np.sum(diff * diff))

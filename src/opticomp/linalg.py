@@ -76,7 +76,6 @@ def warm_truncated_svd(m: np.ndarray, vt: np.ndarray) -> SvdResult:
     whose rows lie in span(vt), since ``m vt^T vt`` is the best of those
     and its columns lie in span(Q).
     """
-    m = as_matrix(m, "m")
     k = vt.shape[0]
     min_dim = min(m.shape)
     if not 1 <= k <= min_dim or vt.shape != (k, m.shape[1]):

@@ -87,12 +87,11 @@ def compress_model(cfg: dict, engines: EngineConfig):
     for lid in weights:
         w, d = weights[lid], scaling[lid]
         dec = decompose_layer(w, d, ranks[lid], t["sparse_ratio"], t["granularity"], iters=dcfg["iters"])
-        if dcfg["adapt_steps"] > 0:
-            dec = local_adapt(
-                dec, w, calib.activations[lid],
-                steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"],
-                seed=cfg["seed"], key=stable_key(lid),
-            )
+        dec = local_adapt(
+            dec, w, calib.activations[lid],
+            steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"],
+            seed=cfg["seed"], key=stable_key(lid),
+        )
         compressed[lid] = CompressedLayer(a=dec.a, b=dec.b, sparse=dec.sparse)
         for pl in plan.layers:
             if pl.id == lid:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import as_matrix, philox_rng
+from .util import philox_rng
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class QuantizedTensor:
 
 
 def quantize(m: np.ndarray, axis: str = "per_output_channel") -> QuantizedTensor:
-    m = as_matrix(m, "tensor")
     if axis == "per_output_channel":
         peak = np.abs(m).max(axis=1)
     elif axis == "per_tensor":
@@ -56,7 +55,6 @@ def inject_noise(
     ("gaussian") or uniform over [-sqrt(3), sqrt(3)] ("uniform"), so the
     empirical std of out/m - 1 equals ``ratio`` either way.
     """
-    m = as_matrix(m, "tensor")
     if ratio < 0:
         raise ValueError("noise ratio must be >= 0")
     if ratio == 0.0:

@@ -5,7 +5,7 @@ import numpy as np
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array, rejecting non-finite entries."""
+    """Coerce outside data to a C-contiguous float64 2-D array, rejecting non-finite entries."""
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")

@@ -161,8 +161,6 @@ def logit_loss(y_s: np.ndarray, y_t: np.ndarray, labels: np.ndarray, tau: float 
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    y_s = as_matrix(y_s, "student logits")
-    y_t = as_matrix(y_t, "teacher logits")
     if y_s.shape != y_t.shape:
         raise ValueError(f"logit shapes differ: {y_s.shape} vs {y_t.shape}")
     labels = np.asarray(labels, dtype=np.int64)

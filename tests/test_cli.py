@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -79,18 +80,49 @@ class TestCompress:
         assert code == 1
         assert "violates" in capsys.readouterr().err
 
+    @pytest.fixture
+    def model_never_loaded(self, monkeypatch):
+        """Config errors are caught before the model is loaded, so no decomposition runs."""
+        def unreachable(*args):
+            raise AssertionError("compress loaded the model before checking the config")
+
+        monkeypatch.setattr(pipeline, "load_model", unreachable)
+
     def test_bad_config_field_exits_two(self, toy_dir, tmp_path):
         assert main(compress_args(toy_dir, tmp_path, "--set", "targets.bogus=1")) == 2
 
-    def test_invalid_alpha_exits_two(self, toy_dir, tmp_path):
-        assert main(compress_args(toy_dir, tmp_path, "--set", "targets.alpha=1.5")) == 2
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (("--set", "targets.alpha=1.5"), "targets.alpha"),
+            (("--set", "targets.sparse_ratio=0"), "targets.sparse_ratio"),
+            (("--set", "targets.granularity=0"), "targets.granularity"),
+            (("--set", "decomposition.iters=0"), "decomposition.iters"),
+            (("--set", "allocator.threshold=2"), "allocator.threshold"),
+            (("--set", "allocator.temperature=0"), "allocator.temperature"),
+            (("--set", "allocator.temperature=-1"), "allocator.temperature"),
+            (("--set", "allocator.basis_rank=0"), "allocator.basis_rank"),
+            (("--set", "allocator.basis_rank=-3"), "allocator.basis_rank"),
+            (("--set", "decomposition.adapt_steps=-5"), "decomposition.adapt_steps"),
+            (("--set", "decomposition.adapt_lr=0"), "decomposition.adapt_lr"),
+            (("--set", "decomposition.adapt_lr=-1"), "decomposition.adapt_lr"),
+            (("--set", "hardware.batch_tokens=0"), "hardware.batch_tokens"),
+            (("--seed", "-1"), "seed"),
+        ],
+        ids=[
+            "alpha_above_one", "sparse_ratio_zero", "granularity_zero", "iters_zero",
+            "threshold_above_one", "temperature_zero", "temperature_negative", "basis_rank_zero",
+            "basis_rank_negative", "adapt_steps_negative", "adapt_lr_zero", "adapt_lr_negative",
+            "batch_tokens_zero", "seed_negative",
+        ],
+    )
+    def test_invalid_alpha_exits_two(self, toy_dir, tmp_path, capsys, model_never_loaded, extra, field):
+        assert main(compress_args(toy_dir, tmp_path, *extra)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(field) in err
+        assert not (tmp_path / "plan.json").exists()
 
-    def test_granularity_above_sparse_ptc_rows_exits_two(self, toy_dir, tmp_path, capsys, monkeypatch):
-        # Rejected before the model is even loaded, so no decomposition runs.
-        def unreachable(*args):
-            raise AssertionError("compress loaded the model before checking the granularity")
-
-        monkeypatch.setattr(pipeline, "load_model", unreachable)
+    def test_granularity_above_sparse_ptc_rows_exits_two(self, toy_dir, tmp_path, capsys, model_never_loaded):
         code = main(compress_args(toy_dir, tmp_path, "--set", "targets.granularity=9"))
         assert code == 2
         err = capsys.readouterr().err
@@ -271,6 +303,25 @@ class TestMalformedInputs:
         ]) == 1
         assert f"error: {path}: plan has no field 'layers'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "file,tensor,message",
+        [
+            ("model.lten", "block0.attn.q", "block0.attn.q contains non-finite entries"),
+            ("calib.lten", "inputs", "calibration inputs contains non-finite entries"),
+        ],
+        ids=["model_weight", "calibration_inputs"],
+    )
+    def test_non_finite_input_file_exits_one(self, toy_dir, tmp_path, capsys, file, tensor, message):
+        bad_toy = tmp_path / "toy"
+        shutil.copytree(toy_dir, bad_toy)
+        manifest, tensors = read_container(toy_dir / file)
+        bad = {k: np.array(v) for k, v in tensors.items()}
+        bad[tensor][0, 0] = np.nan
+        write_container(bad_toy / file, bad, extra={k: v for k, v in manifest.items() if k != "tensors"})
+        assert main(compress_args(bad_toy, tmp_path / "run")) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "plan.json").exists()
+
 
 class TestVerify:
     def verify_args(self, toy_dir, run_dir, *extra):
@@ -341,6 +392,13 @@ class TestReport:
         # embedding and head run dense only.
         assert {row[3] for row in rows} >= {"dense"}
         assert any(layer["sparse_cycles"] > 0 for layer in per_layer)
+
+    def test_report_on_a_plan_exits_one(self, compressed_dir, capsys):
+        path = compressed_dir / "plan.json"
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {path}: neither a simulate report nor a comparison" in captured.err
+        assert captured.out == ""
 
     def test_comparison_report_has_no_layer_table(self, toy_dir, compressed_dir, tmp_path, capsys):
         assert main([

@@ -1,8 +1,13 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from opticomp.container import (
     ALIGNMENT,
@@ -40,20 +45,27 @@ def test_round_trip_single_scalar(tmp_path):
     assert tensors["w"].tobytes() == np.array([[0.5]], dtype=np.float32).tobytes()
 
 
-def test_round_trip_mixed_dtypes_bit_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    originals = {
-        "a": rng.normal(size=(7, 5)).astype(np.float32),
-        "b": rng.integers(-1000, 1000, size=(3, 4)).astype(np.int32),
-        "c": rng.normal(size=(1, 129)).astype(np.float32),
-    }
-    path = tmp_path / "t.lten"
-    write_container(path, originals, extra={"note": "x"})
-    manifest, tensors = read_container(path)
+_ARRAYS = st.one_of(
+    hnp.arrays("<f4", hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6), elements=st.floats(width=32)),
+    hnp.arrays("<i4", hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.text(min_size=1, max_size=12), _ARRAYS, min_size=1, max_size=5))
+def test_round_trip_mixed_dtypes_bit_exact(originals):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.lten"), Path(tmp, "b.lten")
+        write_container(first, originals, extra={"note": "x"})
+        write_container(second, dict(reversed(originals.items())), extra={"note": "x"})  # order must not matter
+        assert first.read_bytes() == second.read_bytes()
+        manifest, tensors = read_container(first)
     assert manifest["note"] == "x"
+    assert tensors.keys() == originals.keys()
     for name, orig in originals.items():
-        assert tensors[name].tobytes() == orig.tobytes()
+        assert tensors[name].dtype == orig.dtype
         assert tensors[name].shape == orig.shape
+        assert tensors[name].tobytes() == orig.tobytes()
 
 
 def test_write_is_byte_deterministic(tmp_path):
