@@ -21,7 +21,6 @@ from .photonic import (
     PtcConfig,
     SplitterPlan,
     condensed_matmul,
-    edp,
     plan_splitters,
     ptc_matmul,
     simulate,

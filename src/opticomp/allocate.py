@@ -5,9 +5,11 @@ r_max = floor(m n / (m + n)): the exact rank-r_max SVD of W D, one
 structured sparsify and the closing refit. The refit makes the stored
 singular values exact for W D - S, so the error at any rank r <= r_max
 against that S follows from the singular-value tail, with no further SVDs
-or data passes. The search raises ranks of high-error layers in batches
-until the parameter budget runs out, leaving the achieved reduction psi at
-or above the target alpha.
+or data passes. Each layer keeps only that tail, ||W D||_F and its sparse
+columns per chunk d; the guide's factors are dropped once these are read.
+The search raises ranks of high-error layers in batches until the
+parameter budget runs out, leaving the achieved reduction psi at or above
+the target alpha.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decompose import Decomposition, ScalingDiag, decompose_layer, frobenius_norm
+from .decompose import ScalingDiag, decompose_layer, frobenius_norm
 
 BASE_SCALE_HIDDEN = 768  # hidden sizes at or above this use the full basis rank
 
@@ -34,7 +36,7 @@ class LayerState:
     cols: int
     r_max: int
     rank: int
-    decomposition: Decomposition  # the rank-r_max guide, de-scaled
+    d: int  # sparse columns kept per row chunk
     wd_norm: float
     tail_sq: np.ndarray  # tail_sq[r] = best_obj^2 + sum of sigma[r:]^2
 
@@ -57,9 +59,6 @@ class LayerState:
 class RankState:
     layers: list[LayerState]
 
-    def errors(self) -> np.ndarray:
-        return np.array([l.error for l in self.layers])
-
 
 def prepare_full_rank(
     layers: list[tuple[str, np.ndarray]],
@@ -71,17 +70,19 @@ def prepare_full_rank(
     """Fit every layer at its break-even rank to guide the allocator.
 
     One alternation, the default, is the pipeline's guide; more barely
-    change the ranks the allocator assigns.
+    change the ranks the allocator assigns. An all-zero weight is rejected:
+    its relative error has no denominator.
     """
     states = []
     for layer_id, w in layers:
         m, n = w.shape
         d = scaling[layer_id]
+        wd_norm = frobenius_norm(w * d.d[None, :])
+        if wd_norm == 0.0:
+            raise ValueError(f"layer {layer_id!r} has an all-zero weight; its relative error is undefined")
         r_top = max_rank(m, n)
         dec = decompose_layer(w, d, r_top, s, g, iters=iters)
         sigma = dec.singular_values
-        wd_norm = frobenius_norm(w * d.d[None, :])
-        base_sq = dec.best_objective**2
         # tail_sq[r] = base^2 + sum_{i >= r} sigma_i^2, indexable at r = r_max
         suffix = np.concatenate([np.cumsum((sigma**2)[::-1])[::-1], [0.0]])
         states.append(
@@ -91,9 +92,9 @@ def prepare_full_rank(
                 cols=n,
                 r_max=r_top,
                 rank=r_top,
-                decomposition=dec,
+                d=dec.sparse.kept_per_chunk,
                 wd_norm=wd_norm,
-                tail_sq=base_sq + suffix,
+                tail_sq=dec.best_objective**2 + suffix,
             )
         )
     return RankState(layers=states)
@@ -134,10 +135,6 @@ def select_batch(
     the lower layer index. Empty when everything is saturated.
     """
     errors = np.asarray(errors, dtype=np.float64)
-    if not np.all(np.isfinite(errors)):
-        raise ValueError("layer errors must be finite")
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
     active = np.arange(len(errors))
     if saturated is not None:
         active = active[~np.asarray(saturated, dtype=bool)]
@@ -269,42 +266,6 @@ def psi(plan: CompressionPlan) -> float:
     return 1.0 - kept / orig
 
 
-@dataclass
-class BudgetModel:
-    """Parameter budget left for low-rank factors under target alpha."""
-
-    alpha: float
-    original_params: int
-    sparse_params: int
-    spent: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.budget < 0:
-            raise ValueError(
-                f"sparse component alone ({self.sparse_params} params) already "
-                f"violates the {self.alpha:.0%} reduction target"
-            )
-
-    @property
-    def budget(self) -> int:
-        # Exact rational arithmetic: any integer spend within this bound
-        # keeps the true reduction at or above alpha, with no float slack.
-        limit = math.floor((1 - Fraction(self.alpha)) * self.original_params)
-        return limit - self.sparse_params
-
-    @property
-    def remaining(self) -> int:
-        return self.budget - self.spent
-
-    def charge(self, units: int, unit_cost: int) -> None:
-        cost = units * unit_cost
-        if cost > self.remaining:
-            raise ValueError("budget overrun")
-        self.spent += cost
-
-
 def allocate_ranks(
     state: RankState,
     alpha: float,
@@ -317,51 +278,47 @@ def allocate_ranks(
     """Greedy batch-wise rank search; see module docstring for the loop."""
     layers = state.layers
     original = sum(l.rows * l.cols for l in layers)
-    sparse_params = sum(l.rows * l.decomposition.sparse.kept_per_chunk for l in layers)
-    budget = BudgetModel(alpha=alpha, original_params=original, sparse_params=sparse_params)
+    sparse_params = sum(l.rows * l.d for l in layers)
+    # Exact rational arithmetic: any integer spend within this budget keeps
+    # the true reduction at or above alpha, with no float slack.
+    budget = math.floor((1 - Fraction(alpha)) * original) - sparse_params
+    if budget < 0:
+        raise ValueError(
+            f"sparse component alone ({sparse_params} params) already "
+            f"violates the {alpha:.0%} reduction target"
+        )
 
     for l in layers:
         l.rank = min(l.r_max, max(1, round(0.10 * l.r_max)))
-    init_cost = sum(l.rank * l.unit_cost for l in layers)
-    if init_cost > budget.budget:
+    spent = sum(l.rank * l.unit_cost for l in layers)
+    if spent > budget:
         raise ValueError(
-            f"target infeasible at 10% floor: initial ranks cost {init_cost} "
-            f"but the budget is {budget.budget}"
+            f"target infeasible at 10% floor: initial ranks cost {spent} "
+            f"but the budget is {budget}"
         )
-    budget.spent = init_cost
 
     trace = [[l.rank for l in layers]]
     iterations = 0
     while True:
         saturated = np.array([l.rank >= l.r_max for l in layers])
-        unsat = [l for l, sat in zip(layers, saturated) if not sat]
-        if not unsat:
-            break
-        cheapest = min(l.unit_cost for l in unsat)
-        if budget.remaining < cheapest:
-            break
-        batch, probs = select_batch(state.errors(), threshold, temperature, saturated)
+        batch, probs = select_batch([l.error for l in layers], threshold, temperature, saturated)
         if not batch:
             break
-        delta_r = step_size(budget.remaining, budget.budget, b)
-        headroom = [layers[i].r_max - layers[i].rank for i in batch]
-        increments = redistribute(batch, probs, delta_r, headroom)
+        delta_r = step_size(budget - spent, budget, b)
+        increments = redistribute(batch, probs, delta_r, [layers[i].r_max - layers[i].rank for i in batch])
         applied = 0
         # Cheapest layers first so a tight remainder is not wasted on one
         # expensive increment.
         for i, want in sorted(zip(batch, increments), key=lambda t: (layers[t[0]].unit_cost, t[0])):
             layer = layers[i]
-            affordable = budget.remaining // layer.unit_cost
-            units = min(want, layer.r_max - layer.rank, affordable)
-            if units <= 0:
-                continue
-            budget.charge(units, layer.unit_cost)
+            units = min(want, (budget - spent) // layer.unit_cost)
+            spent += units * layer.unit_cost
             layer.rank += units
             applied += units
-        iterations += 1
-        trace.append([l.rank for l in layers])
         if applied == 0:
             break
+        iterations += 1
+        trace.append([l.rank for l in layers])
 
     plan_layers = [
         PlanLayer(
@@ -369,9 +326,9 @@ def allocate_ranks(
             rows=l.rows,
             cols=l.cols,
             r=l.rank,
-            d=l.decomposition.sparse.kept_per_chunk,
+            d=l.d,
             g=g,
-            params=l.rank * l.unit_cost + l.rows * l.decomposition.sparse.kept_per_chunk,
+            params=l.rank * l.unit_cost + l.rows * l.d,
             error=l.error,
         )
         for l in layers

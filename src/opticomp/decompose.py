@@ -159,10 +159,16 @@ class Decomposition:
     a: np.ndarray  # (m x r)
     b: np.ndarray  # (r x n)
     sparse: StructuredSparse
-    rank: int
     objective_trace: list[float]
-    best_objective: float
     singular_values: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def rank(self) -> int:
+        return self.a.shape[1]
+
+    @property
+    def best_objective(self) -> float:
+        return min(self.objective_trace)
 
     def reconstruct(self) -> np.ndarray:
         return self.a @ self.b + expand(self.sparse)
@@ -233,24 +239,24 @@ def decompose_layer(
         a=a,
         b=b_out,
         sparse=sparse_out,
-        rank=r,
         objective_trace=trace,
-        best_objective=min(trace),
         singular_values=svd.singular_values.copy(),
     )
 
 
-def layer_error(w: np.ndarray, d: ScalingDiag, dec: Decomposition) -> float:
+def layer_error(w: np.ndarray, d: ScalingDiag, fit) -> float:
     """Normalized activation-aware error, evaluated in the scaled domain.
 
-    The stored factors approximate W, so B and the sparse values are
-    re-scaled by D before comparing against W D.
+    ``fit`` is anything holding the stored ``a``, ``b`` and ``sparse``: a
+    Decomposition, or a compressed layer read back from disk. The stored
+    factors approximate W, so B and the sparse values are re-scaled by D
+    before comparing against W D.
     """
     wd = w * d.d[None, :]
     denom = frobenius_norm(wd)
     if denom == 0.0:
         raise ValueError("||W D||_F is zero; error ratio undefined")
-    recon = dec.a @ (dec.b * d.d[None, :]) + expand(_scale_sparse_cols(dec.sparse, d.d))
+    recon = fit.a @ (fit.b * d.d[None, :]) + expand(_scale_sparse_cols(fit.sparse, d.d))
     return frobenius_norm(wd - recon) / denom
 
 
@@ -357,9 +363,7 @@ def local_adapt(
         a=dec.a + ua @ va,
         b=dec.b + ub @ vb,
         sparse=dec.sparse,
-        rank=dec.rank,
         objective_trace=trace,
-        best_objective=min(trace),
         singular_values=dec.singular_values,
     )
 

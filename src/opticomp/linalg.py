@@ -27,10 +27,6 @@ class SvdResult:
     singular_values: np.ndarray
     vt: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return len(self.singular_values)
-
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.singular_values) @ self.vt
 

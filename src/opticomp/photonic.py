@@ -493,11 +493,6 @@ def simulate(
     )
 
 
-def edp(report: CostReport) -> float:
-    """Energy-delay product: total energy times total latency."""
-    return report.total_energy * report.latency_s
-
-
 def comparison(baseline: CostReport, compressed: CostReport) -> dict:
     """Side-by-side ratios (baseline / compressed); > 1 favors compression."""
     ratios = {}

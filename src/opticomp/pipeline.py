@@ -19,7 +19,6 @@ from .allocate import CompressionPlan, allocate_ranks, basis_rank, prepare_full_
 from .config import ConfigError
 from .container import read_container, write_container
 from .decompose import (
-    Decomposition,
     StructuredSparse,
     compute_scaling,
     decompose_layer,
@@ -83,19 +82,17 @@ def compress_model(cfg: dict, engines: EngineConfig):
     )
 
     compressed: dict[str, CompressedLayer] = {}
-    ranks = {pl.id: pl.r for pl in plan.layers}
+    plan_by_id = {pl.id: pl for pl in plan.layers}
     for lid in weights:
-        w, d = weights[lid], scaling[lid]
-        dec = decompose_layer(w, d, ranks[lid], t["sparse_ratio"], t["granularity"], iters=dcfg["iters"])
+        w, d, pl = weights[lid], scaling[lid], plan_by_id[lid]
+        dec = decompose_layer(w, d, pl.r, t["sparse_ratio"], t["granularity"], iters=dcfg["iters"])
         dec = local_adapt(
             dec, w, calib.activations[lid],
             steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"],
             seed=cfg["seed"], key=stable_key(lid),
         )
         compressed[lid] = CompressedLayer(a=dec.a, b=dec.b, sparse=dec.sparse)
-        for pl in plan.layers:
-            if pl.id == lid:
-                pl.error = layer_error(w, d, dec)
+        pl.error = layer_error(w, d, dec)
 
     summary = {
         "alpha": t["alpha"],
@@ -130,9 +127,13 @@ def load_compressed(path):
     comp_meta = manifest.get("compressed_layers", {})
     if not comp_meta:
         raise ValueError(f"{path}: container holds no compressed layers")
+    specs = {l.id: l for l in graph.compressible_layers()}
+    unknown = sorted(set(comp_meta) - set(specs))
+    if unknown:
+        raise ValueError(f"{path}: its graph has no compressible layer(s): {', '.join(unknown)}")
     compressed = {}
     for lid, info in comp_meta.items():
-        spec = graph.layer(lid)
+        spec = specs[lid]
         sparse = StructuredSparse(
             granularity=int(info["g"]),
             full_rows=spec.rows,
@@ -205,6 +206,10 @@ def verify_artifacts(
     graph_c, compressed, others = load_compressed(compressed_path)
     plan = read_plan(plan_path)
     plan_by_id = {pl.id: pl for pl in plan.layers}
+    want = {l.id for l in graph_o.compressible_layers()}
+    for what, have in (("compressed/original model", set(compressed)), ("plan/model", set(plan_by_id))):
+        if have != want:
+            raise ValueError(f"{what} mismatch at layer(s): {', '.join(sorted(want ^ have))}")
 
     # Condensed matmul equals expand-then-multiply on every stored layer;
     # runs first because it also validates the stored index structure.
@@ -238,13 +243,9 @@ def verify_artifacts(
         for lid, cl in compressed.items():
             w = np.asarray(tensors_o[lid], dtype=np.float64)
             d = compute_scaling(calib.activations[lid])
-            dec = Decomposition(
-                a=cl.a, b=cl.b, sparse=cl.sparse, rank=cl.a.shape[1],
-                objective_trace=[0.0], best_objective=0.0,
-            )
             recorded = plan_by_id[lid].error
             try:
-                recomputed = layer_error(w, d, dec)
+                recomputed = layer_error(w, d, cl)
             except (ValueError, IndexError) as exc:
                 detail = f"{lid}: {exc}"
                 break
@@ -307,7 +308,7 @@ def quantized_matmul_weights(weights: dict[str, np.ndarray], ratio: float, seed:
     """Per-channel weight quantization, then optional multiplicative noise."""
     out = {}
     for name in sorted(weights):
-        wq = dequantize(quantize(weights[name], "per_output_channel"))
+        wq = dequantize(quantize(weights[name]))
         if ratio > 0.0:
             wq = inject_noise(wq, ratio, seed, key=stable_key(name))
         out[name] = wq

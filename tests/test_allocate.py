@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from opticomp import allocate
 from opticomp.allocate import (
-    BudgetModel,
     CompressionPlan,
     PlanLayer,
     allocate_ranks,
@@ -16,7 +16,7 @@ from opticomp.allocate import (
     select_batch,
     step_size,
 )
-from opticomp.decompose import ScalingDiag, compute_scaling, expand
+from opticomp.decompose import ScalingDiag, compute_scaling, decompose_layer, expand
 from opticomp.linalg import frobenius_norm, truncated_svd
 from opticomp.util import philox_rng
 
@@ -37,15 +37,42 @@ class TestPrepareFullRank:
         scaling = {"l": ScalingDiag.identity(4)}
         state = prepare_full_rank([("l", w)], scaling, s=0.25, g=2, iters=2)
         layer = state.layers[0]
+        guide = decompose_layer(w, scaling["l"], layer.r_max, 0.25, 2, iters=2)
         # top-2 triplets of the residual: singular values sorted descending
-        assert layer.decomposition.singular_values[0] >= layer.decomposition.singular_values[1]
+        assert guide.singular_values[0] >= guide.singular_values[1]
+        assert layer.tail_sq[0] == guide.best_objective**2 + np.sum(guide.singular_values**2)
+        assert layer.d == guide.sparse.kept_per_chunk
 
-    def test_default_guide_is_one_alternation(self):
+    def test_default_guide_is_one_alternation(self, monkeypatch):
+        guides = []
+
+        def spy(*args, **kwargs):
+            guides.append(decompose_layer(*args, **kwargs))
+            return guides[-1]
+
+        monkeypatch.setattr(allocate, "decompose_layer", spy)
         layers, scaling = random_layers(8, 3, m=24, n=36)
+        prepare_full_rank(layers, scaling, s=0.125, g=4)
+        assert len(guides) == 3
+        for guide in guides:
+            # first L-step, one S-step, closing refit
+            assert len(guide.objective_trace) == 3
+
+    def test_keeps_only_the_singular_value_tail(self):
+        layers, scaling = random_layers(9, 3, m=24, n=36)
         state = prepare_full_rank(layers, scaling, s=0.125, g=4)
         for layer in state.layers:
-            # first L-step, one S-step, closing refit
-            assert len(layer.decomposition.objective_trace) == 3
+            for name, value in vars(layer).items():
+                if name == "tail_sq":
+                    assert value.shape == (layer.r_max + 1,) and value.dtype == np.float64
+                else:
+                    assert isinstance(value, (int, float, str)), name
+
+    def test_zero_weight_names_the_layer(self):
+        layers, scaling = random_layers(10, 2, m=8, n=12)
+        layers[1] = ("layer1", np.zeros((8, 12)))
+        with pytest.raises(ValueError, match="'layer1' has an all-zero weight"):
+            prepare_full_rank(layers, scaling, s=0.125, g=4)
 
     def test_error_monotone_in_rank(self):
         layers, scaling = random_layers(0, 1)
@@ -63,7 +90,9 @@ class TestPrepareFullRank:
             wd = w * d.d[None, :]
             from opticomp.decompose import _scale_sparse_cols
 
-            residual = wd - expand(_scale_sparse_cols(layer.decomposition.sparse, d.d))
+            guide = decompose_layer(w, d, layer.r_max, 0.125, 4, iters=1)
+            assert layer.d == guide.sparse.kept_per_chunk
+            residual = wd - expand(_scale_sparse_cols(guide.sparse, d.d))
             for r in (1, 3, layer.r_max // 2, layer.r_max):
                 direct = frobenius_norm(wd - truncated_svd(residual, r).reconstruct()
                                         - (wd - residual)) / frobenius_norm(wd)
@@ -178,7 +207,7 @@ class TestAllocateRanks:
     def test_infeasible_sparse_alone(self):
         layers, scaling = random_layers(4, 2, m=16, n=16)
         state = prepare_full_rank(layers, scaling, s=0.125, g=4, iters=2)
-        with pytest.raises(ValueError, match="violates"):
+        with pytest.raises(ValueError, match=r"sparse component alone \(64 params\) already violates"):
             allocate_ranks(state, alpha=0.999, sparse_ratio=0.125, g=4, b=2)
 
     def test_planted_heterogeneous_ranks(self):
@@ -199,6 +228,21 @@ class TestAllocateRanks:
         trace = np.array(plan.rank_trace)
         assert np.all(np.diff(trace, axis=0) >= 0)
         assert psi(plan) >= 0.4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_counted_round_raises_a_rank(self, seed):
+        # Unequal unit costs: the batch can be unaffordable while a cheaper
+        # layer outside it is not. That round raises nothing and ends the
+        # search without counting as an iteration.
+        rng = philox_rng(seed, 53)
+        layers, scaling = [], {}
+        for i, (m, n) in enumerate([(16, 24), (16, 48), (48, 16), (24, 24)]):
+            layers.append((f"layer{i}", rng.normal(size=(m, n))))
+            scaling[f"layer{i}"] = compute_scaling(rng.normal(size=(n, 32)))
+        state = prepare_full_rank(layers, scaling, s=0.125, g=4)
+        plan = allocate_ranks(state, alpha=0.4, sparse_ratio=0.125, g=4, b=2)
+        assert len(plan.rank_trace) == plan.iterations + 1
+        assert all(before != after for before, after in zip(plan.rank_trace, plan.rank_trace[1:]))
 
     def test_deterministic(self):
         for _ in range(2):
@@ -232,7 +276,3 @@ class TestPsi:
         assert max_rank(64, 96) == (64 * 96) // 160
         assert max_rank(1, 1) == 1
 
-
-def test_budget_model_rejects_sparse_overrun():
-    with pytest.raises(ValueError, match="sparse"):
-        BudgetModel(alpha=0.9, original_params=1000, sparse_params=900)

@@ -49,6 +49,27 @@ def compressed_dir(toy_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def one_block_dir(tmp_path_factory):
+    """The toy model with one block instead of two, compressed into run/."""
+    out = tmp_path_factory.mktemp("toy1")
+    assert main([
+        "gen-toy", "--out", str(out), "--seed", "11",
+        "--hidden", "24", "--heads", "2", "--blocks", "1", "--in-dim", "12",
+        "--calib-tokens", "32", "--samples", "12", "--tokens", "6",
+    ]) == 0
+    assert main(compress_args(out, out / "run")) == 0
+    return out
+
+
+def rewrite_tensor(src, dst, tensor, edit):
+    """Copy the container at src to dst with ``edit`` applied to one tensor."""
+    manifest, tensors = read_container(src)
+    bad = {k: np.array(v) for k, v in tensors.items()}
+    edit(bad[tensor])
+    write_container(dst, bad, extra={k: v for k, v in manifest.items() if k != "tensors"})
+
+
 class TestGenToy:
     def test_outputs_exist(self, toy_dir):
         for name in ("model.lten", "calib.lten", "data.lten"):
@@ -314,12 +335,17 @@ class TestMalformedInputs:
     def test_non_finite_input_file_exits_one(self, toy_dir, tmp_path, capsys, file, tensor, message):
         bad_toy = tmp_path / "toy"
         shutil.copytree(toy_dir, bad_toy)
-        manifest, tensors = read_container(toy_dir / file)
-        bad = {k: np.array(v) for k, v in tensors.items()}
-        bad[tensor][0, 0] = np.nan
-        write_container(bad_toy / file, bad, extra={k: v for k, v in manifest.items() if k != "tensors"})
+        rewrite_tensor(toy_dir / file, bad_toy / file, tensor, lambda t: t.__setitem__((0, 0), np.nan))
         assert main(compress_args(bad_toy, tmp_path / "run")) == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "plan.json").exists()
+
+    def test_zero_weight_layer_exits_one(self, toy_dir, tmp_path, capsys):
+        bad_toy = tmp_path / "toy"
+        shutil.copytree(toy_dir, bad_toy)
+        rewrite_tensor(toy_dir / "model.lten", bad_toy / "model.lten", "block0.attn.q", lambda t: t.fill(0.0))
+        assert main(compress_args(bad_toy, tmp_path / "run")) == 1
+        assert "error: layer 'block0.attn.q' has an all-zero weight" in capsys.readouterr().err
         assert not (tmp_path / "run" / "plan.json").exists()
 
 
@@ -354,6 +380,37 @@ class TestVerify:
         assert code == 1
         out = capsys.readouterr().out
         assert "[FAIL] condensed_matmul" in out
+
+    @pytest.mark.parametrize(
+        "one_block,message",
+        [
+            ("plan", "plan/model mismatch"),
+            ("original", "compressed/original model mismatch"),
+            ("compressed", "compressed/original model mismatch"),
+        ],
+        ids=["plan", "original", "compressed"],
+    )
+    def test_layer_set_mismatch_exits_one(self, toy_dir, compressed_dir, one_block_dir, capsys, one_block, message):
+        # One of the three artifacts comes from the one-block toy model.
+        model_dir = one_block_dir if one_block == "original" else toy_dir
+        extra = {
+            "plan": ("--plan", str(one_block_dir / "run" / "plan.json")),
+            "original": (),
+            "compressed": ("--compressed", str(one_block_dir / "run" / "compressed.lten")),
+        }[one_block]
+        assert main(self.verify_args(model_dir, compressed_dir, *extra)) == 1
+        captured = capsys.readouterr()
+        assert f"error: {message} at layer(s): block1.attn.k, block1.attn.o," in captured.err
+        assert captured.out == ""
+
+    def test_compressed_layer_missing_from_graph(self, compressed_dir, one_block_dir, tmp_path):
+        manifest, tensors = read_container(compressed_dir / "compressed.lten")
+        one_block_graph = read_container(one_block_dir / "run" / "compressed.lten")[0]["graph"]
+        path = tmp_path / "compressed.lten"
+        extra = {k: v for k, v in manifest.items() if k != "tensors"}
+        write_container(path, tensors, extra={**extra, "graph": one_block_graph})
+        with pytest.raises(ValueError, match="graph has no compressible layer.*block1.attn.k"):
+            pipeline.load_compressed(path)
 
 
 class TestReport:

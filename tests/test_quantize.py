@@ -7,9 +7,9 @@ from opticomp.quantize import dequantize, inject_noise, quantize
 class TestQuantize:
     def test_representable_grid_round_trips_exactly(self):
         s = 0.037
-        codes = np.arange(-127, 128).reshape(5, 51).astype(np.float64)
+        codes = np.arange(-127, 128).reshape(1, 255).astype(np.float64)
         m = codes * s
-        q = quantize(m, "per_tensor")
+        q = quantize(m)
         np.testing.assert_array_equal(dequantize(q), m)
 
     def test_zero_matrix(self):
@@ -25,25 +25,17 @@ class TestQuantize:
             err = np.abs(m - dequantize(q))
             assert np.all(err <= q.scales[:, None] / 2 + 1e-15)
 
-    def test_per_tensor_bound(self):
-        rng = np.random.default_rng(1)
-        m = rng.normal(size=(16, 16))
-        q = quantize(m, "per_tensor")
-        assert np.abs(m - dequantize(q)).max() <= q.scales[0] / 2 + 1e-15
-
     def test_idempotent_codes(self):
         rng = np.random.default_rng(2)
-        for axis in ("per_output_channel", "per_tensor"):
-            m = rng.normal(size=(6, 14))
-            q1 = quantize(m, axis)
-            q2 = quantize(dequantize(q1), axis)
-            np.testing.assert_array_equal(q1.codes, q2.codes)
-            np.testing.assert_array_equal(q1.scales, q2.scales)
+        m = rng.normal(size=(6, 14))
+        q1 = quantize(m)
+        q2 = quantize(dequantize(q1))
+        np.testing.assert_array_equal(q1.codes, q2.codes)
+        np.testing.assert_array_equal(q1.scales, q2.scales)
 
     def test_round_half_to_even(self):
         # values exactly between two codes round to the even code
-        m = np.array([[127.0, 0.5, 1.5, 2.5]]) / 127.0 * 127.0
-        q = quantize(np.array([[127.0, 0.5, 1.5, 2.5]]), "per_tensor")
+        q = quantize(np.array([[127.0, 0.5, 1.5, 2.5]]))
         assert q.scales[0] == 1.0
         np.testing.assert_array_equal(q.codes, [[127, 0, 2, 2]])
 
@@ -78,16 +70,6 @@ class TestInjectNoise:
         # |z| * 0.03 < 1 holds for every reasonable draw at this size
         assert np.all(np.sign(out) == np.sign(m))
 
-    def test_uniform_option_keeps_sigma(self):
-        out = inject_noise(np.ones((800, 800)), 0.03, seed=8, dist="uniform")
-        dev = out - 1.0
-        assert 0.027 <= np.std(dev) <= 0.033
-        assert np.abs(dev).max() <= 0.03 * np.sqrt(3.0) + 1e-12  # bounded support
-
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError, match="ratio"):
             inject_noise(np.ones((2, 2)), -0.1, seed=0)
-
-    def test_unknown_distribution_rejected(self):
-        with pytest.raises(ValueError, match="distribution"):
-            inject_noise(np.ones((2, 2)), 0.1, seed=0, dist="laplace")
