@@ -13,7 +13,7 @@ from .decompose import (
     structured_sparsify,
 )
 from .linalg import SvdResult, frobenius_norm, truncated_svd
-from .model import CalibrationSet, LayerSpec, ModelGraph, load_model, save_model
+from .model import LayerSpec, ModelGraph, load_model, save_model
 from .photonic import (
     CostReport,
     EngineConfig,

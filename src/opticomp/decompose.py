@@ -364,7 +364,6 @@ def local_adapt(
         b=dec.b + ub @ vb,
         sparse=dec.sparse,
         objective_trace=trace,
-        singular_values=dec.singular_values,
     )
 
 

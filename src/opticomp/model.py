@@ -80,18 +80,6 @@ class ModelGraph:
         return cls(layers=layers, blocks=obj["blocks"], hidden_size=obj["hidden_size"], meta=dict(obj.get("meta", {})))
 
 
-@dataclass
-class CalibrationSet:
-    """Per-layer input activations; ``activations[id]`` is (cols x sample_count)."""
-
-    activations: dict[str, np.ndarray]
-    sample_count: int
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("calibration set needs at least one sample")
-
-
 def save_model(path, graph: ModelGraph, tensors: dict[str, np.ndarray]) -> None:
     """Write graph + tensors to an LTEN file; layer tensors are shape-checked."""
     for layer in graph.layers:

@@ -411,19 +411,20 @@ def simulate(
 ) -> CostReport:
     """Static-schedule cost model over every layer of the graph.
 
-    With a plan, compressible layers run low-rank factors on the dense
-    engine and condensed chunks on the sparse engine concurrently;
-    embedding/head (and everything, in baseline mode) run as raw dense
-    matmuls. The plan must cover every compressible layer.
+    ``plan=None`` is the raw dense baseline: every layer runs as a dense
+    matmul. With a plan, compressible layers run low-rank factors on the
+    dense engine and condensed chunks on the sparse engine concurrently;
+    embedding/head run as raw dense matmuls. The plan must cover exactly
+    the compressible layers, so a plan with no layers is rejected.
     """
     dense, sparse = engines.dense, engines.sparse
     if batch_tokens < 1:
         raise ValueError("batch_tokens must be >= 1")
     if dense.cores < 1:
         raise ValueError("dense engine needs at least one core")
-    # None or an empty plan both mean the raw dense baseline.
-    plan_by_id = {} if plan is None or not plan.layers else {pl.id: pl for pl in plan.layers}
-    if plan_by_id:
+    plan_by_id = {}
+    if plan is not None:
+        plan_by_id = {pl.id: pl for pl in plan.layers}
         want = {l.id for l in graph.compressible_layers()}
         have = set(plan_by_id)
         if want != have:

@@ -62,7 +62,7 @@ def compress_model(cfg: dict, engines: EngineConfig):
 
     dcfg = cfg["decomposition"]
     weights = {l.id: np.asarray(tensors[l.id], dtype=np.float64) for l in graph.compressible_layers()}
-    scaling = {lid: compute_scaling(calib.activations[lid]) for lid in weights}
+    scaling = {lid: compute_scaling(calib[lid]) for lid in weights}
 
     state = prepare_full_rank(
         [(lid, weights[lid]) for lid in weights],
@@ -87,7 +87,7 @@ def compress_model(cfg: dict, engines: EngineConfig):
         w, d, pl = weights[lid], scaling[lid], plan_by_id[lid]
         dec = decompose_layer(w, d, pl.r, t["sparse_ratio"], t["granularity"], iters=dcfg["iters"])
         dec = local_adapt(
-            dec, w, calib.activations[lid],
+            dec, w, calib[lid],
             steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"],
             seed=cfg["seed"], key=stable_key(lid),
         )
@@ -134,6 +134,10 @@ def load_compressed(path):
     compressed = {}
     for lid, info in comp_meta.items():
         spec = specs[lid]
+        names = [f"{lid}.{part}" for part in ("a", "b", "sparse.values", "sparse.cols")]
+        absent = [name for name in names if name not in tensors]
+        if absent:
+            raise ValueError(f"{path}: compressed layer {lid!r} lacks tensor(s): {', '.join(absent)}")
         sparse = StructuredSparse(
             granularity=int(info["g"]),
             full_rows=spec.rows,
@@ -242,7 +246,7 @@ def verify_artifacts(
         detail = None
         for lid, cl in compressed.items():
             w = np.asarray(tensors_o[lid], dtype=np.float64)
-            d = compute_scaling(calib.activations[lid])
+            d = compute_scaling(calib[lid])
             recorded = plan_by_id[lid].error
             try:
                 recomputed = layer_error(w, d, cl)

@@ -4,8 +4,9 @@ Tokens are column vectors: a layer with weight W (rows x cols) consumes an
 activation matrix of shape (cols x tokens). Each block runs
 LN -> multi-head self-attention -> residual add, then
 LN -> MLP with exact GELU -> residual add. Logits come from mean-pooling
-tokens and applying the head matrix. Everything is pure-functional numpy,
-so repeated calls are bit-identical.
+tokens and applying the head matrix. Everything is pure-functional numpy
+(no activation is written after it is made), so repeated calls are
+bit-identical and calibration capture can keep activations by reference.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .container import read_container, write_container
-from .model import CalibrationSet, LayerSpec, ModelGraph
+from .model import LayerSpec, ModelGraph
 from .util import as_matrix, philox_rng
 
 LN_EPS = 1e-6
@@ -90,8 +91,8 @@ def forward(model: ToyViT, inputs: np.ndarray, matmul_fn=None, tap: dict | None 
     Returns (logits, BlockFeatures) where logits is a (classes,) vector for
     the mean-pooled sequence. ``matmul_fn(w, x)`` overrides the product used
     for every weight-matrix application (PTC execution hooks into this).
-    ``tap``, when given, is filled with the exact input activation of each
-    weight layer plus per-block attention matrices under ``attn_probs``.
+    ``tap``, when given, maps each weight layer's id to the input activation
+    it consumed, by reference: callers must not write into these arrays.
     """
     mm = matmul_fn if matmul_fn is not None else np.matmul
 
@@ -100,15 +101,13 @@ def forward(model: ToyViT, inputs: np.ndarray, matmul_fn=None, tap: dict | None 
         if w.shape[1] != x.shape[0]:
             raise ValueError(f"layer {layer_id!r}: weight {w.shape} cannot consume input {x.shape}")
         if tap is not None:
-            tap[layer_id] = x.copy()
+            tap[layer_id] = x
         return mm(w, x)
 
     inputs = as_matrix(inputs, "inputs")
     x = apply("embed", inputs)
     feats = BlockFeatures()
     dh = model.hidden // model.heads
-    if tap is not None:
-        tap["attn_probs"] = []
     for i in range(model.num_blocks):
         normed = _layernorm(x, model.ln_params[f"block{i}.ln1.weight"], model.ln_params[f"block{i}.ln1.bias"])
         q = apply(f"block{i}.attn.q", normed)
@@ -118,8 +117,6 @@ def forward(model: ToyViT, inputs: np.ndarray, matmul_fn=None, tap: dict | None 
         for h in range(model.heads):
             sl = slice(h * dh, (h + 1) * dh)
             probs = _softmax_rows(q[sl].T @ k[sl] / sqrt(dh))  # (tokens x tokens), rows sum to 1
-            if tap is not None:
-                tap["attn_probs"].append(probs)
             heads_out.append(v[sl] @ probs.T)
         x = x + apply(f"block{i}.attn.o", np.concatenate(heads_out, axis=0))
         feats.attn.append(x.T.copy())
@@ -196,17 +193,19 @@ def evaluate(model: ToyViT, dataset: ToyDataset, matmul_fn=None) -> float:
     return hits / len(dataset)
 
 
-def collect_calibration(graph: ModelGraph, tensors: dict[str, np.ndarray], inputs: np.ndarray) -> CalibrationSet:
-    """Record the exact activation matrix each compressible layer consumes."""
+def collect_calibration(graph: ModelGraph, tensors: dict[str, np.ndarray], inputs: np.ndarray) -> dict[str, np.ndarray]:
+    """Map each compressible layer's id to the (cols x tokens) activation it
+    consumes; layers fed the same matrix (q, k, v) share one array."""
     model = ToyViT.from_tensors(graph, tensors)
     inputs = as_matrix(inputs, "calibration inputs")
     embed = graph.layer("embed")
     if inputs.shape[0] != embed.cols:
         raise ValueError(f"layer 'embed': expected {embed.cols} input rows, got {inputs.shape[0]}")
+    if inputs.shape[1] < 1:
+        raise ValueError("calibration inputs hold no tokens; need at least one")
     tap: dict = {}
     forward(model, inputs, tap=tap)
-    activations = {l.id: tap[l.id] for l in graph.compressible_layers()}
-    return CalibrationSet(activations=activations, sample_count=inputs.shape[1])
+    return {l.id: tap[l.id] for l in graph.compressible_layers()}
 
 
 # --- toy generators ---------------------------------------------------------

@@ -250,6 +250,21 @@ class TestSimulate:
         assert "exactly one of --plan PATH or --baseline" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_plan_with_no_layers_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
+        # only --baseline asks for the dense baseline; an empty plan is a mismatch
+        plan = json.loads((compressed_dir / "plan.json").read_text())
+        plan["layers"] = []
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main([
+            "simulate", "--plan", str(path), "--compare",
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--out", str(tmp_path / "out"),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "error: plan/model mismatch at layer(s): block0.attn.k, " in captured.err
+        assert "EDP ratio" not in captured.out
+        assert not (tmp_path / "out" / "comparison.json").exists()
 
     def test_compare_writes_the_same_report(self, toy_dir, compressed_dir, tmp_path):
         # --compare adds report_baseline.json and comparison.json only.
@@ -340,6 +355,14 @@ class TestMalformedInputs:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "plan.json").exists()
 
+    def test_zero_token_calibration_exits_one(self, toy_dir, tmp_path, capsys):
+        bad_toy = tmp_path / "toy"
+        shutil.copytree(toy_dir, bad_toy)
+        write_container(bad_toy / "calib.lten", {"inputs": np.zeros((12, 0))})
+        assert main(compress_args(bad_toy, tmp_path / "run")) == 1
+        assert "error: calibration inputs hold no tokens" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "plan.json").exists()
+
     def test_zero_weight_layer_exits_one(self, toy_dir, tmp_path, capsys):
         bad_toy = tmp_path / "toy"
         shutil.copytree(toy_dir, bad_toy)
@@ -401,6 +424,16 @@ class TestVerify:
         assert main(self.verify_args(model_dir, compressed_dir, *extra)) == 1
         captured = capsys.readouterr()
         assert f"error: {message} at layer(s): block1.attn.k, block1.attn.o," in captured.err
+        assert captured.out == ""
+
+    def test_compressed_layer_missing_a_tensor_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
+        manifest, tensors = read_container(compressed_dir / "compressed.lten")
+        del tensors["block0.attn.q.a"]
+        path = tmp_path / "compressed.lten"
+        write_container(path, tensors, extra={k: v for k, v in manifest.items() if k != "tensors"})
+        assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
+        captured = capsys.readouterr()
+        assert f"error: {path}: compressed layer 'block0.attn.q' lacks tensor(s): block0.attn.q.a\n" in captured.err
         assert captured.out == ""
 
     def test_compressed_layer_missing_from_graph(self, compressed_dir, one_block_dir, tmp_path):

@@ -324,6 +324,12 @@ class TestLocalAdapt:
             sv = np.linalg.svd(delta, compute_uv=False)
             assert sv[1] <= 1e-9 * sv[0]
 
+    def test_merged_factors_carry_no_singular_values(self):
+        # the guide's singular values describe a @ b before the adapters merge
+        w, x, _, dec = self._setup(4)
+        assert dec.singular_values is not None
+        assert local_adapt(dec, w, x, steps=5, seed=1).singular_values is None
+
     def test_deterministic_given_seed(self):
         w, x, _, dec = self._setup(3)
         a1 = local_adapt(dec, w, x, steps=25, seed=7)

@@ -16,7 +16,7 @@ def compress_all_layers(graph, tensors, calib, rank, adapt_steps, seed):
     compressed = {}
     for idx, layer in enumerate(graph.compressible_layers()):
         w = np.asarray(tensors[layer.id], dtype=np.float64)
-        x = calib.activations[layer.id]
+        x = calib[layer.id]
         dec = decompose_layer(w, compute_scaling(x), r=rank, s=0.125, g=4, iters=20)
         if adapt_steps:
             dec = local_adapt(dec, w, x, steps=adapt_steps, seed=seed * 1000 + idx)

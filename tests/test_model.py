@@ -76,7 +76,7 @@ class TestCollectCalibration:
         model = ToyViT.from_tensors(graph, tensors)
         tap = {}
         forward(model, inputs, tap=tap)
-        for lid, act in calib.activations.items():
+        for lid, act in calib.items():
             np.testing.assert_array_equal(act, tap[lid])
 
     def test_recorded_shapes(self):
@@ -84,9 +84,21 @@ class TestCollectCalibration:
         tensors = gen_toy_model(graph, seed=8)
         inputs = np.random.default_rng(9).normal(size=(6, 8))
         calib = collect_calibration(graph, tensors, inputs)
-        assert calib.sample_count == 8
         for layer in graph.compressible_layers():
-            assert calib.activations[layer.id].shape == (layer.cols, 8)
+            assert calib[layer.id].shape == (layer.cols, 8)
+
+    def test_keeps_each_layer_input_once(self):
+        graph = build_toy_graph(hidden=12, heads=3, mlp_ratio=2, blocks=2, classes=4, in_dim=6)
+        tensors = gen_toy_model(graph, seed=8)
+        inputs = np.random.default_rng(9).normal(size=(6, 8))
+        calib = collect_calibration(graph, tensors, inputs)
+        assert list(calib) == [l.id for l in graph.compressible_layers()]
+        for i in range(2):
+            q, k, v = (calib[f"block{i}.attn.{p}"] for p in ("q", "k", "v"))
+            assert np.shares_memory(q, k) and np.shares_memory(q, v)
+        tap = {}
+        forward(ToyViT.from_tensors(graph, tensors), inputs, tap=tap)
+        assert set(tap) == {l.id for l in graph.layers}
 
     def test_wrong_input_dim_names_layer(self):
         graph = build_toy_graph(in_dim=6)

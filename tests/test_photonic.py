@@ -291,12 +291,12 @@ class TestSimulate:
             assert lc.cycles == max(lc.dense_cycles, lc.sparse_cycles)
         assert report.cycles == sum(lc.cycles for lc in report.per_layer)
 
-    def test_empty_plan_is_baseline(self):
-        graph = one_layer_graph()
+    def test_empty_plan_is_not_the_baseline(self):
+        # only plan=None asks for the baseline; no layers is a mismatch
+        graph = build_toy_graph(hidden=24, heads=2, mlp_ratio=2, blocks=1, classes=4, in_dim=12)
         empty = CompressionPlan(alpha=0.5, sparse_ratio=0.125, layers=[], psi_achieved=0.0, iterations=0)
-        a = simulate(empty, graph, EngineConfig.default(), EnergyParams(), 12)
-        b = simulate(None, graph, EngineConfig.default(), EnergyParams(), 12)
-        assert a.to_json() == b.to_json()
+        with pytest.raises(ValueError, match=r"plan/model mismatch at layer\(s\): block0.attn.k, "):
+            simulate(empty, graph, EngineConfig.default(), EnergyParams(), 12)
 
     def test_plan_model_mismatch_names_layer(self):
         graph = build_toy_graph(hidden=24, heads=2, mlp_ratio=2, blocks=1, classes=4, in_dim=12)
