@@ -94,14 +94,15 @@ class StructuredSparse:
         return lo, min(lo + self.granularity, self.full_rows)
 
     def validate(self) -> None:
-        if self.kept_cols.shape != (self.num_chunks, self.kept_per_chunk):
-            raise ValueError("kept_cols shape disagrees with chunk count")
-        if self.condensed.shape != (self.full_rows, self.kept_per_chunk):
-            raise ValueError("condensed shape disagrees with (rows, kept columns)")
-        diffs = np.diff(self.kept_cols, axis=1)
-        if self.kept_cols.min() < 0 or self.kept_cols.max() >= self.full_cols:
-            raise ValueError("kept column index out of range")
-        if diffs.size and diffs.min() <= 0:
+        """Shapes, index range and per-chunk order; needs granularity >= 1."""
+        cols, values = self.kept_cols, self.condensed
+        if cols.ndim != 2 or cols.shape[0] != self.num_chunks or cols.shape[1] < 1:
+            raise ValueError(f"kept_cols has shape {cols.shape}, expected ({self.num_chunks}, d) with d >= 1")
+        if values.shape != (self.full_rows, cols.shape[1]):
+            raise ValueError(f"condensed has shape {values.shape}, expected {(self.full_rows, cols.shape[1])}")
+        if cols.min() < 0 or cols.max() >= self.full_cols:
+            raise ValueError(f"kept column index out of range [0, {self.full_cols})")
+        if np.any(np.diff(cols, axis=1) <= 0):
             raise ValueError("kept column indices must be strictly increasing per chunk")
 
 
@@ -317,8 +318,9 @@ def local_adapt(
     Adapters dA = Ua Va and dB = Ub Vb have rank at most floor(r/4) (min 1)
     and are merged back on return, so the parameter count is unchanged. Uses
     plain gradient descent; a step that raises the objective is rejected and
-    retried at half the learning rate (floor 1e-8). The best iterate is
-    kept, so the returned objective never exceeds the input's.
+    retried at half the learning rate (floor 1e-8). A step is taken only if
+    it does not raise the objective, so the returned objective never
+    exceeds the input's.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -337,7 +339,6 @@ def local_adapt(
 
     f, grads = _adapter_step(target, gram, dec.a, dec.b, ua, va, ub, vb)
     trace = [f]
-    best = (f, ua.copy(), va.copy(), ub.copy(), vb.copy())
     step_lr = lr
     for step in range(steps):
         if not all(np.all(np.isfinite(gr)) for gr in grads):
@@ -355,10 +356,7 @@ def local_adapt(
         ua, va, ub, vb = cand
         f, grads = f_new, grads_new
         trace.append(f)
-        if f < best[0]:
-            best = (f, ua.copy(), va.copy(), ub.copy(), vb.copy())
 
-    _, ua, va, ub, vb = best
     return Decomposition(
         a=dec.a + ua @ va,
         b=dec.b + ub @ vb,

@@ -9,7 +9,7 @@ re-derives every stored quantity from the artifacts themselves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -121,7 +121,10 @@ def save_compressed(path, graph: ModelGraph, tensors: dict, compressed: dict[str
 
 
 def load_compressed(path):
-    """Read a compressed model; returns (graph, compressed layers, other tensors)."""
+    """Read a compressed model; returns (graph, compressed layers, other tensors).
+
+    Each compressed layer is checked here, once (see ``_check_layer``).
+    """
     manifest, tensors = read_container(path)
     graph = ModelGraph.from_json(manifest["graph"])
     comp_meta = manifest.get("compressed_layers", {})
@@ -138,24 +141,42 @@ def load_compressed(path):
         absent = [name for name in names if name not in tensors]
         if absent:
             raise ValueError(f"{path}: compressed layer {lid!r} lacks tensor(s): {', '.join(absent)}")
-        sparse = StructuredSparse(
-            granularity=int(info["g"]),
-            full_rows=spec.rows,
-            full_cols=spec.cols,
-            kept_cols=np.asarray(tensors[f"{lid}.sparse.cols"], dtype=np.int64),
-            condensed=np.asarray(tensors[f"{lid}.sparse.values"], dtype=np.float64),
-        )
-        compressed[lid] = CompressedLayer(
+        cl = CompressedLayer(
             a=np.asarray(tensors[f"{lid}.a"], dtype=np.float64),
             b=np.asarray(tensors[f"{lid}.b"], dtype=np.float64),
-            sparse=sparse,
+            sparse=StructuredSparse(
+                granularity=info.get("g"),
+                full_rows=spec.rows,
+                full_cols=spec.cols,
+                kept_cols=np.asarray(tensors[f"{lid}.sparse.cols"], dtype=np.int64),
+                condensed=np.asarray(tensors[f"{lid}.sparse.values"], dtype=np.float64),
+            ),
         )
-    others = {
-        name: arr
-        for name, arr in tensors.items()
-        if not any(name.startswith(f"{lid}.") for lid in comp_meta)
-    }
+        try:
+            _check_layer(cl, info)
+        except ValueError as exc:
+            raise ValueError(f"{path}: compressed layer {lid!r}: {exc}") from None
+        compressed[lid] = cl
+    others = {n: arr for n, arr in tensors.items() if not any(n.startswith(f"{lid}.") for lid in comp_meta)}
     return graph, compressed, others
+
+
+def _check_layer(cl: CompressedLayer, info: dict) -> None:
+    """Manifest g and r, factor shapes, sparse structure, manifest d."""
+    sp, r = cl.sparse, info.get("r")
+    rows, cols = sp.full_rows, sp.full_cols
+    for key in ("g", "r"):
+        _require_count(info.get(key), key)
+    if cl.a.shape != (rows, r) or cl.b.shape != (r, cols):
+        raise ValueError(f"a is {cl.a.shape}, b is {cl.b.shape}; manifest r = {r} needs {(rows, r)} and {(r, cols)}")
+    sp.validate()
+    if info.get("d") != sp.kept_per_chunk:
+        raise ValueError(f"manifest d = {info.get('d')!r}, but sparse.cols keeps {sp.kept_per_chunk} per chunk")
+
+
+def _require_count(value, what: str) -> None:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 def effective_tensors(graph: ModelGraph, compressed: dict[str, CompressedLayer], others: dict) -> dict:
@@ -172,11 +193,15 @@ def write_plan(path, plan: CompressionPlan) -> None:
 
 def read_plan(path) -> CompressionPlan:
     try:
-        return CompressionPlan.from_json(json.loads(Path(path).read_text()))
+        plan = CompressionPlan.from_json(json.loads(Path(path).read_text()))
     except KeyError as exc:
         raise ValueError(f"{path}: plan has no field {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"{path}: malformed plan: {exc}") from exc
+    for pl in plan.layers:
+        for key in ("r", "d", "g"):
+            _require_count(getattr(pl, key), f"{path}: plan layer {pl.id!r}: {key}")
+    return plan
 
 
 def hardware_from_config(cfg: dict) -> tuple[EngineConfig, EnergyParams]:
@@ -205,77 +230,52 @@ def verify_artifacts(
     seed: int = 0,
 ) -> list[CheckResult]:
     """Re-derive stored quantities from the artifacts and check consistency."""
-    checks: list[CheckResult] = []
     graph_o, tensors_o = load_model(original_path)
     graph_c, compressed, others = load_compressed(compressed_path)
     plan = read_plan(plan_path)
     plan_by_id = {pl.id: pl for pl in plan.layers}
-    want = {l.id for l in graph_o.compressible_layers()}
-    for what, have in (("compressed/original model", set(compressed)), ("plan/model", set(plan_by_id))):
-        if have != want:
-            raise ValueError(f"{what} mismatch at layer(s): {', '.join(sorted(want ^ have))}")
+    want = {l.id: (l.rows, l.cols) for l in graph_o.compressible_layers()}
+    for what, have in (
+        ("compressed/original model", {lid: (cl.a.shape[0], cl.b.shape[1]) for lid, cl in compressed.items()}),
+        ("plan/model", {pl.id: (pl.rows, pl.cols) for pl in plan.layers}),
+    ):
+        off = sorted(lid for lid in want.keys() | have.keys() if want.get(lid) != have.get(lid))
+        if off:
+            raise ValueError(f"{what} mismatch at layer(s): {', '.join(off)}")
+    stored = {lid: (cl.a.shape[1], cl.sparse.kept_per_chunk, cl.sparse.granularity) for lid, cl in compressed.items()}
+    off = sorted(lid for lid, pl in plan_by_id.items() if (pl.r, pl.d, pl.g) != stored[lid])
+    if off:
+        raise ValueError(f"plan/compressed model mismatch at layer(s): {', '.join(off)}")
 
-    # Condensed matmul equals expand-then-multiply on every stored layer;
-    # runs first because it also validates the stored index structure.
-    worst = 0.0
-    failed = None
-    for lid, cl in compressed.items():
-        try:
-            cl.sparse.validate()
-            x = philox_rng(seed, 5, stable_key(lid)).standard_normal((cl.sparse.full_cols, 8))
-            diff = np.abs(condensed_matmul(cl.sparse, x) - expand(cl.sparse) @ x).max()
-            worst = max(worst, float(diff))
-        except (ValueError, IndexError) as exc:
-            failed = f"{lid}: {exc}"
-            break
-    structure_ok = failed is None
-    checks.append(
-        CheckResult(
-            "condensed_matmul",
-            structure_ok and worst <= 1e-9,
-            failed or f"max |condensed - dense| = {worst:.3e}",
-        )
-    )
-
-    # Reconstruction fidelity: recorded activation-aware error matches a
-    # recomputation from the artifacts (needs calibration activations).
+    calib = None
     if calibration_path is not None:
-        calib_inputs = load_calibration_inputs(calibration_path)
-        calib = collect_calibration(graph_o, tensors_o, calib_inputs)
-        worst = 0.0
-        detail = None
-        for lid, cl in compressed.items():
-            w = np.asarray(tensors_o[lid], dtype=np.float64)
-            d = compute_scaling(calib[lid])
-            recorded = plan_by_id[lid].error
-            try:
-                recomputed = layer_error(w, d, cl)
-            except (ValueError, IndexError) as exc:
-                detail = f"{lid}: {exc}"
-                break
-            worst = max(worst, abs(recomputed - (recorded or 0.0)))
-        checks.append(
-            CheckResult(
-                "reconstruction_fidelity",
-                detail is None and worst <= 1e-6,
-                detail or f"max |recorded - recomputed| layer error = {worst:.3e}",
-            )
-        )
+        calib = collect_calibration(graph_o, tensors_o, load_calibration_inputs(calibration_path))
+
+    # One pass over layers that load_compressed has checked: condensed matmul
+    # against expand-then-multiply, the recorded activation-aware error against
+    # a recomputation (needs calibration), and the kept parameter count.
+    worst_matmul = worst_error = 0.0
+    kept = 0
+    for lid, cl in compressed.items():
+        x = philox_rng(seed, 5, stable_key(lid)).standard_normal((cl.sparse.full_cols, 8))
+        worst_matmul = max(worst_matmul, float(np.abs(condensed_matmul(cl.sparse, x) - expand(cl.sparse) @ x).max()))
+        if calib is not None:
+            recomputed = layer_error(np.asarray(tensors_o[lid], dtype=np.float64), compute_scaling(calib[lid]), cl)
+            worst_error = max(worst_error, abs(recomputed - (plan_by_id[lid].error or 0.0)))
+        kept += cl.a.shape[1] * (cl.a.shape[0] + cl.b.shape[1]) + cl.sparse.full_rows * cl.sparse.kept_per_chunk
+
+    checks = [CheckResult("condensed_matmul", worst_matmul <= 1e-9, f"max |condensed - dense| = {worst_matmul:.3e}")]
+    if calib is not None:
+        detail = f"max |recorded - recomputed| layer error = {worst_error:.3e}"
+        checks.append(CheckResult("reconstruction_fidelity", worst_error <= 1e-6, detail))
 
     # psi recomputed from actual stored tensor shapes, exact rational check.
     orig = sum(l.rows * l.cols for l in graph_c.compressible_layers())
-    kept = sum(
-        cl.a.shape[1] * (cl.a.shape[0] + cl.b.shape[1]) + cl.sparse.full_rows * cl.sparse.kept_per_chunk
-        for cl in compressed.values()
-    )
     psi_exact = Fraction(orig - kept, orig)
     psi_ok = abs(float(psi_exact) - plan.psi_achieved) <= 1e-12 and psi_exact >= Fraction(plan.alpha)
     checks.append(
         CheckResult("psi_recomputation", psi_ok, f"psi = {float(psi_exact):.6f} vs target {plan.alpha}")
     )
-
-    if not structure_ok:
-        return checks  # model-level checks need valid sparse structure
 
     # Feature / logit drift between original and compressed model.
     model_o = ToyViT.from_tensors(graph_o, tensors_o)
@@ -297,8 +297,8 @@ def verify_artifacts(
     if quant_noise_ratio is not None:
         clean = quantized_matmul_weights(model_c.weights, ratio=0.0, seed=seed)
         noisy = quantized_matmul_weights(model_c.weights, ratio=quant_noise_ratio, seed=seed)
-        lo, _ = forward(ToyViT(graph_c, clean, model_c.ln_params, model_c.hidden, model_c.heads, model_c.num_blocks), probe)
-        ln, _ = forward(ToyViT(graph_c, noisy, model_c.ln_params, model_c.hidden, model_c.heads, model_c.num_blocks), probe)
+        lo, _ = forward(replace(model_c, weights=clean), probe)
+        ln, _ = forward(replace(model_c, weights=noisy), probe)
         drift = float(np.abs(lo - ln).max())
         expected_zero = quant_noise_ratio == 0.0
         ok = drift == 0.0 if expected_zero else bool(np.isfinite(drift))

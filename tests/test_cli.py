@@ -70,6 +70,21 @@ def rewrite_tensor(src, dst, tensor, edit):
     write_container(dst, bad, extra={k: v for k, v in manifest.items() if k != "tensors"})
 
 
+def rewrite_compressed(src, dst, edit):
+    """Copy a compressed model with ``edit(compressed_layers, tensors)`` applied."""
+    manifest, tensors = read_container(src)
+    extra = {k: v for k, v in manifest.items() if k != "tensors"}
+    bad = {k: np.array(v) for k, v in tensors.items()}
+    edit(extra["compressed_layers"], bad)
+    write_container(dst, bad, extra=extra)
+
+
+def sliced(tensor, index):
+    """A ``rewrite_compressed`` edit that keeps ``index`` of one of block0.attn.q's tensors."""
+    name = f"block0.attn.q.{tensor}"
+    return lambda meta, tensors: tensors.update({name: tensors[name][index]})
+
+
 class TestGenToy:
     def test_outputs_exist(self, toy_dir):
         for name in ("model.lten", "calib.lten", "data.lten"):
@@ -339,6 +354,23 @@ class TestMalformedInputs:
         ]) == 1
         assert f"error: {path}: plan has no field 'layers'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("g", 0), ("r", -5)], ids=["g_zero", "r_negative"])
+    def test_plan_field_below_one_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys, field, value):
+        plan = json.loads((compressed_dir / "plan.json").read_text())
+        plan["layers"][1][field] = value
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main([
+            "simulate", "--plan", str(path),
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--out", str(tmp_path / "out"),
+        ]) == 1
+        captured = capsys.readouterr()
+        layer = plan["layers"][1]["id"]
+        assert captured.err == f"error: {path}: plan layer {layer!r}: {field} must be an integer >= 1, got {value}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "file,tensor,message",
         [
@@ -391,18 +423,70 @@ class TestVerify:
         assert main(self.verify_args(toy_dir, compressed_dir, "--quant-noise", "0.0")) == 0
         assert "quant_noise" in capsys.readouterr().out
 
-    def test_corrupted_index_fails_condensed_check(self, toy_dir, compressed_dir, tmp_path, capsys):
-        manifest, tensors = read_container(compressed_dir / "compressed.lten")
-        bad = {k: np.array(v) for k, v in tensors.items()}
-        name = next(k for k in bad if k.endswith("sparse.cols"))
-        bad[name] = bad[name].copy()
-        bad[name][0, 0] = 10_000  # out of range
+    def test_corrupted_index_is_rejected_when_read(self, toy_dir, compressed_dir, tmp_path, capsys):
         path = tmp_path / "corrupt.lten"
-        write_container(path, bad, extra={k: v for k, v in manifest.items() if k != "tensors"})
-        code = main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path)))
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] condensed_matmul" in out
+        rewrite_tensor(
+            compressed_dir / "compressed.lten", path, "block0.attn.q.sparse.cols",
+            lambda t: t.__setitem__((0, 0), 10_000),
+        )
+        assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}: compressed layer 'block0.attn.q': kept column index out of range [0, 24)\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda meta, t: meta["block0.attn.q"].update(g=0), "g must be an integer >= 1, got 0"),
+            (lambda meta, t: meta["block0.attn.q"].pop("g"), "g must be an integer >= 1, got None"),
+            (sliced("a", np.s_[:, :-1]), "a is (24, 11), b is (12, 24)"),
+            (sliced("b", np.s_[:, :-1]), "a is (24, 12), b is (12, 23)"),
+            (sliced("sparse.values", np.s_[:-1]), "condensed has shape (23, 3), expected (24, 3)"),
+            (sliced("sparse.cols", np.s_[:, ::-1]), "kept column indices must be strictly increasing per chunk"),
+            (lambda meta, t: meta["block0.attn.q"].update(r=13), "manifest r = 13 needs (24, 13) and (13, 24)"),
+        ],
+        ids=["g_zero", "g_missing", "a_short", "b_narrow", "values_short", "cols_reversed", "manifest_r_off"],
+    )
+    def test_malformed_compressed_layer_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys, edit, message):
+        path = tmp_path / "compressed.lten"
+        rewrite_compressed(compressed_dir / "compressed.lten", path, edit)
+        assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: compressed layer 'block0.attn.q': ")
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_layer_shape_mismatch_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
+        # Same layer ids, other widths: the compressed model of a hidden-16 toy.
+        narrow = tmp_path / "toy16"
+        assert main([
+            "gen-toy", "--out", str(narrow), "--seed", "11",
+            "--hidden", "16", "--heads", "2", "--blocks", "2", "--in-dim", "12",
+            "--calib-tokens", "32", "--samples", "12", "--tokens", "6",
+        ]) == 0
+        assert main(compress_args(narrow, narrow / "run")) == 0
+        capsys.readouterr()
+        extra = ("--compressed", str(narrow / "run" / "compressed.lten"))
+        assert main(self.verify_args(toy_dir, compressed_dir, *extra)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: compressed/original model mismatch at layer(s): block0.attn.k, ")
+        assert captured.out == ""
+
+    def test_plan_ranks_must_match_the_compressed_model(self, toy_dir, compressed_dir, tmp_path, capsys):
+        # q and o are both hidden x hidden, so swapping their ranks keeps psi and the layer set.
+        plan = json.loads((compressed_dir / "plan.json").read_text())
+        layers = {l["id"]: l for l in plan["layers"]}
+        q, o = layers["block0.attn.q"], layers["block0.attn.o"]
+        assert q["r"] != o["r"]
+        q["r"], o["r"] = o["r"], q["r"]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main(self.verify_args(toy_dir, compressed_dir, "--plan", str(path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: plan/compressed model mismatch at layer(s): block0.attn.o, block0.attn.q\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "one_block,message",
