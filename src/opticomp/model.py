@@ -93,14 +93,31 @@ def save_model(path, graph: ModelGraph, tensors: dict[str, np.ndarray]) -> None:
     write_container(path, tensors, extra={"graph": graph.to_json()})
 
 
+def layernorm_names(graph: ModelGraph) -> list[str]:
+    """The ``block{i}.ln{1,2}.{weight,bias}`` vectors a model of this graph holds."""
+    return [
+        f"block{i}.{ln}.{part}" for i in range(len(graph.blocks)) for ln in ("ln1", "ln2") for part in ("weight", "bias")
+    ]
+
+
+def check_dense_tensors(path, graph: ModelGraph, tensors: dict, skip=()) -> None:
+    """Each graph layer not in ``skip`` has its rows x cols tensor and each
+    layernorm vector is (hidden,); a missing or misshapen one names the file
+    and the tensor."""
+    want = {layer.id: (layer.rows, layer.cols) for layer in graph.layers if layer.id not in skip}
+    want.update((name, (graph.hidden_size,)) for name in layernorm_names(graph))
+    for name, shape in want.items():
+        if name not in tensors:
+            raise ValueError(f"{path}: no tensor {name!r}")
+        if tuple(tensors[name].shape) != shape:
+            got = tuple(tensors[name].shape)
+            raise ValueError(f"{path}: tensor {name!r} has shape {got}, expected {shape}")
+
+
 def load_model(path) -> tuple[ModelGraph, dict[str, np.ndarray]]:
     manifest, tensors = read_container(path)
     if "graph" not in manifest:
         raise ValueError(f"{path}: container has no model graph in its manifest")
     graph = ModelGraph.from_json(manifest["graph"])
-    for layer in graph.layers:
-        arr = tensors.get(layer.id)
-        if arr is None or tuple(arr.shape) != (layer.rows, layer.cols):
-            got = None if arr is None else arr.shape
-            raise ValueError(f"layer {layer.id!r}: stored tensor shape {got} does not match manifest")
+    check_dense_tensors(path, graph, tensors)
     return graph, tensors

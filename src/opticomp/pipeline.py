@@ -26,7 +26,7 @@ from .decompose import (
     layer_error,
     local_adapt,
 )
-from .model import ModelGraph, load_model
+from .model import ModelGraph, check_dense_tensors, load_model
 from .photonic import EngineConfig, EnergyParams, condensed_matmul, load_energy_params, load_engine_config
 from .quantize import dequantize, inject_noise, quantize
 from .util import philox_rng, stable_key
@@ -123,20 +123,27 @@ def save_compressed(path, graph: ModelGraph, tensors: dict, compressed: dict[str
 def load_compressed(path):
     """Read a compressed model; returns (graph, compressed layers, other tensors).
 
-    Each compressed layer is checked here, once (see ``_check_layer``).
+    The dense tensors (every other layer and the layernorm vectors) and each
+    compressed layer (see ``_check_layer``) are checked here, once.
     """
     manifest, tensors = read_container(path)
     graph = ModelGraph.from_json(manifest["graph"])
     comp_meta = manifest.get("compressed_layers", {})
+    if not isinstance(comp_meta, dict):
+        raise ValueError(f"{path}: compressed_layers must be a JSON object, got {type(comp_meta).__name__}")
     if not comp_meta:
         raise ValueError(f"{path}: container holds no compressed layers")
     specs = {l.id: l for l in graph.compressible_layers()}
     unknown = sorted(set(comp_meta) - set(specs))
     if unknown:
         raise ValueError(f"{path}: its graph has no compressible layer(s): {', '.join(unknown)}")
+    check_dense_tensors(path, graph, tensors, skip=comp_meta)
     compressed = {}
     for lid, info in comp_meta.items():
         spec = specs[lid]
+        if not isinstance(info, dict):
+            got = type(info).__name__
+            raise ValueError(f"{path}: compressed layer {lid!r}: manifest entry must be a JSON object, got {got}")
         names = [f"{lid}.{part}" for part in ("a", "b", "sparse.values", "sparse.cols")]
         absent = [name for name in names if name not in tensors]
         if absent:

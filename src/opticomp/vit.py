@@ -4,7 +4,16 @@ Tokens are column vectors: a layer with weight W (rows x cols) consumes an
 activation matrix of shape (cols x tokens). Each block runs
 LN -> multi-head self-attention -> residual add, then
 LN -> MLP with exact GELU -> residual add. Logits come from mean-pooling
-tokens and applying the head matrix. Everything is pure-functional numpy
+tokens and applying the head matrix. ``forward`` also takes a stack of
+sequences (samples x in_dim x tokens): weight products broadcast over the
+leading axis, and layernorm and pooling act on the last two axes, so each
+sample's result is bit-identical to its own 2-D forward.
+
+Attention takes query tokens ``QUERY_BLOCK`` at a time. A block's scores are
+one (rows x tokens) array per head, exponentiated in place, and the value
+product is divided by the softmax row sums only after it is formed, so the
+scale and the normalisation touch (head dim x tokens) and no
+(tokens x tokens) array is ever made. Everything is pure-functional numpy
 (no activation is written after it is made), so repeated calls are
 bit-identical and calibration capture can keep activations by reference.
 """
@@ -16,10 +25,12 @@ from math import sqrt
 import numpy as np
 
 from .container import read_container, write_container
-from .model import LayerSpec, ModelGraph
+from .model import LayerSpec, ModelGraph, layernorm_names
 from .util import as_matrix, philox_rng
 
 LN_EPS = 1e-6
+QUERY_BLOCK = 128  # query tokens per attention block: each block's scores are QUERY_BLOCK x tokens
+SAMPLE_CHUNK = 32  # dataset samples stacked into one forward by gen_toy_dataset and evaluate
 
 
 @dataclass
@@ -40,12 +51,7 @@ class ToyViT:
         if graph.hidden_size % heads != 0:
             raise ValueError(f"hidden size {graph.hidden_size} not divisible by {heads} heads")
         weights = {l.id: as_matrix(tensors[l.id], l.id) for l in graph.layers}
-        ln_params = {}
-        for i in range(num_blocks):
-            for ln in ("ln1", "ln2"):
-                for part in ("weight", "bias"):
-                    name = f"block{i}.{ln}.{part}"
-                    ln_params[name] = np.asarray(tensors[name], dtype=np.float64).reshape(-1)
+        ln_params = {name: np.asarray(tensors[name], dtype=np.float64) for name in layernorm_names(graph)}
         return cls(graph, weights, ln_params, graph.hidden_size, heads, num_blocks)
 
 
@@ -61,16 +67,29 @@ class BlockFeatures:
 
 
 def _layernorm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    # x is (hidden x tokens); normalize each token over the hidden axis.
-    mu = x.mean(axis=0, keepdims=True)
-    var = x.var(axis=0, keepdims=True)
+    # x is (..., hidden x tokens); normalize each token over the hidden axis.
+    mu = x.mean(axis=-2, keepdims=True)
+    var = x.var(axis=-2, keepdims=True)
     return (x - mu) / np.sqrt(var + LN_EPS) * weight[:, None] + bias[:, None]
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+    """Multi-head softmax(q^T k / sqrt(dh)) attention on (..., hidden x tokens)
+    projections, QUERY_BLOCK query tokens at a time (see the module docstring)."""
+    hidden, tokens = q.shape[-2:]
+    dh = hidden // heads
+    q = q * (1.0 / sqrt(dh))
+    out = np.empty(q.shape)
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        for start in range(0, tokens, QUERY_BLOCK):
+            blk = slice(start, start + QUERY_BLOCK)
+            e = np.swapaxes(q[..., sl, blk], -1, -2) @ k[..., sl, :]  # (..., rows x tokens) scores
+            e -= e.max(axis=-1, keepdims=True)
+            np.exp(e, out=e)
+            np.divide(v[..., sl, :] @ np.swapaxes(e, -1, -2), e.sum(axis=-1)[..., None, :], out=out[..., sl, blk])
+            del e  # so that the next block's scores do not coexist with these
+    return out
 
 
 try:  # scipy is common but not required; fall back to a vectorized math.erf
@@ -86,48 +105,52 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 def forward(model: ToyViT, inputs: np.ndarray, matmul_fn=None, tap: dict | None = None):
-    """Run one token matrix (in_dim x tokens) through the model.
+    """Run one token matrix (in_dim x tokens), or a stack of them
+    (samples x in_dim x tokens), through the model.
 
-    Returns (logits, BlockFeatures) where logits is a (classes,) vector for
-    the mean-pooled sequence. ``matmul_fn(w, x)`` overrides the product used
-    for every weight-matrix application (PTC execution hooks into this).
-    ``tap``, when given, maps each weight layer's id to the input activation
-    it consumed, by reference: callers must not write into these arrays.
+    Returns (logits, BlockFeatures): logits is a (classes,) vector for the
+    mean-pooled sequence, or (samples x classes) for a stack, and each
+    feature is (tokens x hidden), or (samples x tokens x hidden). Attention
+    runs in query blocks of QUERY_BLOCK tokens and normalises after the value
+    product, so a long sequence never makes a (tokens x tokens) array.
+    ``matmul_fn(w, x)`` overrides the product used for every weight-matrix
+    application of a 2-D input (PTC execution hooks into this). ``tap``,
+    when given, maps each weight layer's id to the input activation it
+    consumed, by reference: callers must not write into these arrays.
     """
     mm = matmul_fn if matmul_fn is not None else np.matmul
 
     def apply(layer_id: str, x: np.ndarray) -> np.ndarray:
         w = model.weights[layer_id]
-        if w.shape[1] != x.shape[0]:
+        if w.shape[1] != x.shape[-2]:
             raise ValueError(f"layer {layer_id!r}: weight {w.shape} cannot consume input {x.shape}")
         if tap is not None:
             tap[layer_id] = x
         return mm(w, x)
 
-    inputs = as_matrix(inputs, "inputs")
+    if np.ndim(inputs) == 3:
+        inputs = np.ascontiguousarray(inputs, dtype=np.float64)
+        if not np.all(np.isfinite(inputs)):
+            raise ValueError("inputs contains non-finite entries")
+    else:
+        inputs = as_matrix(inputs, "inputs")
     x = apply("embed", inputs)
     feats = BlockFeatures()
-    dh = model.hidden // model.heads
     for i in range(model.num_blocks):
         normed = _layernorm(x, model.ln_params[f"block{i}.ln1.weight"], model.ln_params[f"block{i}.ln1.bias"])
         q = apply(f"block{i}.attn.q", normed)
         k = apply(f"block{i}.attn.k", normed)
         v = apply(f"block{i}.attn.v", normed)
-        heads_out = []
-        for h in range(model.heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            probs = _softmax_rows(q[sl].T @ k[sl] / sqrt(dh))  # (tokens x tokens), rows sum to 1
-            heads_out.append(v[sl] @ probs.T)
-        x = x + apply(f"block{i}.attn.o", np.concatenate(heads_out, axis=0))
-        feats.attn.append(x.T.copy())
+        x = x + apply(f"block{i}.attn.o", _attention(q, k, v, model.heads))
+        feats.attn.append(np.swapaxes(x, -1, -2))
 
         normed = _layernorm(x, model.ln_params[f"block{i}.ln2.weight"], model.ln_params[f"block{i}.ln2.bias"])
         hidden_act = _gelu(apply(f"block{i}.mlp.fc1", normed))
         x = x + apply(f"block{i}.mlp.fc2", hidden_act)
-        feats.mlp.append(x.T.copy())
+        feats.mlp.append(np.swapaxes(x, -1, -2))
 
-    pooled = x.mean(axis=1, keepdims=True)
-    logits = apply("head", pooled)[:, 0]
+    pooled = x.mean(axis=-1, keepdims=True)
+    logits = apply("head", pooled)[..., 0]
     return logits, feats
 
 
@@ -182,15 +205,21 @@ class ToyDataset:
         return self.inputs.shape[0]
 
 
-def evaluate(model: ToyViT, dataset: ToyDataset, matmul_fn=None) -> float:
+def _predict(model: ToyViT, inputs: np.ndarray) -> np.ndarray:
+    """Top-1 class of each sequence in a (samples x in_dim x tokens) stack,
+    SAMPLE_CHUNK samples per forward."""
+    labels = np.empty(len(inputs), dtype=np.int64)
+    for start in range(0, len(inputs), SAMPLE_CHUNK):
+        logits, _ = forward(model, inputs[start:start + SAMPLE_CHUNK])
+        labels[start:start + SAMPLE_CHUNK] = np.argmax(logits, axis=-1)
+    return labels
+
+
+def evaluate(model: ToyViT, dataset: ToyDataset) -> float:
     """Top-1 accuracy over the dataset."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    hits = 0
-    for i in range(len(dataset)):
-        logits, _ = forward(model, dataset.inputs[i], matmul_fn=matmul_fn)
-        hits += int(np.argmax(logits) == dataset.labels[i])
-    return hits / len(dataset)
+    return int(np.count_nonzero(_predict(model, dataset.inputs) == dataset.labels)) / len(dataset)
 
 
 def collect_calibration(graph: ModelGraph, tensors: dict[str, np.ndarray], inputs: np.ndarray) -> dict[str, np.ndarray]:
@@ -255,11 +284,7 @@ def gen_toy_dataset(graph: ModelGraph, tensors: dict[str, np.ndarray], samples: 
     in_dim = int(graph.meta["in_dim"])
     rng = philox_rng(seed, 2)
     inputs = rng.normal(0.0, 1.0, size=(samples, in_dim, tokens))
-    labels = np.empty(samples, dtype=np.int64)
-    for i in range(samples):
-        logits, _ = forward(model, inputs[i])
-        labels[i] = int(np.argmax(logits))
-    return ToyDataset(inputs=inputs, labels=labels)
+    return ToyDataset(inputs=inputs, labels=_predict(model, inputs))
 
 
 def save_dataset(path, dataset: ToyDataset) -> None:

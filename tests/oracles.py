@@ -4,9 +4,13 @@ These deliberately avoid the code paths under test: the full SVD is a
 textbook one-sided Jacobi (column-pair rotations until all cosines vanish),
 validated against hand cases in test_linalg before it is trusted anywhere
 else. The PTC and condensed-sparse oracles are the plain per-block and
-per-chunk loops that the batched functional model replaces.
+per-chunk loops that the batched functional model replaces, and the ViT
+oracle forms each head's whole (tokens x tokens) softmax at once, as the
+query-blocked attention kernel does not.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -84,3 +88,40 @@ def chunkwise_condensed_matmul(sp, x: np.ndarray) -> np.ndarray:
         lo, hi = sp.chunk_rows(i)
         out[lo:hi] = sp.condensed[lo:hi] @ x[sp.kept_cols[i]]
     return out
+
+
+def full_matrix_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+    """Per head: probs = softmax over rows of q^T k / sqrt(dh), a full
+    (tokens x tokens) matrix normalised before the value product v probs^T."""
+    dh = q.shape[0] // heads
+    out = []
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        z = q[sl].T @ k[sl] / math.sqrt(dh)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        out.append(v[sl] @ (e / e.sum(axis=1, keepdims=True)).T)
+    return np.concatenate(out, axis=0)
+
+
+def full_matrix_forward(model, inputs: np.ndarray):
+    """The toy ViT forward of one (in_dim x tokens) matrix, with
+    ``full_matrix_attention``; returns (logits, [attn, mlp] features per
+    block), each feature (tokens x hidden)."""
+    w, ln = model.weights, model.ln_params
+    gelu = np.vectorize(lambda t: 0.5 * t * (1.0 + math.erf(t / math.sqrt(2.0))), otypes=[np.float64])
+
+    def layernorm(x, name):
+        mu, var = x.mean(axis=0, keepdims=True), x.var(axis=0, keepdims=True)
+        return (x - mu) / np.sqrt(var + 1e-6) * ln[f"{name}.weight"][:, None] + ln[f"{name}.bias"][:, None]
+
+    x = w["embed"] @ inputs
+    feats = []
+    for i in range(model.num_blocks):
+        n = layernorm(x, f"block{i}.ln1")
+        q, k, v = (w[f"block{i}.attn.{p}"] @ n for p in ("q", "k", "v"))
+        x = x + w[f"block{i}.attn.o"] @ full_matrix_attention(q, k, v, model.heads)
+        feats.append(x.T)
+        n = layernorm(x, f"block{i}.ln2")
+        x = x + w[f"block{i}.mlp.fc2"] @ gelu(w[f"block{i}.mlp.fc1"] @ n)
+        feats.append(x.T)
+    return w["head"] @ x.mean(axis=1), feats

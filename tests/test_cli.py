@@ -520,6 +520,57 @@ class TestVerify:
         assert f"error: {path}: compressed layer 'block0.attn.q' lacks tensor(s): block0.attn.q.a\n" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tensor", ["embed", "head", "block0.ln1.weight", "block1.ln2.bias"])
+    def test_compressed_model_missing_a_dense_tensor_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys, tensor):
+        path = tmp_path / "compressed.lten"
+        rewrite_compressed(compressed_dir / "compressed.lten", path, lambda meta, tensors: tensors.pop(tensor))
+        assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: no tensor {tensor!r}\n"
+        assert captured.out == ""
+
+    def test_misshapen_layernorm_vector_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
+        path = tmp_path / "compressed.lten"
+        rewrite_compressed(
+            compressed_dir / "compressed.lten", path,
+            lambda meta, tensors: tensors.update({"block0.ln1.bias": tensors["block0.ln1.bias"][None, :]}),
+        )
+        assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: tensor 'block0.ln1.bias' has shape (1, 24), expected (24,)\n"
+        assert captured.out == ""
+
+    def test_original_model_missing_a_layernorm_vector_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
+        manifest, tensors = read_container(toy_dir / "model.lten")
+        del tensors["block1.ln2.bias"]
+        write_container(tmp_path / "model.lten", tensors, extra={k: v for k, v in manifest.items() if k != "tensors"})
+        shutil.copy(toy_dir / "calib.lten", tmp_path)
+        assert main(self.verify_args(tmp_path, compressed_dir)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path}/model.lten: no tensor 'block1.ln2.bias'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            (lambda layers: list(layers.items()), "compressed_layers must be a JSON object, got list"),
+            (
+                lambda layers: {**layers, "block0.attn.q": [12, 3, 4]},
+                "compressed layer 'block0.attn.q': manifest entry must be a JSON object, got list",
+            ),
+        ],
+        ids=["layers_list", "entry_list"],
+    )
+    def test_non_object_manifest_entry_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys, entries, message):
+        manifest, tensors = read_container(compressed_dir / "compressed.lten")
+        extra = {k: v for k, v in manifest.items() if k != "tensors"}
+        path = tmp_path / "compressed.lten"
+        write_container(path, tensors, extra={**extra, "compressed_layers": entries(extra["compressed_layers"])})
+        assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == ""
+
     def test_compressed_layer_missing_from_graph(self, compressed_dir, one_block_dir, tmp_path):
         manifest, tensors = read_container(compressed_dir / "compressed.lten")
         one_block_graph = read_container(one_block_dir / "run" / "compressed.lten")[0]["graph"]

@@ -1,12 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opticomp.vit import (
+    QUERY_BLOCK,
+    SAMPLE_CHUNK,
     BlockFeatures,
     ToyViT,
-    _softmax_rows,
+    _attention,
     block_loss,
     build_toy_graph,
+    collect_calibration,
     evaluate,
     forward,
     gen_toy_dataset,
@@ -15,6 +22,8 @@ from opticomp.vit import (
     logit_loss,
     save_dataset,
 )
+
+from oracles import full_matrix_forward
 
 
 def make_model(seed=0, **kwargs):
@@ -44,24 +53,84 @@ class TestForward:
         np.testing.assert_allclose(feats.attn[0], embedding.T, atol=1e-12)
         np.testing.assert_allclose(feats.mlp[0], embedding.T, atol=1e-12)
 
-    def test_attention_rows_stochastic_and_deterministic(self):
+    def test_attention_is_deterministic_finite_and_inside_the_range_of_v(self):
         _, _, model = make_model(seed=3, blocks=2)
         inp = np.random.default_rng(2).normal(size=(24, 4))
         logits1, _ = forward(model, inp)
         logits2, _ = forward(model, inp)
         assert logits1.tobytes() == logits2.tobytes()
-        z = np.random.default_rng(3).normal(size=(6, 6))
-        z[1] *= 1e3
-        z[2] += 800.0  # exp over- (row 2) or underflows (row 3) without the row-max shift
-        z[3] -= 800.0
-        probs = _softmax_rows(z)
-        assert np.all(probs >= 0.0)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        # Two heads of dh = 4 over two query blocks, the second ragged. Row 0
+        # of each head's k is all ones, so q's row 0 shifts a query's scores.
+        heads, dh, tokens = 2, 4, QUERY_BLOCK + 5
+        rng = np.random.default_rng(3)
+        q, k, v = (rng.normal(size=(heads * dh, tokens)) for _ in range(3))
+        k[::dh] = 1.0
+        q[:, 1] *= 1e3
+        q[:, QUERY_BLOCK + 1] *= 1e3
+        q[::dh, 2] = 800.0 * np.sqrt(dh)  # exp overflows without the row-max shift
+        q[::dh, QUERY_BLOCK + 2] = -800.0 * np.sqrt(dh)  # and underflows to 0 / 0 here
+        out = _attention(q, k, v, heads)
+        assert np.all(np.isfinite(out))
+        # Each output is a convex combination of v's columns.
+        slack = 1e-12 * np.abs(v).max()
+        assert np.all(out >= v.min(axis=1, keepdims=True) - slack)
+        assert np.all(out <= v.max(axis=1, keepdims=True) + slack)
 
     def test_shape_mismatch_names_layer(self):
         _, _, model = make_model(seed=4)
         with pytest.raises(ValueError, match="embed"):
             forward(model, np.ones((7, 3)))
+
+
+def relative_gap(a, b) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestQueryBlockedAttention:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        tokens=st.integers(1, 3 * QUERY_BLOCK + 17),
+        heads=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @example(tokens=QUERY_BLOCK, heads=3, seed=0)
+    @example(tokens=3 * QUERY_BLOCK + 1, heads=4, seed=1)
+    def test_forward_matches_the_full_matrix_oracle(self, tokens, heads, seed):
+        graph = build_toy_graph(hidden=12, heads=heads, blocks=2, classes=5, in_dim=6)
+        model = ToyViT.from_tensors(graph, gen_toy_model(graph, seed=seed))
+        inp = np.random.default_rng(seed).normal(size=(6, tokens))
+        logits, feats = forward(model, inp)
+        ref_logits, ref_feats = full_matrix_forward(model, inp)
+        assert relative_gap(logits, ref_logits) <= 1e-12
+        mine = [f for pair in zip(feats.attn, feats.mlp) for f in pair]
+        for f, ref in zip(mine, ref_feats, strict=True):
+            assert relative_gap(f, ref) <= 1e-12
+
+    @pytest.mark.parametrize("tokens", [1, 4, QUERY_BLOCK + 3])
+    def test_stacked_forward_is_the_per_sample_forward_bit_for_bit(self, tokens):
+        _, _, model = make_model(seed=5, heads=4)
+        stack = np.random.default_rng(tokens).normal(size=(3, 24, tokens))
+        logits, feats = forward(model, stack)
+        assert logits.shape == (3, 10)
+        for i in range(3):
+            one_logits, one_feats = forward(model, stack[i])
+            assert one_logits.tobytes() == logits[i].tobytes()
+            for one, stacked in zip(one_feats.pairs(), feats.pairs(), strict=True):
+                assert one.shape == (tokens, 48)
+                assert one.tobytes() == stacked[i].tobytes()
+
+    def test_long_calibration_forward_makes_no_tokens_by_tokens_array(self):
+        tokens = 1536
+        graph = build_toy_graph(hidden=16, heads=2, blocks=1, in_dim=8)
+        tensors = gen_toy_model(graph, seed=6)
+        inputs = np.random.default_rng(7).normal(size=(8, tokens))
+        tracemalloc.start()
+        try:
+            collect_calibration(graph, tensors, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tokens * tokens * 8 / 4
 
 
 class TestBlockLoss:
@@ -175,6 +244,16 @@ class TestEvaluate:
             int(np.argmax(forward(model, ds.inputs[i])[0]) == ds.labels[i]) for i in range(8)
         )
         assert evaluate(model, ds) == hits / 8
+
+    def test_labels_and_accuracy_cover_every_sample_chunk(self):
+        # Two full chunks and a ragged third.
+        samples = 2 * SAMPLE_CHUNK + 3
+        graph, tensors, model = make_model(seed=17, classes=3)
+        ds = gen_toy_dataset(graph, tensors, samples=samples, tokens=4, seed=18)
+        per_sample = [int(np.argmax(forward(model, x)[0])) for x in ds.inputs]
+        assert ds.labels.tolist() == per_sample
+        ds.labels[-1] = (ds.labels[-1] + 1) % 3
+        assert evaluate(model, ds) == (samples - 1) / samples
 
     def test_dataset_round_trip(self, tmp_path):
         graph, tensors, _ = make_model(seed=15)
