@@ -17,6 +17,7 @@ untouched. Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -179,14 +180,17 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise NegativeExtentError(
                 f"{path}: tensor {name!r} has offset {start}, length {length}, shape {shape}; none may be negative"
             )
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize  # exact: a JSON dimension may exceed int64
         if expected != length:
             raise ShapeDisagreementError(
                 f"{path}: tensor {name!r} shape {shape} needs {expected} bytes, manifest says {length}"
             )
         if start + length > len(blob):
             raise TruncatedBlobError(f"{path}: tensor {name!r} extends past end of blob")
-        tensors[name] = np.frombuffer(blob, dtype=dtype, count=expected // dtype.itemsize, offset=start).reshape(shape)
+        try:  # an empty tensor can still name a shape numpy cannot represent
+            tensors[name] = np.frombuffer(blob, dtype=dtype, count=expected // dtype.itemsize, offset=start).reshape(shape)
+        except ValueError as exc:
+            raise ShapeDisagreementError(f"{path}: tensor {name!r} has an unusable shape {shape}: {exc}") from exc
         if length:
             extents.append((start, start + length, name))
     extents.sort()

@@ -15,10 +15,10 @@ A @ B + expand(S) approximates W directly.
 
 Only the first L-step (S = 0, so the first iterate is the plain rank-r SVD
 and the best iterate can never lose to it) and the closing refit use an
-exact LAPACK SVD. Every other L-step warm-starts from the previous
-iterate's right subspace V: one subspace-iteration step plus a small
-Rayleigh-Ritz SVD (``linalg.warm_truncated_svd``). Its fit is at least as
-close as the previous (A, B), whose rows lie in span(V), so no L-step
+exact LAPACK SVD. Every other L-step is one step of subspace iteration
+from the previous B: with M = W D - expand(S), A = qr(M B^T) and
+B = A^T M, so A B = A A^T M projects M onto span(A). That fit is at least
+as close as the previous (A, B), whose rows lie in span(B), so no L-step
 raises the objective.
 
 Local adaptation works in Gram form: with G = X X^T computed once per
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import balanced_factors, frobenius_norm, truncated_svd, warm_truncated_svd
+from .linalg import balanced_factors, frobenius_norm, truncated_svd
 from .util import as_matrix, philox_rng
 
 EPS_SCALE = 1e-8  # floor for D entries, relative to the largest entry
@@ -200,33 +200,36 @@ def decompose_layer(
     sparse = structured_sparsify(np.zeros_like(wd), g, s)  # S = 0 start
     sparse_exp = expand(sparse)
     trace: list[float] = []
-    best: tuple[float, np.ndarray, np.ndarray, StructuredSparse] | None = None
-    svd = None
+    best: tuple[float, StructuredSparse] | None = None
+    b = None
     for _ in range(iters):
         resid = wd - sparse_exp
-        svd = truncated_svd(resid, r) if svd is None else warm_truncated_svd(resid, svd.vt)
-        a, b = balanced_factors(svd)
+        if b is None:
+            a, b = balanced_factors(truncated_svd(resid, r))
+        else:
+            a, _ = np.linalg.qr(resid @ b.T)
+            b = a.T @ resid
         low = a @ b
         obj = frobenius_norm(wd - low - sparse_exp)
         # With S fixed, the L half-step never raises the objective: the first
-        # is exact (Eckart-Young); a warm step fits at least as well as the
-        # previous (A, B), whose rows lie in its starting subspace.
+        # is exact (Eckart-Young); a projection step fits at least as well as
+        # the previous (A, B), whose rows lie in span(B).
         assert not trace or obj <= trace[-1] + 1e-9 * (1.0 + trace[-1])
         trace.append(obj)
         if best is None or obj < best[0]:
-            best = (obj, a, b, sparse)
+            best = (obj, sparse)
 
         sparse = structured_sparsify(wd - low, g, s)
         sparse_exp = expand(sparse)
         obj = frobenius_norm(wd - low - sparse_exp)
         trace.append(obj)
         if obj < best[0]:
-            best = (obj, a, b, sparse)
+            best = (obj, sparse)
 
     # Closing refit: re-solve the L-step against the best sparse component so
     # the stored factors are an exact truncated SVD of (W D - expand(S)).
     # Eckart-Young guarantees this never worsens the best objective.
-    best_sparse = best[3]
+    best_sparse = best[1]
     best_sparse_exp = expand(best_sparse)
     svd = truncated_svd(wd - best_sparse_exp, r)
     a, b = balanced_factors(svd)

@@ -1,5 +1,5 @@
-"""Dense linear-algebra substrate: norms, truncated SVD (exact, or
-warm-started from a previous right subspace).
+"""Dense linear-algebra substrate: norms, exact truncated SVD and its
+balanced factor split.
 
 All routines work on float64 2-D numpy arrays and are deterministic for
 identical inputs on a given platform. Factors returned by
@@ -59,31 +59,6 @@ def truncated_svd(m: np.ndarray, k: int) -> SvdResult:
     )
     check_finite(result.u, "truncated_svd")
     check_finite(result.vt, "truncated_svd")
-    return result
-
-
-def warm_truncated_svd(m: np.ndarray, vt: np.ndarray) -> SvdResult:
-    """Rank-k SVD of ``m`` restricted to the column space of ``m @ vt.T``.
-
-    One step of subspace iteration warm-started from a previous right
-    subspace ``vt`` (k x n, orthonormal rows), then a Rayleigh-Ritz SVD of
-    the small ``Q.T @ m``: the reconstruction is ``Q Q^T m`` with
-    ``Q = qr(m @ vt.T)``. It is at least as close to ``m`` as any matrix
-    whose rows lie in span(vt), since ``m vt^T vt`` is the best of those
-    and its columns lie in span(Q).
-    """
-    k = vt.shape[0]
-    min_dim = min(m.shape)
-    if not 1 <= k <= min_dim or vt.shape != (k, m.shape[1]):
-        raise SvdError(f"warm start of shape {vt.shape} does not fit rank <= {min_dim} for shape {m.shape}")
-    try:
-        q, _ = np.linalg.qr(m @ vt.T)
-        u_s, s, vt_new = np.linalg.svd(q.T @ m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdError(f"SVD did not converge within the LAPACK iteration cap: {exc}") from exc
-    result = SvdResult(u=q @ u_s, singular_values=s, vt=vt_new)
-    check_finite(result.u, "warm_truncated_svd")
-    check_finite(result.vt, "warm_truncated_svd")
     return result
 
 

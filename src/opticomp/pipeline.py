@@ -9,6 +9,7 @@ re-derives every stored quantity from the artifacts themselves.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -205,10 +206,29 @@ def read_plan(path) -> CompressionPlan:
         raise ValueError(f"{path}: plan has no field {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"{path}: malformed plan: {exc}") from exc
-    for pl in plan.layers:
+    for key in ("alpha", "sparse_ratio", "psi_achieved"):
+        _require_number(getattr(plan, key), f"{path}: plan {key}")
+    _require_int(plan.iterations, f"{path}: plan iterations")
+    for i, pl in enumerate(plan.layers):
+        if type(pl.id) is not str:
+            raise ValueError(f"{path}: plan layer {i}: id must be a string, got {pl.id!r}")
+        for key in ("rows", "cols", "params"):
+            _require_int(getattr(pl, key), f"{path}: plan layer {pl.id!r}: {key}")
         for key in ("r", "d", "g"):
             _require_count(getattr(pl, key), f"{path}: plan layer {pl.id!r}: {key}")
+        if pl.error is not None:
+            _require_number(pl.error, f"{path}: plan layer {pl.id!r}: error")
     return plan
+
+
+def _require_number(value, what: str) -> None:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def _require_int(value, what: str) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def hardware_from_config(cfg: dict) -> tuple[EngineConfig, EnergyParams]:

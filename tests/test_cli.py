@@ -14,6 +14,8 @@ from opticomp.cli import main
 from opticomp.container import read_container, write_container
 from opticomp.photonic import EngineConfig
 
+from test_container import rewrite_manifest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -387,6 +389,21 @@ class TestMalformedInputs:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "plan.json").exists()
 
+    @pytest.mark.parametrize("shape", [[10**30], [2**62, 4]], ids=["beyond_int64", "wraps_int64"])
+    def test_calibration_shape_beyond_int64_exits_one(self, toy_dir, tmp_path, capsys, shape):
+        bad_toy = tmp_path / "toy"
+        shutil.copytree(toy_dir, bad_toy)
+
+        def enlarge(manifest):
+            next(e for e in manifest["tensors"] if e["name"] == "inputs")["shape"] = shape
+
+        rewrite_manifest(bad_toy / "calib.lten", enlarge)
+        assert main(compress_args(bad_toy, tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad_toy / 'calib.lten'}: tensor 'inputs' shape ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "plan.json").exists()
+
     def test_zero_token_calibration_exits_one(self, toy_dir, tmp_path, capsys):
         bad_toy = tmp_path / "toy"
         shutil.copytree(toy_dir, bad_toy)
@@ -472,6 +489,28 @@ class TestVerify:
         assert main(self.verify_args(toy_dir, compressed_dir, *extra)) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: compressed/original model mismatch at layer(s): block0.attn.k, ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda plan: plan.update(alpha=[0.3]), "plan alpha must be a finite number, got [0.3]"),
+            (lambda plan: plan.update(alpha=None), "plan alpha must be a finite number, got None"),
+            (lambda plan: plan.update(psi_achieved="0.31"), "plan psi_achieved must be a finite number, got '0.31'"),
+            (lambda plan: plan["layers"][0].update(error="x"), "error must be a finite number, got 'x'"),
+            (lambda plan: plan["layers"][0].update(id=5), "plan layer 0: id must be a string, got 5"),
+        ],
+        ids=["alpha_list", "alpha_null", "psi_string", "error_string", "id_int"],
+    )
+    def test_plan_field_of_wrong_type_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys, edit, message):
+        plan = json.loads((compressed_dir / "plan.json").read_text())
+        edit(plan)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main(self.verify_args(toy_dir, compressed_dir, "--plan", str(path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: plan ")
+        assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_plan_ranks_must_match_the_compressed_model(self, toy_dir, compressed_dir, tmp_path, capsys):

@@ -191,3 +191,59 @@ def test_malformed_manifest(tmp_path, edit, message):
     rewrite_manifest(path, edit)
     with pytest.raises(ContainerError, match=message):
         read_container(path)
+
+
+@pytest.mark.parametrize("shape", [[10**30], [2**62, 4], [0, 10**30], [0, 2**62, 4]])
+def test_shape_beyond_int64_is_a_container_error(tmp_path, shape):
+    # The byte size is an exact integer: it neither overflows nor wraps to 0.
+    path = tmp_path / "t.lten"
+    write_container(path, {"a": np.ones(2)})
+
+    def enlarge(manifest):
+        manifest["tensors"][0]["shape"] = shape
+        manifest["tensors"][0]["byte_len"] = 0 if 0 in shape else 4 * 2
+
+    rewrite_manifest(path, enlarge)
+    with pytest.raises(ShapeDisagreementError, match="'a'"):
+        read_container(path)
+
+
+_INTS = st.one_of(st.integers(-2, 200), st.integers(-(2**80), 2**80), st.sampled_from([2**62, 2**63, 2**64, 10**30]))
+_VALUES = st.one_of(
+    _INTS,
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.sampled_from(["a", "b", "c", "f32", "i32", "f64"]),
+    st.lists(_INTS, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entry=st.integers(0, 2),
+    field=st.sampled_from(["shape", "byte_offset", "byte_len", "dtype", "name"]),
+    data=st.data(),
+)
+def test_mutated_manifest_entry_raises_only_container_errors(entry, field, data):
+    # One field of one valid entry is changed: one dimension of a shape, or
+    # any field replaced by another JSON value. Reading then either succeeds
+    # or raises a ContainerError; no other exception may escape.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "t.lten")
+        write_container(path, {"a": np.ones((2, 3)), "b": np.zeros((0, 4), dtype=np.int32), "c": np.float32(1.5)})
+
+        def mutate(manifest):
+            target = manifest["tensors"][entry]
+            if field == "shape" and target["shape"] and data.draw(st.booleans(), label="one dimension"):
+                dim = data.draw(st.integers(0, len(target["shape"]) - 1), label="dimension")
+                target["shape"][dim] = data.draw(_INTS, label="size")
+            else:
+                target[field] = data.draw(_VALUES, label=field)
+
+        rewrite_manifest(path, mutate)
+        try:
+            read_container(path)
+        except ContainerError:
+            pass
