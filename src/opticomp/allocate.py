@@ -2,11 +2,13 @@
 
 The guide is one alternation per layer at its break-even rank
 r_max = floor(m n / (m + n)): the exact rank-r_max SVD of W D, one
-structured sparsify and the closing refit. The refit makes the stored
-singular values exact for W D - S, so the error at any rank r <= r_max
-against that S follows from the singular-value tail, with no further SVDs
-or data passes. Each layer keeps only that tail, ||W D||_F and its sparse
-columns per chunk d; the guide's factors are dropped once these are read.
+structured sparsify, and the singular values of W D - S, taken without
+their vectors. Those values make the error at any rank r <= r_max against
+that S follow from the singular-value tail, with no further SVDs or data
+passes. Each layer keeps only that tail, ||W D||_F and its sparse columns
+per chunk d. The rank-r_max SVD of W D is kept apart, in
+``RankState.starts``: the fit at the assigned rank r <= r_max takes its top
+r triplets as its first L-step instead of decomposing W D again.
 The search raises ranks of high-error layers in batches until the
 parameter budget runs out, leaving the achieved reduction psi at or above
 the target alpha.
@@ -19,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decompose import ScalingDiag, decompose_layer, frobenius_norm
+from .decompose import ScalingDiag, alternate, expand
+from .linalg import SvdResult, frobenius_norm, singular_values, truncated_svd
 
 BASE_SCALE_HIDDEN = 768  # hidden sizes at or above this use the full basis rank
 
@@ -58,6 +61,8 @@ class LayerState:
 @dataclass
 class RankState:
     layers: list[LayerState]
+    # layer id -> exact rank-r_max SVD of W D, for that layer's fit to start from
+    starts: dict[str, SvdResult] = field(default_factory=dict)
 
 
 def prepare_full_rank(
@@ -73,18 +78,22 @@ def prepare_full_rank(
     change the ranks the allocator assigns. An all-zero weight is rejected:
     its relative error has no denominator.
     """
-    states = []
+    states, starts = [], {}
     for layer_id, w in layers:
         m, n = w.shape
-        d = scaling[layer_id]
-        wd_norm = frobenius_norm(w * d.d[None, :])
+        wd = w * scaling[layer_id].d[None, :]
+        wd_norm = frobenius_norm(wd)
         if wd_norm == 0.0:
             raise ValueError(f"layer {layer_id!r} has an all-zero weight; its relative error is undefined")
         r_top = max_rank(m, n)
-        dec = decompose_layer(w, d, r_top, s, g, iters=iters)
-        sigma = dec.singular_values
-        # tail_sq[r] = base^2 + sum_{i >= r} sigma_i^2, indexable at r = r_max
-        suffix = np.concatenate([np.cumsum((sigma**2)[::-1])[::-1], [0.0]])
+        starts[layer_id] = truncated_svd(wd, r_top)
+        trace, sparse = alternate(wd, starts[layer_id], s, g, iters)
+        # The closing refit's error, from the values alone: with the exact
+        # rank-r_max fit against S, it is the norm of the tail past r_max.
+        sigma = singular_values(wd - expand(sparse))
+        trace.append(frobenius_norm(sigma[r_top:]))
+        # tail_sq[r] = base^2 + sum_{r <= i < r_max} sigma_i^2, indexable at r = r_max
+        suffix = np.concatenate([np.cumsum((sigma[:r_top] ** 2)[::-1])[::-1], [0.0]])
         states.append(
             LayerState(
                 layer_id=layer_id,
@@ -92,12 +101,12 @@ def prepare_full_rank(
                 cols=n,
                 r_max=r_top,
                 rank=r_top,
-                d=dec.sparse.kept_per_chunk,
+                d=sparse.kept_per_chunk,
                 wd_norm=wd_norm,
-                tail_sq=dec.best_objective**2 + suffix,
+                tail_sq=min(trace) ** 2 + suffix,
             )
         )
-    return RankState(layers=states)
+    return RankState(layers=states, starts=starts)
 
 
 def basis_rank(hidden_size: int, ptc_dim: int, override: int | None = None) -> int:

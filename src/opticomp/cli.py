@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -45,7 +46,36 @@ def _config_from(args) -> dict:
     return load_config(args.config, overrides)
 
 
+def _count(minimum: int):
+    """argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _noise_ratio(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def cmd_gen_toy(args) -> int:
+    if args.hidden % args.heads:
+        print(f"error: --hidden {args.hidden} is not divisible by --heads {args.heads}", file=sys.stderr)
+        return 2
     out = Path(args.out or "toy")
     out.mkdir(parents=True, exist_ok=True)
     graph = build_toy_graph(
@@ -172,16 +202,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-toy", help="generate a seeded toy model + calibration + dataset")
     p.add_argument("--out", default="toy")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=int, default=48)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--mlp-ratio", type=int, default=2)
-    p.add_argument("--blocks", type=int, default=2)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--in-dim", type=int, default=24)
-    p.add_argument("--calib-tokens", type=int, default=256)
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--tokens", type=int, default=16)
+    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--hidden", type=_count(1), default=48)
+    p.add_argument("--heads", type=_count(1), default=4)
+    p.add_argument("--mlp-ratio", type=_count(1), default=2)
+    p.add_argument("--blocks", type=_count(1), default=2)
+    p.add_argument("--classes", type=_count(1), default=10)
+    p.add_argument("--in-dim", type=_count(1), default=24)
+    p.add_argument("--calib-tokens", type=_count(1), default=256)
+    p.add_argument("--samples", type=_count(1), default=64)
+    p.add_argument("--tokens", type=_count(1), default=16)
     p.set_defaults(func=cmd_gen_toy)
 
     p = sub.add_parser("compress", help="run the full compression pipeline")
@@ -199,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--compressed", help="compressed model path (default: <out>/compressed.lten)")
     p.add_argument("--plan", help="plan path (default: <out>/plan.json)")
-    p.add_argument("--quant-noise", type=float, default=None,
-                   help="also evaluate 8-bit quantization with this noise ratio")
+    p.add_argument("--quant-noise", type=_noise_ratio, default=None,
+                   help="also evaluate 8-bit quantization with this noise ratio (finite, >= 0)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="pretty-print a report or comparison JSON")

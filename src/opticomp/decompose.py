@@ -6,20 +6,25 @@ columns by d_j = ||X[j, :]||_2 and alternately fit, in the scaled domain,
     W diag(d)  ~=  A @ B + expand(S)
 
 where A B has rank at most r and S keeps, per row-chunk of height g, the
-round(n * s) columns with the largest L1 mass (stored condensed). The best
-iterate seen wins; a closing SVD refit against its sparse part makes the
-returned (A, B) the exact truncated SVD of W D - expand(S), so the returned
-singular values give the error at every lower rank against that S (the
-allocator's guide relies on this). Stored factors are de-scaled so
-A @ B + expand(S) approximates W directly.
+round(n * s) columns with the largest L1 mass (stored condensed). The S-step
+finds each chunk's d-th largest column norm with a partial sort and fills
+ties at it lowest column index first, the order a stable sort gives.
 
-Only the first L-step (S = 0, so the first iterate is the plain rank-r SVD
-and the best iterate can never lose to it) and the closing refit use an
-exact LAPACK SVD. Every other L-step is one step of subspace iteration
+``alternate`` is the loop: from S = 0 it alternates L- and S-steps and
+returns the objective trace and the best iterate's sparse part. Its first
+L-step is the exact rank-r SVD of W D, which the caller passes in (the
+allocator's guide computes it once at rank r_max and the fit at rank
+r <= r_max truncates the same result), so the best iterate can never lose
+to the plain SVD. Every other L-step is one step of subspace iteration
 from the previous B: with M = W D - expand(S), A = qr(M B^T) and
 B = A^T M, so A B = A A^T M projects M onto span(A). That fit is at least
 as close as the previous (A, B), whose rows lie in span(B), so no L-step
 raises the objective.
+
+``decompose_layer`` closes with an exact SVD refit against the best sparse
+part, so the returned (A, B) are the exact truncated SVD of W D - expand(S)
+and its singular values give the error at every lower rank against that S.
+Stored factors are de-scaled so A @ B + expand(S) approximates W directly.
 
 Local adaptation works in Gram form: with G = X X^T computed once per
 layer, each step costs O(m n^2) instead of O(m n T) for T calibration
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import balanced_factors, frobenius_norm, truncated_svd
+from .linalg import SvdResult, balanced_factors, frobenius_norm, truncated_svd
 from .util import as_matrix, philox_rng
 
 EPS_SCALE = 1e-8  # floor for D entries, relative to the largest entry
@@ -109,7 +114,8 @@ class StructuredSparse:
 def structured_sparsify(residual: np.ndarray, g: int, s: float) -> StructuredSparse:
     """Keep, per row-chunk of height g, the top round(n*s) columns by L1 norm.
 
-    Ties rank the lower column index first so results are platform stable.
+    Ties rank the lower column index first so results are platform stable:
+    the kept set is the one a stable descending sort of the norms gives.
     """
     m, n = residual.shape
     if g < 1:
@@ -125,8 +131,14 @@ def structured_sparsify(residual: np.ndarray, g: int, s: float) -> StructuredSpa
     if num_chunks * g != m:  # zero rows pad the ragged last chunk
         mag = np.concatenate([mag, np.zeros((num_chunks * g - m, n))])
     norms = mag.reshape(num_chunks, g, n).sum(axis=1)
-    order = np.argsort(-norms, axis=1, kind="stable")  # stable: ties keep lower index first
-    kept = np.sort(order[:, :d], axis=1)
+    # Each chunk keeps every column above its d-th largest norm, then fills
+    # the places left with the columns tied at it, lowest index first.
+    kth = np.partition(norms, n - d, axis=1)[:, n - d, None]
+    above = norms > kth
+    tied = norms == kth
+    room = d - np.count_nonzero(above, axis=1, keepdims=True)
+    keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    kept = np.nonzero(keep)[1].reshape(num_chunks, d)  # ascending per chunk
     rows = np.arange(m)
     condensed = residual[rows[:, None], kept[rows // g]]
     return StructuredSparse(granularity=g, full_rows=m, full_cols=n, kept_cols=kept, condensed=condensed)
@@ -175,38 +187,25 @@ class Decomposition:
         return self.a @ self.b + expand(self.sparse)
 
 
-def decompose_layer(
-    w: np.ndarray,
-    d: ScalingDiag,
-    r: int,
-    s: float,
-    g: int,
-    iters: int = 80,
-) -> Decomposition:
-    """Alternating SVD / structured-prune fit of the scaled weight matrix.
+def alternate(wd: np.ndarray, first: SvdResult, s: float, g: int, iters: int):
+    """Alternating L-step / structured-prune fit of the scaled weight ``wd``.
 
-    Starts from S = 0 with an L-step first, so the first trace entry equals
-    the plain rank-r SVD objective and the best iterate can never lose to
-    it. The objective ||W D - A B - expand(S)||_F is logged after every
-    half-step.
+    ``first`` is the exact rank-r SVD of ``wd``: the L-step at S = 0, so the
+    first trace entry equals the plain rank-r SVD objective and the best
+    iterate can never lose to it. The objective ||W D - A B - expand(S)||_F
+    is logged after every half-step. Returns the trace and the sparse part
+    of the best iterate.
     """
-    w = as_matrix(w, "weight")
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
     if iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {iters}")
-    wd = w * d.d[None, :]
-
     sparse = structured_sparsify(np.zeros_like(wd), g, s)  # S = 0 start
     sparse_exp = expand(sparse)
     trace: list[float] = []
     best: tuple[float, StructuredSparse] | None = None
-    b = None
-    for _ in range(iters):
-        resid = wd - sparse_exp
-        if b is None:
-            a, b = balanced_factors(truncated_svd(resid, r))
-        else:
+    a, b = balanced_factors(first)
+    for it in range(iters):
+        if it:
+            resid = wd - sparse_exp
             a, _ = np.linalg.qr(resid @ b.T)
             b = a.T @ resid
         low = a @ b
@@ -225,11 +224,34 @@ def decompose_layer(
         trace.append(obj)
         if obj < best[0]:
             best = (obj, sparse)
+    return trace, best[1]
+
+
+def decompose_layer(
+    w: np.ndarray,
+    d: ScalingDiag,
+    r: int,
+    s: float,
+    g: int,
+    iters: int = 80,
+    start: SvdResult | None = None,
+) -> Decomposition:
+    """``alternate`` at rank r, then the exact refit against its best S.
+
+    ``start``, if given, is the truncated SVD of W D at some rank >= r (the
+    allocator's guide keeps one per layer); its top r triplets are the first
+    L-step, bit-identical to a fresh rank-r SVD of W D.
+    """
+    w = as_matrix(w, "weight")
+    if r < 1:
+        raise ValueError(f"rank must be >= 1, got {r}")
+    wd = w * d.d[None, :]
+    first = truncated_svd(wd, r) if start is None else start.truncate(r)
+    trace, best_sparse = alternate(wd, first, s, g, iters)
 
     # Closing refit: re-solve the L-step against the best sparse component so
     # the stored factors are an exact truncated SVD of (W D - expand(S)).
     # Eckart-Young guarantees this never worsens the best objective.
-    best_sparse = best[1]
     best_sparse_exp = expand(best_sparse)
     svd = truncated_svd(wd - best_sparse_exp, r)
     a, b = balanced_factors(svd)

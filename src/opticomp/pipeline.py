@@ -2,8 +2,9 @@
 
 Glues the stages together: calibration capture -> activation scaling ->
 one-step rank-r_max guide -> greedy rank allocation -> per-layer
-decomposition at the assigned rank (``decomposition.iters`` alternations)
--> local adaptation -> serialized compressed model + plan. Verification
+decomposition at the assigned rank (``decomposition.iters`` alternations,
+starting from the guide's SVD of W D) -> local adaptation -> serialized
+compressed model + plan. Verification
 re-derives every stored quantity from the artifacts themselves.
 """
 from __future__ import annotations
@@ -58,6 +59,8 @@ def compress_model(cfg: dict, engines: EngineConfig):
     if t["granularity"] > n_v:
         raise ConfigError(f"targets.granularity={t['granularity']} exceeds the sparse PTC's n_v={n_v} rows")
     graph, tensors = load_model(cfg["paths"]["model"])
+    if not graph.compressible_layers():
+        raise ValueError(f"{cfg['paths']['model']}: model has no compressible layers")
     calib_inputs = load_calibration_inputs(cfg["paths"]["calibration"])
     calib = collect_calibration(graph, tensors, calib_inputs)
 
@@ -86,7 +89,9 @@ def compress_model(cfg: dict, engines: EngineConfig):
     plan_by_id = {pl.id: pl for pl in plan.layers}
     for lid in weights:
         w, d, pl = weights[lid], scaling[lid], plan_by_id[lid]
-        dec = decompose_layer(w, d, pl.r, t["sparse_ratio"], t["granularity"], iters=dcfg["iters"])
+        dec = decompose_layer(
+            w, d, pl.r, t["sparse_ratio"], t["granularity"], iters=dcfg["iters"], start=state.starts.pop(lid)
+        )
         dec = local_adapt(
             dec, w, calib[lid],
             steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"],

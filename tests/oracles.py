@@ -3,7 +3,9 @@
 These deliberately avoid the code paths under test: the full SVD is a
 textbook one-sided Jacobi (column-pair rotations until all cosines vanish),
 validated against hand cases in test_linalg before it is trusted anywhere
-else. The PTC and condensed-sparse oracles are the plain per-block and
+else. The structured-sparsify oracle ranks each chunk's column norms with
+a full stable sort, where the S-step partially sorts all chunks at once.
+The PTC and condensed-sparse oracles are the plain per-block and
 per-chunk loops that the batched functional model replaces, and the ViT
 oracle forms each head's whole (tokens x tokens) softmax at once, as the
 query-blocked attention kernel does not.
@@ -55,6 +57,22 @@ def jacobi_svd(m: np.ndarray, max_sweeps: int = 60, tol: float = 1e-12):
     if transposed:
         return v, sigma, u.T
     return u, sigma, v.T
+
+
+def stable_sort_sparsify(residual: np.ndarray, g: int, s: float):
+    """Per-chunk loop: each chunk keeps its top round(n*s) columns by L1
+    norm, ranked by a stable argsort so ties go to the lower column index;
+    returns (kept columns per chunk, condensed values)."""
+    m, n = residual.shape
+    d = int(round(n * s))
+    kept, condensed = [], np.empty((m, d))
+    for lo in range(0, m, g):
+        hi = min(lo + g, m)
+        norms = np.abs(residual[lo:hi]).sum(axis=0)
+        cols = np.sort(np.argsort(-norms, kind="stable")[:d])
+        kept.append(cols)
+        condensed[lo:hi] = residual[lo:hi, cols]
+    return np.array(kept), condensed
 
 
 def blockwise_ptc_matmul(w: np.ndarray, x: np.ndarray, ptc) -> np.ndarray:

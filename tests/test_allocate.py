@@ -16,7 +16,7 @@ from opticomp.allocate import (
     select_batch,
     step_size,
 )
-from opticomp.decompose import ScalingDiag, compute_scaling, decompose_layer, expand
+from opticomp.decompose import ScalingDiag, alternate, compute_scaling, decompose_layer, expand
 from opticomp.linalg import frobenius_norm, truncated_svd
 from opticomp.util import philox_rng
 
@@ -44,19 +44,20 @@ class TestPrepareFullRank:
         assert layer.d == guide.sparse.kept_per_chunk
 
     def test_default_guide_is_one_alternation(self, monkeypatch):
-        guides = []
+        traces = []
 
         def spy(*args, **kwargs):
-            guides.append(decompose_layer(*args, **kwargs))
-            return guides[-1]
+            trace, sparse = alternate(*args, **kwargs)
+            traces.append(list(trace))
+            return trace, sparse
 
-        monkeypatch.setattr(allocate, "decompose_layer", spy)
+        monkeypatch.setattr(allocate, "alternate", spy)
         layers, scaling = random_layers(8, 3, m=24, n=36)
         prepare_full_rank(layers, scaling, s=0.125, g=4)
-        assert len(guides) == 3
-        for guide in guides:
-            # first L-step, one S-step, closing refit
-            assert len(guide.objective_trace) == 3
+        assert len(traces) == 3
+        for trace in traces:
+            # first L-step, one S-step; the closing refit is values-only
+            assert len(trace) == 2
 
     def test_keeps_only_the_singular_value_tail(self):
         layers, scaling = random_layers(9, 3, m=24, n=36)

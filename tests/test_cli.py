@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opticomp import pipeline
+from opticomp import cli, pipeline
 from opticomp.cli import main
 from opticomp.container import read_container, write_container
+from opticomp.model import LayerSpec, ModelGraph, save_model
 from opticomp.photonic import EngineConfig
 
 from test_container import rewrite_manifest
@@ -99,6 +100,26 @@ class TestGenToy:
             "--calib-tokens", "32", "--samples", "12", "--tokens", "6",
         ]) == 0
         assert (tmp_path / "model.lten").read_bytes() == (toy_dir / "model.lten").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--blocks", "0"), ("--tokens", "0"), ("--calib-tokens", "0"), ("--samples", "0"),
+            ("--hidden", "0"), ("--heads", "-2"), ("--mlp-ratio", "0"), ("--classes", "0"),
+            ("--in-dim", "0"), ("--seed", "-1"), ("--blocks", "two"),
+        ],
+    )
+    def test_bad_argument_exits_two_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-toy", "--out", str(tmp_path / "toy"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be an integer >= " in capsys.readouterr().err
+        assert not (tmp_path / "toy").exists()
+
+    def test_hidden_not_divisible_by_heads_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        assert main(["gen-toy", "--out", str(tmp_path / "toy"), "--hidden", "24", "--heads", "5"]) == 2
+        assert "error: --hidden 24 is not divisible by --heads 5" in capsys.readouterr().err
+        assert not (tmp_path / "toy").exists()
 
 
 class TestCompress:
@@ -421,6 +442,22 @@ class TestMalformedInputs:
         assert not (tmp_path / "run" / "plan.json").exists()
 
 
+    def test_model_without_compressible_layers_exits_one(self, toy_dir, tmp_path, capsys):
+        graph = ModelGraph(
+            layers=[LayerSpec("embed", "embed", 24, 12), LayerSpec("head", "head", 10, 24)],
+            blocks=[],
+            hidden_size=24,
+            meta={"in_dim": "12", "heads": "2"},
+        )
+        path = tmp_path / "empty.lten"
+        save_model(path, graph, {"embed": np.ones((24, 12)), "head": np.ones((10, 24))})
+        args = compress_args(toy_dir, tmp_path / "run", "--set", f"paths.model={path}")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: model has no compressible layers" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "plan.json").exists()
+
+
 class TestVerify:
     def verify_args(self, toy_dir, run_dir, *extra):
         return [
@@ -439,6 +476,17 @@ class TestVerify:
     def test_quant_noise_zero_ratio_matches(self, toy_dir, compressed_dir, capsys):
         assert main(self.verify_args(toy_dir, compressed_dir, "--quant-noise", "0.0")) == 0
         assert "quant_noise" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ratio", ["-0.5", "-1", "nan", "inf"])
+    def test_quant_noise_out_of_range_exits_two_before_reading(self, toy_dir, compressed_dir, capsys, monkeypatch, ratio):
+        def unreachable(*args):
+            raise AssertionError("verify read its config before checking --quant-noise")
+
+        monkeypatch.setattr(cli, "_config_from", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(self.verify_args(toy_dir, compressed_dir, "--quant-noise", ratio))
+        assert exc.value.code == 2
+        assert f"argument --quant-noise: must be a finite number >= 0, got '{ratio}'" in capsys.readouterr().err
 
     def test_corrupted_index_is_rejected_when_read(self, toy_dir, compressed_dir, tmp_path, capsys):
         path = tmp_path / "corrupt.lten"

@@ -79,3 +79,28 @@ def test_adapter_stream_does_not_depend_on_layer_position(tmp_path, monkeypatch)
     for layer in in_order(graph):
         w = np.asarray(tensors[layer.id], dtype=np.float64)
         assert forward[w.tobytes()] == (5, stable_key(layer.id))
+
+
+def test_compress_takes_two_full_svds_and_one_values_only_svd_per_layer(tmp_path, monkeypatch):
+    # The guide's SVD of W D is also the fit's first L-step; the guide's
+    # closing refit needs only values. The fit's closing refit is the other
+    # full SVD.
+    assert main([
+        "gen-toy", "--out", str(tmp_path), "--seed", "6", "--hidden", "24", "--heads", "2",
+        "--blocks", "1", "--in-dim", "12", "--calib-tokens", "32", "--samples", "4",
+    ]) == 0
+    cfg = load_config(None, [
+        f"paths.model={tmp_path}/model.lten", f"paths.calibration={tmp_path}/calib.lten",
+        "decomposition.iters=3", "decomposition.adapt_steps=1", "seed=6",
+    ])
+    calls = {"full": 0, "values": 0}
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls["full" if kwargs.get("compute_uv", True) else "values"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    graph = compress_model(cfg, EngineConfig.default())[0]
+    layers = len(graph.compressible_layers())
+    assert calls == {"full": 2 * layers, "values": layers}

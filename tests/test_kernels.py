@@ -1,5 +1,5 @@
-"""Property tests for the vectorized kernels: the projection L-step, the
-vectorized structured sparsify, the Gram-form adapter step, and the batched
+"""Property tests for the vectorized kernels: the projection L-step and
+its start from a higher-rank SVD, the partial-sort structured sparsify, the Gram-form adapter step, and the batched
 functional PTC model (stacked invocations and the condensed sparse gather)."""
 import tracemalloc
 
@@ -19,7 +19,7 @@ from opticomp.decompose import (
 from opticomp.linalg import balanced_factors, frobenius_norm, truncated_svd
 from opticomp.photonic import PtcConfig, condensed_matmul, ptc_layer_matmul, ptc_matmul
 
-from oracles import blockwise_ptc_matmul, chunkwise_condensed_matmul
+from oracles import blockwise_ptc_matmul, chunkwise_condensed_matmul, stable_sort_sparsify
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -53,6 +53,22 @@ class TestWarmLStep:
             prior = dec.objective_trace[i - 1]
             assert dec.objective_trace[i] <= prior + 1e-9 * (1.0 + prior)
 
+    @SETTINGS
+    @given(shapes_and_seed(lo=4), st.integers(1, 4))
+    def test_start_from_a_higher_rank_svd_is_bit_identical(self, case, iters):
+        # The allocator hands its rank-r_max SVD of W D to the fit at r <= r_max.
+        m, n, k, seed = case
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(m, n))
+        d = ScalingDiag(d=rng.uniform(0.5, 2.0, size=n), epsilon_clamped=False)
+        top = truncated_svd(w * d.d[None, :], min(m, n))
+        plain = decompose_layer(w, d, r=k, s=0.5, g=2, iters=iters)
+        started = decompose_layer(w, d, r=k, s=0.5, g=2, iters=iters, start=top)
+        assert started.objective_trace == plain.objective_trace
+        for got, want in ((started.a, plain.a), (started.b, plain.b), (started.sparse.condensed, plain.sparse.condensed),
+                          (started.sparse.kept_cols, plain.sparse.kept_cols), (started.singular_values, plain.singular_values)):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("iters", [1, 2, 9])
     def test_only_the_first_and_closing_steps_call_svd(self, iters, monkeypatch):
         # Every L-step between them is a QR projection, whatever ``iters`` is.
@@ -69,32 +85,17 @@ class TestWarmLStep:
         assert len(calls) == 2
 
 
-def sparsify_reference(residual, g, s):
-    """Per-chunk loop: each chunk keeps its top round(n*s) columns by L1
-    norm, ties to the lower column index."""
-    m, n = residual.shape
-    d = int(round(n * s))
-    kept, condensed = [], np.empty((m, d))
-    for lo in range(0, m, g):
-        hi = min(lo + g, m)
-        norms = np.abs(residual[lo:hi]).sum(axis=0)
-        cols = np.sort(np.argsort(-norms, kind="stable")[:d])
-        kept.append(cols)
-        condensed[lo:hi] = residual[lo:hi, cols]
-    return np.array(kept), condensed
-
-
 @st.composite
 def sparsify_cases(draw):
     m = draw(st.integers(1, 20))
     n = draw(st.integers(2, 20))
     g = draw(st.integers(1, m + 3))
-    d = draw(st.integers(1, n - 1))
+    d = draw(st.integers(1, n))  # d == n keeps every column
     # Small integer entries make tied column norms common.
     entries = draw(st.sampled_from([(-1.0, 0.0, 1.0), (-2.0, -0.5, 0.0, 0.5, 2.0), (0.0,)]))
     seed = draw(st.integers(0, 2**32 - 1))
     residual = np.random.default_rng(seed).choice(entries, size=(m, n))
-    return residual, g, (d + 0.25) / n
+    return residual, g, (d - 0.25) / n
 
 
 class TestStructuredSparsify:
@@ -104,10 +105,12 @@ class TestStructuredSparsify:
     @example((np.ones((6, 8)), 1, 0.3))  # g = 1, every norm tied
     @example((np.eye(5, 9), 5, 0.5))  # g = m
     @example((np.eye(5, 9)[:, ::-1], 12, 0.2))  # g > m
+    @example((np.arange(70.0).reshape(7, 10) % 4, 3, 0.96))  # d == n = 10, ragged
+    @example((np.ones((5, 10)), 1, 0.35))  # g = 1, one chunk per row, all tied
     def test_matches_per_chunk_reference(self, case):
         residual, g, s = case
         sp = structured_sparsify(residual, g, s)
-        kept, condensed = sparsify_reference(residual, g, s)
+        kept, condensed = stable_sort_sparsify(residual, g, s)
         np.testing.assert_array_equal(sp.kept_cols, kept)
         np.testing.assert_array_equal(sp.condensed, condensed)
         sp.validate()
@@ -119,7 +122,7 @@ class TestStructuredSparsify:
         # chunk norms are summed in the reference's order, bit for bit.
         residual = np.random.default_rng(seed).normal(size=(m, n))
         sp = structured_sparsify(residual, g, 0.5)
-        kept, condensed = sparsify_reference(residual, g, 0.5)
+        kept, condensed = stable_sort_sparsify(residual, g, 0.5)
         np.testing.assert_array_equal(sp.kept_cols, kept)
         np.testing.assert_array_equal(sp.condensed, condensed)
 

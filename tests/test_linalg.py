@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opticomp.linalg import SvdError, balanced_factors, frobenius_norm, truncated_svd
+from opticomp.linalg import SvdError, balanced_factors, frobenius_norm, singular_values, truncated_svd
 
 from oracles import jacobi_svd
 
@@ -97,6 +97,43 @@ class TestTruncatedSvd:
         assert a.u.tobytes() == b.u.tobytes()
         assert a.singular_values.tobytes() == b.singular_values.tobytes()
         assert a.vt.tobytes() == b.vt.tobytes()
+
+
+class TestTruncate:
+    def test_matches_a_fresh_truncated_svd_bit_for_bit(self):
+        m = np.random.default_rng(18).normal(size=(13, 9))
+        top = truncated_svd(m, 9)
+        for k in (1, 4, 9):
+            got, want = top.truncate(k), truncated_svd(m, k)
+            for name in ("u", "singular_values", "vt"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert getattr(got, name).flags.c_contiguous
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_rank_out_of_range(self, k):
+        with pytest.raises(SvdError, match="out of range"):
+            truncated_svd(np.eye(6), 4).truncate(k)
+
+
+class TestSingularValues:
+    def test_matches_jacobi_oracle(self):
+        m = np.random.default_rng(19).normal(size=(11, 17))
+        s = singular_values(m)
+        assert s.shape == (11,)
+        np.testing.assert_allclose(s, jacobi_svd(m)[1], atol=1e-10)
+        np.testing.assert_allclose(s, truncated_svd(m, 11).singular_values, rtol=1e-13)
+
+    def test_non_convergence_is_an_svd_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(SvdError, match="did not converge"):
+            singular_values(np.eye(3))
+
+    def test_non_finite_input_is_rejected(self):
+        with pytest.raises(ValueError):
+            singular_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_balanced_factors_reconstruct():
