@@ -61,6 +61,21 @@ def _count(minimum: int):
     return parse
 
 
+class UsageError(Exception):
+    """A command-line value that cannot be used; exit 2."""
+
+
+def _output_dir(path) -> Path:
+    """Create the output directory before any work, so that a path that
+    cannot be one (a plain file, say) is a usage error, not a lost run."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
+
+
 def _noise_ratio(text: str) -> float:
     """argparse type: a finite float >= 0."""
     try:
@@ -76,8 +91,7 @@ def cmd_gen_toy(args) -> int:
     if args.hidden % args.heads:
         print(f"error: --hidden {args.hidden} is not divisible by --heads {args.heads}", file=sys.stderr)
         return 2
-    out = Path(args.out or "toy")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out or "toy")
     graph = build_toy_graph(
         hidden=args.hidden, heads=args.heads, mlp_ratio=args.mlp_ratio,
         blocks=args.blocks, classes=args.classes, in_dim=args.in_dim,
@@ -97,12 +111,11 @@ def cmd_gen_toy(args) -> int:
 def cmd_compress(args) -> int:
     cfg = _config_from(args)
     engines, _ = hardware_from_config(cfg)
+    out = _output_dir(cfg["paths"]["output"])
     start = time.perf_counter()
     graph, tensors, compressed, plan, summary = compress_model(cfg, engines)
     wall = time.perf_counter() - start
 
-    out = Path(cfg["paths"]["output"])
-    out.mkdir(parents=True, exist_ok=True)
     save_compressed(out / "compressed.lten", graph, tensors, compressed)
     write_plan(out / "plan.json", plan)
     (out / "run_meta.json").write_text(json.dumps({"wall_time_s": wall, "seed": cfg["seed"]}) + "\n")
@@ -117,19 +130,16 @@ def cmd_compress(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _config_from(args)
     engines, params = hardware_from_config(cfg)
-    graph, _ = load_model(cfg["paths"]["model"])
-    out = Path(cfg["paths"]["output"])
-    out.mkdir(parents=True, exist_ok=True)
-    batch = cfg["hardware"]["batch_tokens"]
-
     if bool(args.plan) == args.baseline:
         print("error: provide exactly one of --plan PATH or --baseline", file=sys.stderr)
         return 2
-    plan = read_plan(args.plan) if args.plan else None
-
-    if args.compare and plan is None:
+    if args.compare and not args.plan:
         print("error: --compare needs --plan", file=sys.stderr)
         return 2
+    out = _output_dir(cfg["paths"]["output"])
+    graph, _ = load_model(cfg["paths"]["model"])
+    batch = cfg["hardware"]["batch_tokens"]
+    plan = read_plan(args.plan) if args.plan else None
 
     report = simulate(plan, graph, engines, params, batch)
     _write_json(out / "report.json", report.to_json())
@@ -245,6 +255,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

@@ -328,7 +328,7 @@ def verify_artifacts(
 
     if quant_noise_ratio is not None:
         clean = quantized_matmul_weights(model_c.weights, ratio=0.0, seed=seed)
-        noisy = quantized_matmul_weights(model_c.weights, ratio=quant_noise_ratio, seed=seed)
+        noisy = with_noise(clean, quant_noise_ratio, seed)
         lo, _ = forward(replace(model_c, weights=clean), probe)
         ln, _ = forward(replace(model_c, weights=noisy), probe)
         drift = float(np.abs(lo - ln).max())
@@ -342,10 +342,12 @@ def verify_artifacts(
 
 def quantized_matmul_weights(weights: dict[str, np.ndarray], ratio: float, seed: int) -> dict[str, np.ndarray]:
     """Per-channel weight quantization, then optional multiplicative noise."""
-    out = {}
-    for name in sorted(weights):
-        wq = dequantize(quantize(weights[name]))
-        if ratio > 0.0:
-            wq = inject_noise(wq, ratio, seed, key=stable_key(name))
-        out[name] = wq
-    return out
+    return with_noise({name: dequantize(quantize(w)) for name, w in weights.items()}, ratio, seed)
+
+
+def with_noise(weights: dict[str, np.ndarray], ratio: float, seed: int) -> dict[str, np.ndarray]:
+    """Multiplicative noise on each weight, keyed by its name; a ratio of 0
+    returns ``weights`` itself."""
+    if ratio <= 0.0:
+        return weights
+    return {name: inject_noise(w, ratio, seed, key=stable_key(name)) for name, w in weights.items()}

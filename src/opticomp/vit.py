@@ -4,7 +4,9 @@ Tokens are column vectors: a layer with weight W (rows x cols) consumes an
 activation matrix of shape (cols x tokens). Each block runs
 LN -> multi-head self-attention -> residual add, then
 LN -> MLP with exact GELU -> residual add. Logits come from mean-pooling
-tokens and applying the head matrix. ``forward`` also takes a stack of
+tokens and applying the head matrix. GELU's ``erf`` is this module's own
+numpy code, so the forward, and every artifact made from it, is the same
+whatever else is installed. ``forward`` also takes a stack of
 sequences (samples x in_dim x tokens): weight products broadcast over the
 leading axis, and layernorm and pooling act on the last two axes, so each
 sample's result is bit-identical to its own 2-D forward.
@@ -68,9 +70,14 @@ class BlockFeatures:
 
 def _layernorm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     # x is (..., hidden x tokens); normalize each token over the hidden axis.
-    mu = x.mean(axis=-2, keepdims=True)
-    var = x.var(axis=-2, keepdims=True)
-    return (x - mu) / np.sqrt(var + LN_EPS) * weight[:, None] + bias[:, None]
+    # Both means are products with a (1 x hidden) row of 1/hidden: in a stack
+    # the hidden axis is the strided middle one, which mean/var reduce slowly.
+    avg = np.full((1, x.shape[-2]), 1.0 / x.shape[-2])
+    centred = x - avg @ x
+    out = centred / np.sqrt(avg @ (centred * centred) + LN_EPS)
+    out *= weight[:, None]
+    out += bias[:, None]
+    return out
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
@@ -92,16 +99,89 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nd
     return out
 
 
-try:  # scipy is common but not required; fall back to a vectorized math.erf
-    from scipy.special import erf as _erf
-except ImportError:  # pragma: no cover
-    import math
+# Cody, "Rational Chebyshev approximation for the error function", Math. Comp.
+# 23 (1969), coefficients as in his CALERF, highest power first: numerator and
+# denominator of R1 in erf(x) = x R1(x^2) for |x| <= ERF_SPLIT, and of R2 in
+# erfc(y) = exp(-y^2) R2(y) beyond it.
+_ERF_NEAR = (
+    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+     3.77485237685302021e02, 3.20937758913846947e03),
+    (1.0, 2.36012909523441209e01, 2.44024637934444173e02,
+     1.28261652607737228e03, 2.84423683343917062e03),
+)
+_ERF_FAR = (
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03),
+)
+ERF_SPLIT = 0.5
+ERF_CLAMP = 6.0  # erfc(6) < 2.2e-17, so erf rounds to +-1 from here on
+ERF_CHUNK = 32768  # elements per pass, so that a pass's temporaries stay in cache
 
-    _erf = np.vectorize(math.erf, otypes=[np.float64])
+
+def _rational(t: np.ndarray, coeffs) -> np.ndarray:
+    """num(t) / den(t) by Horner's rule, for (numerator, denominator) coefficients."""
+    quotient = []
+    for poly in coeffs:
+        acc = t * poly[0]
+        acc += poly[1]
+        for c in poly[2:]:
+            acc *= t
+            acc += c
+        quotient.append(acc)
+    num, den = quotient
+    num /= den
+    return num
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, elementwise, within 3 ulp of the exact value.
+
+    |x| <= ERF_SPLIT takes x R1(x^2); beyond, sign(x) (1 - exp(-x^2) R2(|x|))
+    with |x| clamped at ERF_CLAMP. Each branch runs only on its own elements,
+    ERF_CHUNK elements at a time, so the result does not depend on the
+    input's size or shape. Both branches are odd in x by construction, so erf(-x) == -erf(x) exactly;
+    nan gives nan, +-inf gives +-1 and -0.0 gives -0.0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, ERF_CHUNK):
+        _erf_into(flat[start:start + ERF_CHUNK], out[start:start + ERF_CHUNK])
+    return out.reshape(x.shape)
+
+
+def _erf_into(x: np.ndarray, out: np.ndarray) -> None:
+    """erf of the 1-D ``x``, written into ``out``."""
+    near_mask = np.abs(x) <= ERF_SPLIT
+    near = np.flatnonzero(near_mask)
+    far = np.flatnonzero(~near_mask)  # nan lands here and stays nan
+
+    xs = x[near]
+    r = _rational(xs * xs, _ERF_NEAR)
+    r *= xs
+    out[near] = r
+
+    y = x[far]
+    np.abs(y, out=y)
+    np.minimum(y, ERF_CLAMP, out=y)
+    r = _rational(y, _ERF_FAR)
+    np.square(y, out=y)
+    np.negative(y, out=y)
+    r *= np.exp(y, out=y)
+    np.subtract(1.0, r, out=r)
+    out[far] = np.copysign(r, x[far], out=r)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + _erf(x / sqrt(2.0)))
+    # 0.5 x (1 + erf(x / sqrt 2)), with one array for the result
+    e = erf(x / sqrt(2.0))
+    e += 1.0
+    e *= 0.5 * x
+    return e
 
 
 def forward(model: ToyViT, inputs: np.ndarray, matmul_fn=None, tap: dict | None = None):

@@ -12,7 +12,7 @@ import pytest
 from opticomp import cli, pipeline
 from opticomp.cli import main
 from opticomp.container import read_container, write_container
-from opticomp.model import LayerSpec, ModelGraph, save_model
+from opticomp.model import LayerSpec, ModelGraph, load_model, save_model
 from opticomp.photonic import EngineConfig
 
 from test_container import rewrite_manifest
@@ -229,6 +229,57 @@ class TestCompress:
                 [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("plan.json", "compressed.lten")]
             )
         assert digests[0] == digests[1]
+
+
+def compress_in_subprocess(toy_dir, out_dir, block_scipy=False):
+    """Run compress in a fresh interpreter; return the SHA-256s of plan.json and
+    compressed.lten and the scipy modules loaded by then."""
+    script = "\n".join([
+        "import sys",
+        *(['sys.modules["scipy"] = None'] if block_scipy else []),
+        "import opticomp",
+        "from opticomp.cli import main",
+        f"assert main({compress_args(toy_dir, out_dir)!r}) == 0",
+        'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None))',
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    digests = [hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("plan.json", "compressed.lten")]
+    return digests, run.stdout.splitlines()[-1]
+
+
+class TestWithoutScipy:
+    def test_import_and_compress_load_no_scipy(self, toy_dir, tmp_path):
+        _, scipy_modules = compress_in_subprocess(toy_dir, tmp_path / "run")
+        assert scipy_modules == "[]"
+
+    def test_artifacts_do_not_depend_on_scipy_being_importable(self, toy_dir, tmp_path):
+        importable, _ = compress_in_subprocess(toy_dir, tmp_path / "importable")
+        blocked, _ = compress_in_subprocess(toy_dir, tmp_path / "blocked", block_scipy=True)
+        assert importable == blocked
+
+
+@pytest.mark.parametrize("verb", ["gen-toy", "compress", "simulate"])
+def test_out_naming_a_plain_file_exits_two_before_any_work(verb, toy_dir, compressed_dir, tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{verb} started work before creating --out")
+
+    for name in ("build_toy_graph", "compress_model", "load_model"):
+        monkeypatch.setattr(cli, name, unreachable)
+    target = tmp_path / "F"
+    target.write_bytes(b"not a directory")
+    args = {
+        "gen-toy": ["gen-toy", "--out", str(target)],
+        "compress": compress_args(toy_dir, target),
+        "simulate": [
+            "simulate", "--plan", str(compressed_dir / "plan.json"),
+            "--set", f"paths.model={toy_dir}/model.lten", "--out", str(target),
+        ],
+    }[verb]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot create output directory {target}: " in err and "Traceback" not in err
+    assert target.read_bytes() == b"not a directory"
 
 
 def test_calibrate_is_an_unknown_verb(capsys):
@@ -476,6 +527,14 @@ class TestVerify:
     def test_quant_noise_zero_ratio_matches(self, toy_dir, compressed_dir, capsys):
         assert main(self.verify_args(toy_dir, compressed_dir, "--quant-noise", "0.0")) == 0
         assert "quant_noise" in capsys.readouterr().out
+
+    def test_quant_noise_quantizes_each_weight_once(self, toy_dir, compressed_dir, monkeypatch):
+        shapes = []
+        real = pipeline.quantize
+        monkeypatch.setattr(pipeline, "quantize", lambda m: shapes.append(m.shape) or real(m))
+        assert main(self.verify_args(toy_dir, compressed_dir, "--quant-noise", "0.03")) == 0
+        graph, _ = load_model(toy_dir / "model.lten")
+        assert sorted(shapes) == sorted((l.rows, l.cols) for l in graph.layers)
 
     @pytest.mark.parametrize("ratio", ["-0.5", "-1", "nan", "inf"])
     def test_quant_noise_out_of_range_exits_two_before_reading(self, toy_dir, compressed_dir, capsys, monkeypatch, ratio):

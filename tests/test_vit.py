@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opticomp.vit import (
+    ERF_CHUNK,
     QUERY_BLOCK,
     SAMPLE_CHUNK,
     BlockFeatures,
@@ -14,6 +15,7 @@ from opticomp.vit import (
     block_loss,
     build_toy_graph,
     collect_calibration,
+    erf,
     evaluate,
     forward,
     gen_toy_dataset,
@@ -84,6 +86,37 @@ class TestForward:
 
 def relative_gap(a, b) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestErf:
+    def test_within_three_ulp_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.concatenate([np.linspace(-7.0, 7.0, 14001), np.random.default_rng(3).normal(size=2000)])
+        with mpmath.workprec(113):
+            ref = np.array([float(mpmath.erf(mpmath.mpf(float(v)))) for v in x])
+        got = erf(x)
+        assert np.max(np.abs(got - ref) / np.spacing(np.abs(ref))) <= 3.0
+
+    def test_special_values(self):
+        got = erf(np.array([np.nan, np.inf, -np.inf, -0.0, 0.0]))
+        assert np.isnan(got[0])
+        assert got[1:].tolist() == [1.0, -1.0, 0.0, 0.0]
+        assert np.signbit(got[1:]).tolist() == [False, True, True, False]
+
+    def test_does_not_depend_on_shape_or_grouping(self):
+        x = np.random.default_rng(4).normal(size=(3, ERF_CHUNK // 2 + 1, 2))
+        got = erf(x)
+        assert got.shape == x.shape
+        pieces = np.concatenate([erf(p) for p in np.array_split(x.reshape(-1), 7)])
+        assert got.tobytes() == pieces.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    def test_odd_bounded_and_non_decreasing(self, values):
+        x = np.array(values)
+        assert erf(-x).tobytes() == (-erf(x)).tobytes()
+        assert np.all(np.abs(erf(x)) <= 1.0)
+        assert np.all(np.diff(erf(np.sort(x))) >= 0.0)
 
 
 class TestQueryBlockedAttention:
