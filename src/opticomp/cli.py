@@ -249,8 +249,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_numeric_values(argv: list[str]) -> list[str]:
+    """Write ``--quant-noise VALUE`` as ``--quant-noise=VALUE`` when VALUE is
+    a number; an abbreviation argparse accepts (``--quant``) is treated the
+    same way. argparse takes a value such as ``-inf`` or ``-1e-3`` for an
+    option; attached, it reaches the option's range check."""
+    out: list[str] = []
+    for arg in argv:
+        if out and len(out[-1]) > 2 and "--quant-noise".startswith(out[-1]):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_numeric_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ConfigError as exc:

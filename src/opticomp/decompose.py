@@ -19,16 +19,21 @@ to the plain SVD. Every other L-step is one step of subspace iteration
 from the previous B: with M = W D - expand(S), A = qr(M B^T) and
 B = A^T M, so A B = A A^T M projects M onto span(A). That fit is at least
 as close as the previous (A, B), whose rows lie in span(B), so no L-step
-raises the objective.
+raises the objective. W D - A B is formed once per iteration and serves
+both objectives and the S-step.
 
 ``decompose_layer`` closes with an exact SVD refit against the best sparse
 part, so the returned (A, B) are the exact truncated SVD of W D - expand(S)
 and its singular values give the error at every lower rank against that S.
 Stored factors are de-scaled so A @ B + expand(S) approximates W directly.
 
-Local adaptation works in Gram form: with G = X X^T computed once per
-layer, each step costs O(m n^2) instead of O(m n T) for T calibration
-tokens.
+Local adaptation works in Gram form, G = X X^T, on one flat vector of
+adapters of rank q = max(1, floor(r/4)). The error
+E = (A + Ua Va)(B + Ub Vb) - (W - S) is the fixed E0 = A B - (W - S) plus
+a term of rank 2q, so E and E G follow from E0 and E0 G, formed once per
+layer, and the factors: an objective costs O(q n^2 + m q n), where one
+E @ G costs O(m n^2) and the raw form O(m n T) for T calibration tokens.
+A rejected step costs one objective evaluation and no gradient.
 """
 from __future__ import annotations
 
@@ -208,8 +213,8 @@ def alternate(wd: np.ndarray, first: SvdResult, s: float, g: int, iters: int):
             resid = wd - sparse_exp
             a, _ = np.linalg.qr(resid @ b.T)
             b = a.T @ resid
-        low = a @ b
-        obj = frobenius_norm(wd - low - sparse_exp)
+        resid_low = wd - a @ b  # shared by both objectives and the S-step
+        obj = frobenius_norm(resid_low - sparse_exp)
         # With S fixed, the L half-step never raises the objective: the first
         # is exact (Eckart-Young); a projection step fits at least as well as
         # the previous (A, B), whose rows lie in span(B).
@@ -218,9 +223,9 @@ def alternate(wd: np.ndarray, first: SvdResult, s: float, g: int, iters: int):
         if best is None or obj < best[0]:
             best = (obj, sparse)
 
-        sparse = structured_sparsify(wd - low, g, s)
+        sparse = structured_sparsify(resid_low, g, s)
         sparse_exp = expand(sparse)
-        obj = frobenius_norm(wd - low - sparse_exp)
+        obj = frobenius_norm(resid_low - sparse_exp)
         trace.append(obj)
         if obj < best[0]:
             best = (obj, sparse)
@@ -289,20 +294,88 @@ def layer_error(w: np.ndarray, d: ScalingDiag, fit) -> float:
 # --- local low-rank adaptation ----------------------------------------------
 
 
-def _adapter_step(target, gram, a, b, ua, va, ub, vb):
-    """Gram-form objective and adapter gradients; see adapter_objective_and_grads.
+class _GramAdapter:
+    """The adapter objective and its gradients in Gram form.
 
-    With E = A_eff B_eff - (W - S) and G = X X^T, f = sum(E * (E G)),
-    df/dA_eff = 2 E G B_eff^T and df/dB_eff = 2 A_eff^T E G.
+    The adapters Ua (m x q), Va (q x r), Ub (r x q) and Vb (q x n) lie back
+    to back in one flat vector; ``views`` gives the four as reshaped views.
+    With T = W - S, G = X X^T, A_eff = A + Ua Va and B_eff = B + Ub Vb, the
+    error E = A_eff B_eff - T is the fixed E0 = A B - T plus a rank-2q term:
+
+        E = E0 + U V,   U = [Ua, A Ub] (m x 2q),   V = [Va B_eff; Vb] (2q x n),
+
+    so [E, E G] = [E0, E0 G] + U [V, V G] with V G = [Va B G + Va Ub Vb G; Vb G],
+    and f = <E, E G>. The gradients follow from df/dA_eff = 2 E G B_eff^T and
+    df/dB_eff = 2 A_eff^T E G through the same factors:
+
+        df/dUa = 2 E G (Va B_eff)^T    df/dVa = 2 (Ua^T E G) B_eff^T
+        df/dUb = 2 A_eff^T E G Vb^T    df/dVb = 2 (A_eff Ub)^T E G
+
+    E0, E0 G and B G are formed once per layer, so an objective costs
+    O(q n^2 + m q n) and a gradient O(m q n), since q <= r <= min(m, n);
+    one product E @ G alone costs O(m n^2). E stays explicit in f: expanded
+    into Gram terms, <A_eff^T A_eff, B_eff G B_eff^T> - 2 <A_eff, T G B_eff^T>
+    + <T, T G>, f cancels near a good fit. ``objective`` keeps U, [V, V G]
+    and E G of the point it evaluates and ``gradient`` reads them, so a
+    point that is not kept costs no gradient.
     """
-    a_eff = a + ua @ va
-    b_eff = b + ub @ vb
-    err = a_eff @ b_eff - target  # (m x n)
-    err_g = err @ gram  # (m x n)
-    f = float(np.sum(err * err_g))
-    ga = 2.0 * (err_g @ b_eff.T)  # df/d(A_eff), (m x r)
-    gb = 2.0 * (a_eff.T @ err_g)  # df/d(B_eff), (r x n)
-    return f, (ga @ va.T, ua.T @ ga, gb @ vb.T, ub.T @ gb)
+
+    def __init__(self, a, b, target, gram, q):
+        (m, r), n = a.shape, b.shape[1]
+        self.a, self.b, self.gram, self.q, self.n = a, b, gram, q, n
+        err0 = a @ b - target
+        self.base = np.concatenate([err0, err0 @ gram], axis=1)  # [E0, E0 G], (m x 2n)
+        self.b_bg = np.concatenate([b, b @ gram], axis=1)  # [B, B G], (r x 2n)
+        self.shapes = ((m, q), (q, r), (r, q), (q, n))
+        self.size = sum(rows * cols for rows, cols in self.shapes)
+        self.u = np.empty((m, 2 * q))
+        self.v = np.empty((2 * q, 2 * n))  # [V, V G]
+        self.err = np.empty((m, 2 * n))  # [E, E G]
+        self.point = None  # adapters of the last point evaluated, and Va Ub
+
+    def views(self, flat):
+        out, lo = [], 0
+        for rows, cols in self.shapes:
+            out.append(flat[lo:lo + rows * cols].reshape(rows, cols))
+            lo += rows * cols
+        return tuple(out)
+
+    def objective(self, params) -> float:
+        """f at the adapters ``params`` = (Ua, Va, Ub, Vb)."""
+        ua, va, ub, vb = params
+        q, n = self.q, self.n
+        va_ub = va @ ub
+        self.point = params, va_ub
+        u, v = self.u, self.v
+        u[:, :q] = ua
+        np.matmul(self.a, ub, out=u[:, q:])
+        v[q:, :n] = vb
+        np.matmul(vb, self.gram, out=v[q:, n:])
+        np.matmul(va, self.b_bg, out=v[:q])
+        v[:q] += va_ub @ v[q:]
+        err = np.matmul(u, v, out=self.err)
+        err += self.base
+        return float(np.einsum("ij,ij->", err[:, :n], err[:, n:]))
+
+    def gradient(self, out) -> None:
+        """Write the gradient at the last point evaluated into the four
+        arrays ``out``, shaped as the adapters."""
+        (ua, va, ub, vb), va_ub = self.point
+        q, n = self.q, self.n
+        err_g = self.err[:, n:]
+        eg_vt = err_g @ self.v[:, :n].T  # [E G (Va B_eff)^T, E G Vb^T], (m x 2q)
+        eg_vt *= 2.0
+        ut_eg = self.u.T @ err_g  # [Ua^T E G; (A Ub)^T E G], (2q x n)
+        ut_eg *= 2.0
+        ua_eg_vb = ut_eg[:q] @ vb.T  # 2 Ua^T E G Vb^T, (q x q)
+        g_ua, g_va, g_ub, g_vb = out
+        g_ua[...] = eg_vt[:, :q]
+        np.matmul(ut_eg[:q], self.b.T, out=g_va)
+        g_va += ua_eg_vb @ ub.T
+        np.matmul(self.a.T, eg_vt[:, q:], out=g_ub)
+        g_ub += va.T @ ua_eg_vb
+        np.matmul(va_ub.T, ut_eg[:q], out=g_vb)
+        g_vb += ut_eg[q:]
 
 
 def adapter_objective_and_grads(
@@ -322,7 +395,11 @@ def adapter_objective_and_grads(
 
     Evaluated by the same Gram-form kernel that ``local_adapt`` steps with.
     """
-    return _adapter_step(w - sparse_exp, x @ x.T, a, b, ua, va, ub, vb)
+    kernel = _GramAdapter(a, b, w - sparse_exp, x @ x.T, ua.shape[1])
+    f = kernel.objective((ua, va, ub, vb))
+    grads = kernel.views(np.empty(kernel.size))
+    kernel.gradient(grads)
+    return f, grads
 
 
 def local_adapt(
@@ -345,32 +422,32 @@ def local_adapt(
     plain gradient descent; a step that raises the objective is rejected and
     retried at half the learning rate (floor 1e-8). A step is taken only if
     it does not raise the objective, so the returned objective never
-    exceeds the input's.
+    exceeds the input's. A rejected step costs one objective evaluation; the
+    gradient is formed only at the points taken.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return dec
-    m, r = dec.a.shape
-    n = dec.b.shape[1]
-    q = max(1, r // 4)
+    kernel = _GramAdapter(dec.a, dec.b, w - expand(dec.sparse), x @ x.T, max(1, dec.rank // 4))
+    # The current point, the candidate and the gradient, each one flat vector
+    # with its adapter views; the first two swap when a candidate is taken.
+    theta, cand, grad = (np.zeros(kernel.size) for _ in range(3))
+    theta_v, cand_v, grad_v = (kernel.views(flat) for flat in (theta, cand, grad))
     rng = philox_rng(seed, 3, key)
-    ua = rng.uniform(-1e-3, 1e-3, size=(m, q))
-    ub = rng.uniform(-1e-3, 1e-3, size=(r, q))
-    va = np.zeros((q, r))
-    vb = np.zeros((q, n))
-    target = w - expand(dec.sparse)
-    gram = x @ x.T  # (n x n), constant across steps
+    theta_v[0][...] = rng.uniform(-1e-3, 1e-3, size=theta_v[0].shape)
+    theta_v[2][...] = rng.uniform(-1e-3, 1e-3, size=theta_v[2].shape)
 
-    f, grads = _adapter_step(target, gram, dec.a, dec.b, ua, va, ub, vb)
+    f = kernel.objective(theta_v)
     trace = [f]
     step_lr = lr
     for step in range(steps):
-        if not all(np.all(np.isfinite(gr)) for gr in grads):
+        kernel.gradient(grad_v)  # the last point evaluated is theta
+        if not np.isfinite(grad).all():
             raise FloatingPointError(f"non-finite adapter gradient at step {step}")
         while True:
-            cand = (ua - step_lr * grads[0], va - step_lr * grads[1], ub - step_lr * grads[2], vb - step_lr * grads[3])
-            f_new, grads_new = _adapter_step(target, gram, dec.a, dec.b, *cand)
+            np.subtract(theta, np.multiply(grad, step_lr, out=cand), out=cand)
+            f_new = kernel.objective(cand_v)
             if f_new <= f:
                 break
             step_lr *= 0.5
@@ -378,10 +455,11 @@ def local_adapt(
                 break
         if f_new > f:
             break  # learning rate floored out; no further progress
-        ua, va, ub, vb = cand
-        f, grads = f_new, grads_new
+        (theta, theta_v), (cand, cand_v) = (cand, cand_v), (theta, theta_v)
+        f = f_new
         trace.append(f)
 
+    ua, va, ub, vb = theta_v
     return Decomposition(
         a=dec.a + ua @ va,
         b=dec.b + ub @ vb,

@@ -8,13 +8,20 @@ a full stable sort, where the S-step partially sorts all chunks at once.
 The PTC and condensed-sparse oracles are the plain per-block and
 per-chunk loops that the batched functional model replaces, and the ViT
 oracle forms each head's whole (tokens x tokens) softmax at once, as the
-query-blocked attention kernel does not.
+query-blocked attention kernel does not. The adapter oracle is the
+gradient-descent loop on separate arrays that forms the error E explicitly
+and E G as E @ G, with a gradient for every candidate; the alternation
+oracle forms W D - A B afresh for each objective and the S-step.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from opticomp.decompose import expand, structured_sparsify
+from opticomp.linalg import balanced_factors, frobenius_norm
+from opticomp.util import philox_rng
 
 
 def jacobi_svd(m: np.ndarray, max_sweeps: int = 60, tol: float = 1e-12):
@@ -143,3 +150,74 @@ def full_matrix_forward(model, inputs: np.ndarray):
         x = x + w[f"block{i}.mlp.fc2"] @ gelu(w[f"block{i}.mlp.fc1"] @ n)
         feats.append(x.T)
     return w["head"] @ x.mean(axis=1), feats
+
+
+def explicit_error_local_adapt(dec, w, x, steps=100, lr=1e-2, seed=0, key=0):
+    """``local_adapt`` with E = A_eff B_eff - (W - S) and E @ G formed at
+    every candidate; returns the merged (a, b) and the objective trace."""
+
+    def objective_and_grads(ua, va, ub, vb):
+        a_eff = dec.a + ua @ va
+        b_eff = dec.b + ub @ vb
+        err = a_eff @ b_eff - target
+        err_g = err @ gram
+        ga = 2.0 * (err_g @ b_eff.T)
+        gb = 2.0 * (a_eff.T @ err_g)
+        return float(np.sum(err * err_g)), (ga @ va.T, ua.T @ ga, gb @ vb.T, ub.T @ gb)
+
+    m, r = dec.a.shape
+    q = max(1, r // 4)
+    rng = philox_rng(seed, 3, key)
+    params = (
+        rng.uniform(-1e-3, 1e-3, size=(m, q)),
+        np.zeros((q, r)),
+        rng.uniform(-1e-3, 1e-3, size=(r, q)),
+        np.zeros((q, dec.b.shape[1])),
+    )
+    target = w - expand(dec.sparse)
+    gram = x @ x.T
+    f, grads = objective_and_grads(*params)
+    trace = [f]
+    step_lr = lr
+    for _ in range(steps):
+        assert all(np.all(np.isfinite(gr)) for gr in grads)
+        while True:
+            cand = tuple(p - step_lr * gr for p, gr in zip(params, grads))
+            f_new, grads_new = objective_and_grads(*cand)
+            if f_new <= f:
+                break
+            step_lr *= 0.5
+            if step_lr < 1e-8:
+                break
+        if f_new > f:
+            break
+        params, f, grads = cand, f_new, grads_new
+        trace.append(f)
+    ua, va, ub, vb = params
+    return dec.a + ua @ va, dec.b + ub @ vb, trace
+
+
+def recomputing_alternate(wd, first, s, g, iters):
+    """``decompose.alternate`` with W D - A B formed anew for the L-step
+    objective, the S-step input and the S-step objective."""
+    sparse = structured_sparsify(np.zeros_like(wd), g, s)
+    sparse_exp = expand(sparse)
+    trace, best = [], None
+    a, b = balanced_factors(first)
+    for it in range(iters):
+        if it:
+            resid = wd - sparse_exp
+            a, _ = np.linalg.qr(resid @ b.T)
+            b = a.T @ resid
+        low = a @ b
+        obj = frobenius_norm(wd - low - sparse_exp)
+        trace.append(obj)
+        if best is None or obj < best[0]:
+            best = (obj, sparse)
+        sparse = structured_sparsify(wd - low, g, s)
+        sparse_exp = expand(sparse)
+        obj = frobenius_norm(wd - low - sparse_exp)
+        trace.append(obj)
+        if obj < best[0]:
+            best = (obj, sparse)
+    return trace, best[1]

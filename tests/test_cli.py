@@ -536,7 +536,7 @@ class TestVerify:
         graph, _ = load_model(toy_dir / "model.lten")
         assert sorted(shapes) == sorted((l.rows, l.cols) for l in graph.layers)
 
-    @pytest.mark.parametrize("ratio", ["-0.5", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("ratio", ["-0.5", "-1", "nan", "inf", "-inf", "-1e-3", "-Infinity"])
     def test_quant_noise_out_of_range_exits_two_before_reading(self, toy_dir, compressed_dir, capsys, monkeypatch, ratio):
         def unreachable(*args):
             raise AssertionError("verify read its config before checking --quant-noise")
@@ -546,6 +546,13 @@ class TestVerify:
             main(self.verify_args(toy_dir, compressed_dir, "--quant-noise", ratio))
         assert exc.value.code == 2
         assert f"argument --quant-noise: must be a finite number >= 0, got '{ratio}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--quant", "--q"])
+    def test_an_abbreviated_quant_noise_gets_the_range_message(self, toy_dir, compressed_dir, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(self.verify_args(toy_dir, compressed_dir, flag, "-inf"))
+        assert exc.value.code == 2
+        assert "argument --quant-noise: must be a finite number >= 0, got '-inf'" in capsys.readouterr().err
 
     def test_corrupted_index_is_rejected_when_read(self, toy_dir, compressed_dir, tmp_path, capsys):
         path = tmp_path / "corrupt.lten"

@@ -1,25 +1,35 @@
 """Property tests for the vectorized kernels: the projection L-step and
-its start from a higher-rank SVD, the partial-sort structured sparsify, the Gram-form adapter step, and the batched
-functional PTC model (stacked invocations and the condensed sparse gather)."""
+its start from a higher-rank SVD, the alternation's shared residual, the partial-sort structured sparsify, the
+factored Gram-form adapter kernel and its loop, and the batched functional PTC model (stacked invocations and the
+condensed sparse gather)."""
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opticomp.decompose import (
     ScalingDiag,
     _scale_sparse_cols,
     adapter_objective_and_grads,
+    alternate,
+    compute_scaling,
     decompose_layer,
     expand,
+    local_adapt,
     structured_sparsify,
 )
 from opticomp.linalg import balanced_factors, frobenius_norm, truncated_svd
 from opticomp.photonic import PtcConfig, condensed_matmul, ptc_layer_matmul, ptc_matmul
 
-from oracles import blockwise_ptc_matmul, chunkwise_condensed_matmul, stable_sort_sparsify
+from oracles import (
+    blockwise_ptc_matmul,
+    chunkwise_condensed_matmul,
+    explicit_error_local_adapt,
+    recomputing_alternate,
+    stable_sort_sparsify,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -68,6 +78,19 @@ class TestWarmLStep:
         for got, want in ((started.a, plain.a), (started.b, plain.b), (started.sparse.condensed, plain.sparse.condensed),
                           (started.sparse.kept_cols, plain.sparse.kept_cols), (started.singular_values, plain.singular_values)):
             assert got.tobytes() == want.tobytes()
+
+    @SETTINGS
+    @given(shapes_and_seed(lo=4), st.sampled_from([0.25, 0.5, 0.7]), st.integers(1, 5), st.integers(1, 6))
+    def test_alternation_is_bit_identical_to_recomputing_the_residual(self, case, s, g, iters):
+        # W D - A B is formed once per iteration and read three times.
+        m, n, k, seed = case
+        wd = np.random.default_rng(seed).normal(size=(m, n))
+        first = truncated_svd(wd, k)
+        trace, sparse = alternate(wd, first, s, g, iters)
+        want_trace, want_sparse = recomputing_alternate(wd, first, s, g, iters)
+        assert trace == want_trace
+        assert sparse.kept_cols.tobytes() == want_sparse.kept_cols.tobytes()
+        assert sparse.condensed.tobytes() == want_sparse.condensed.tobytes()
 
     @pytest.mark.parametrize("iters", [1, 2, 9])
     def test_only_the_first_and_closing_steps_call_svd(self, iters, monkeypatch):
@@ -151,6 +174,66 @@ class TestGramFormAdapter:
         assert abs(f - f_ref) <= 1e-10 * f_ref
         for got, want in zip(grads, grads_ref):
             assert frobenius_norm(got - want) <= 1e-10 * max(frobenius_norm(want), 1e-300)
+
+    @SETTINGS
+    @given(shapes_and_seed(), st.integers(1, 40))
+    def test_objective_near_a_fit_matches_longdouble(self, case, tokens):
+        # W is the adapted factors plus S to within 1e-3: the error is small
+        # beside A_eff B_eff, where an objective expanded into Gram terms
+        # loses its digits to cancellation.
+        m, n, r, seed = case
+        rng = np.random.default_rng(seed)
+        q = max(1, r // 4)
+        x = rng.normal(size=(n, tokens))
+        a, b = rng.normal(size=(m, r)), rng.normal(size=(r, n))
+        ua, va = rng.normal(size=(m, q)), rng.normal(size=(q, r))
+        ub, vb = rng.normal(size=(r, q)), rng.normal(size=(q, n))
+        sparse_exp = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.2)
+        w = (a + ua @ va) @ (b + ub @ vb) + sparse_exp + 1e-3 * rng.normal(size=(m, n))
+
+        f, _ = adapter_objective_and_grads(w, x, a, b, sparse_exp, ua, va, ub, vb)
+
+        ld = [np.asarray(t, dtype=np.longdouble) for t in (w, x, a, b, sparse_exp, ua, va, ub, vb)]
+        w_, x_, a_, b_, s_, ua_, va_, ub_, vb_ = ld
+        err = (w_ - s_ - (a_ + ua_ @ va_) @ (b_ + ub_ @ vb_)) @ x_
+        f_ref = float(np.sum(err * err))
+        assert abs(f - f_ref) <= 1e-9 * f_ref
+
+
+@st.composite
+def adapt_cases(draw):
+    m, n = draw(st.integers(4, 32)), draw(st.integers(4, 32))
+    r = draw(st.integers(1, min(m, n)))
+    return m, n, r, draw(st.integers(2, 48)), draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestLocalAdaptLoop:
+    @SETTINGS
+    @given(adapt_cases())
+    def test_takes_the_steps_of_the_explicit_error_loop(self, case):
+        m, n, r, tokens, steps, seed = case
+        rng = np.random.default_rng(seed)
+        w, x = rng.normal(size=(m, n)), rng.normal(size=(n, tokens))
+        dec = decompose_layer(w, compute_scaling(x), r=r, s=0.25, g=2, iters=3)
+        want_a, want_b, want_trace = explicit_error_local_adapt(dec, w, x, steps=steps, seed=seed, key=7)
+        # Once the learning rate floors out, the objective has stopped moving
+        # and rounding decides whether a step is taken; compare before that.
+        assume(len(want_trace) == steps + 1)
+        got = local_adapt(dec, w, x, steps=steps, seed=seed, key=7)
+        assert len(got.objective_trace) == len(want_trace)
+        # An exact fit leaves objectives of rounding size, so the scale is ||W X||^2.
+        scale = frobenius_norm(w @ x) ** 2
+        np.testing.assert_allclose(got.objective_trace, want_trace, rtol=1e-9, atol=1e-12 * scale)
+        assert frobenius_norm(got.a - want_a) <= 1e-9 * frobenius_norm(want_a)
+        assert frobenius_norm(got.b - want_b) <= 1e-9 * frobenius_norm(want_b)
+
+    def test_a_non_finite_gradient_raises_naming_the_step(self):
+        # A weight near the float64 limit overflows E G once the adapters move.
+        rng = np.random.default_rng(0)
+        w, x = rng.normal(size=(8, 6)), rng.normal(size=(6, 10))
+        dec = decompose_layer(w, compute_scaling(x), r=2, s=0.25, g=2, iters=2)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite adapter gradient at step 1"):
+            local_adapt(dec, w * 1e200, x, steps=5)
 
 
 ptc_dims = st.integers(1, 16)
