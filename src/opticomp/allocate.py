@@ -11,18 +11,23 @@ per chunk d. The rank-r_max SVD of W D is kept apart, in
 r triplets as its first L-step instead of decomposing W D again.
 The search raises ranks of high-error layers in batches until the
 parameter budget runs out, leaving the achieved reduction psi at or above
-the target alpha.
+the target alpha. The plan's file, plan.json, is defined here as well: its
+field tables, its writer and reader, and its check against a model.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from .decompose import ScalingDiag, alternate, expand
 from .linalg import SvdResult, frobenius_norm, singular_values, truncated_svd
+from .model import ModelGraph
+from .util import COUNT, FINITE, INTEGER, LIST, STRING, read_record
 
 BASE_SCALE_HIDDEN = 768  # hidden sizes at or above this use the full basis rank
 
@@ -232,40 +237,41 @@ class CompressionPlan:
     iterations: int
     rank_trace: list[list[int]] = field(default_factory=list, repr=False)
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "sparse_ratio": self.sparse_ratio,
-            "psi_achieved": self.psi_achieved,
-            "iterations": self.iterations,
-            "layers": [
-                {
-                    "id": l.id,
-                    "rows": l.rows,
-                    "cols": l.cols,
-                    "r": l.r,
-                    "d": l.d,
-                    "g": l.g,
-                    "params": l.params,
-                    "error": l.error,
-                }
-                for l in self.layers
-            ],
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CompressionPlan":
-        layers = [
-            PlanLayer(d["id"], d["rows"], d["cols"], d["r"], d["d"], d["g"], d["params"], d.get("error"))
-            for d in obj["layers"]
-        ]
-        return cls(
-            alpha=obj["alpha"],
-            sparse_ratio=obj["sparse_ratio"],
-            layers=layers,
-            psi_achieved=obj["psi_achieved"],
-            iterations=obj["iterations"],
-        )
+# plan.json, one table per record: field -> (description, test), checked
+# by ``util.read_record``. A layer's error may be null or absent.
+PLAN_FIELDS = {"alpha": FINITE, "sparse_ratio": FINITE, "psi_achieved": FINITE, "iterations": INTEGER, "layers": LIST}
+LAYER_FIELDS = {"id": STRING, "rows": INTEGER, "cols": INTEGER, "r": COUNT, "d": COUNT, "g": COUNT, "params": INTEGER,
+                "error": (FINITE[0], lambda v: v is None or FINITE[1](v))}
+
+
+def write_plan(path, plan: CompressionPlan) -> None:
+    """Write ``plan`` as canonical JSON: sorted keys, no spaces, one line."""
+    obj = {name: getattr(plan, name) for name in PLAN_FIELDS}
+    obj["layers"] = [{name: getattr(pl, name) for name in LAYER_FIELDS} for pl in plan.layers]
+    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def read_plan(path) -> CompressionPlan:
+    """Read a plan, every field checked against its table; a defect raises
+    ValueError naming the file, the layer and the field."""
+    try:
+        obj = read_record(json.loads(Path(path).read_text()), PLAN_FIELDS, "plan")
+        layers = enumerate(obj["layers"])
+        obj["layers"] = [PlanLayer(**read_record(l, LAYER_FIELDS, f"plan layer {i}:")) for i, l in layers]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return CompressionPlan(**obj)
+
+
+def check_plan_matches(plan: CompressionPlan, graph: ModelGraph) -> None:
+    """The plan holds exactly the graph's compressible layers, each with the
+    graph's (rows, cols); otherwise ValueError naming the layers that differ."""
+    want = {l.id: (l.rows, l.cols) for l in graph.compressible_layers()}
+    have = {pl.id: (pl.rows, pl.cols) for pl in plan.layers}
+    off = sorted(lid for lid in want.keys() | have.keys() if want.get(lid) != have.get(lid))
+    if off:
+        raise ValueError(f"plan/model mismatch at layer(s): {', '.join(off)}")
 
 
 def psi(plan: CompressionPlan) -> float:

@@ -23,9 +23,10 @@ raises the objective. W D - A B is formed once per iteration and serves
 both objectives and the S-step.
 
 ``decompose_layer`` closes with an exact SVD refit against the best sparse
-part, so the returned (A, B) are the exact truncated SVD of W D - expand(S)
-and its singular values give the error at every lower rank against that S.
+part, so the returned (A, B) are the exact truncated SVD of W D - expand(S).
 Stored factors are de-scaled so A @ B + expand(S) approximates W directly.
+That ``Decomposition`` is the one fitted-layer type: the pipeline writes
+it to the compressed file, and ``pipeline.load_compressed`` reads it back.
 
 Local adaptation works in Gram form, G = X X^T, on one flat vector of
 adapters of rank q = max(1, floor(r/4)). The error
@@ -37,7 +38,7 @@ A rejected step costs one objective evaluation and no gradient.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,13 +173,13 @@ def _scale_sparse_cols(sp: StructuredSparse, col_scale: np.ndarray) -> Structure
 
 @dataclass
 class Decomposition:
-    """Result of one layer's decomposition: W ~= a @ b + expand(sparse)."""
+    """One fitted layer, W ~= a @ b + expand(sparse); ``objective_trace`` is
+    the fit's objective log, empty for a layer read from a file."""
 
     a: np.ndarray  # (m x r)
     b: np.ndarray  # (r x n)
     sparse: StructuredSparse
     objective_trace: list[float]
-    singular_values: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def rank(self) -> int:
@@ -258,30 +259,22 @@ def decompose_layer(
     # the stored factors are an exact truncated SVD of (W D - expand(S)).
     # Eckart-Young guarantees this never worsens the best objective.
     best_sparse_exp = expand(best_sparse)
-    svd = truncated_svd(wd - best_sparse_exp, r)
-    a, b = balanced_factors(svd)
+    a, b = balanced_factors(truncated_svd(wd - best_sparse_exp, r))
     trace.append(frobenius_norm(wd - a @ b - best_sparse_exp))
 
     # De-scale so the stored triple approximates W directly.
     inv = d.inv
     b_out = b * inv[None, :]
     sparse_out = _scale_sparse_cols(best_sparse, inv)
-    return Decomposition(
-        a=a,
-        b=b_out,
-        sparse=sparse_out,
-        objective_trace=trace,
-        singular_values=svd.singular_values.copy(),
-    )
+    return Decomposition(a=a, b=b_out, sparse=sparse_out, objective_trace=trace)
 
 
-def layer_error(w: np.ndarray, d: ScalingDiag, fit) -> float:
+def layer_error(w: np.ndarray, d: ScalingDiag, fit: Decomposition) -> float:
     """Normalized activation-aware error, evaluated in the scaled domain.
 
-    ``fit`` is anything holding the stored ``a``, ``b`` and ``sparse``: a
-    Decomposition, or a compressed layer read back from disk. The stored
-    factors approximate W, so B and the sparse values are re-scaled by D
-    before comparing against W D.
+    ``fit`` is a fresh fit or a layer read back from a compressed file. The
+    stored factors approximate W, so B and the sparse values are re-scaled
+    by D before comparing against W D.
     """
     wd = w * d.d[None, :]
     denom = frobenius_norm(wd)

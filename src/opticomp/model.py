@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import read_container, write_container
+from .util import COUNT, INTEGER, LIST, STRING, read_record
 
 COMPRESSIBLE_KINDS = ("attn_q", "attn_k", "attn_v", "attn_o", "mlp_fc1", "mlp_fc2")
 LAYER_KINDS = COMPRESSIBLE_KINDS + ("embed", "head")
@@ -65,19 +66,38 @@ class ModelGraph:
         return [layer for layer in self.layers if layer.compressible]
 
     def to_json(self) -> dict:
-        return {
-            "hidden_size": self.hidden_size,
-            "layers": [
-                {"id": l.id, "kind": l.kind, "rows": l.rows, "cols": l.cols} for l in self.layers
-            ],
-            "blocks": self.blocks,
-            "meta": self.meta,
-        }
+        obj = {name: getattr(self, name) for name in _GRAPH_FIELDS}
+        obj["layers"] = [{name: getattr(l, name) for name in _LAYER_FIELDS} for l in self.layers]
+        return obj
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ModelGraph":
-        layers = [LayerSpec(d["id"], d["kind"], d["rows"], d["cols"]) for d in obj["layers"]]
-        return cls(layers=layers, blocks=obj["blocks"], hidden_size=obj["hidden_size"], meta=dict(obj.get("meta", {})))
+    def from_json(cls, obj) -> "ModelGraph":
+        """The graph of a manifest, every field checked against its table."""
+        top = read_record(obj, _GRAPH_FIELDS, "graph")
+        layers = [LayerSpec(**read_record(l, _LAYER_FIELDS, f"graph layer {i}:")) for i, l in enumerate(top["layers"])]
+        for i, block in enumerate(top["blocks"]):
+            read_record(block, _BLOCK_FIELDS, f"graph block {i}:")
+        return cls(layers=layers, blocks=top["blocks"], hidden_size=top["hidden_size"], meta=dict(top["meta"] or {}))
+
+
+# The graph manifest, one table per record: field -> (description, test),
+# checked by ``util.read_record``. meta and a block's groups may be absent.
+_IDS = ("a list of layer ids", lambda v: v is None or (type(v) is list and all(type(i) is str for i in v)))
+_META = ("a JSON object", lambda v: v is None or type(v) is dict)
+_GRAPH_FIELDS = {"hidden_size": COUNT, "layers": LIST, "blocks": LIST, "meta": _META}
+_LAYER_FIELDS = {"id": STRING, "kind": STRING, "rows": INTEGER, "cols": INTEGER}
+_BLOCK_FIELDS = {"attn": _IDS, "mlp": _IDS}
+
+
+def read_graph(path, manifest: dict) -> ModelGraph:
+    """The model graph of a container's manifest; a defect raises ValueError
+    naming the file."""
+    if "graph" not in manifest:
+        raise ValueError(f"{path}: container has no model graph in its manifest")
+    try:
+        return ModelGraph.from_json(manifest["graph"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_model(path, graph: ModelGraph, tensors: dict[str, np.ndarray]) -> None:
@@ -116,8 +136,6 @@ def check_dense_tensors(path, graph: ModelGraph, tensors: dict, skip=()) -> None
 
 def load_model(path) -> tuple[ModelGraph, dict[str, np.ndarray]]:
     manifest, tensors = read_container(path)
-    if "graph" not in manifest:
-        raise ValueError(f"{path}: container has no model graph in its manifest")
-    graph = ModelGraph.from_json(manifest["graph"])
+    graph = read_graph(path, manifest)
     check_dense_tensors(path, graph, tensors)
     return graph, tensors

@@ -60,7 +60,7 @@ from math import ceil
 
 import numpy as np
 
-from .allocate import CompressionPlan
+from .allocate import CompressionPlan, check_plan_matches
 from .config import ConfigError
 from .decompose import StructuredSparse
 from .model import ModelGraph
@@ -111,6 +111,11 @@ class EngineConfig:
     sparse: EngineBlock
     broadcast_enabled: bool = True
     adc_sharing_enabled: bool = True
+
+    def __post_init__(self):
+        # Only the sparse engine gates rows, in quarters of n_v; the dense
+        # engine keeps every row lit and takes any n_v.
+        self.sparse.ptc.require_quarters()
 
     @classmethod
     def default(cls) -> "EngineConfig":
@@ -414,8 +419,8 @@ def simulate(
     ``plan=None`` is the raw dense baseline: every layer runs as a dense
     matmul. With a plan, compressible layers run low-rank factors on the
     dense engine and condensed chunks on the sparse engine concurrently;
-    embedding/head run as raw dense matmuls. The plan must cover exactly
-    the compressible layers, so a plan with no layers is rejected.
+    embedding/head run as raw dense matmuls. The plan must hold exactly the
+    compressible layers at their shapes, so a plan with no layers is rejected.
     """
     dense, sparse = engines.dense, engines.sparse
     if batch_tokens < 1:
@@ -424,12 +429,8 @@ def simulate(
         raise ValueError("dense engine needs at least one core")
     plan_by_id = {}
     if plan is not None:
+        check_plan_matches(plan, graph)
         plan_by_id = {pl.id: pl for pl in plan.layers}
-        want = {l.id for l in graph.compressible_layers()}
-        have = set(plan_by_id)
-        if want != have:
-            missing = sorted(want - have) + sorted(have - want)
-            raise ValueError(f"plan/model mismatch at layer(s): {', '.join(missing)}")
         if sparse.cores == 0:
             raise ValueError("compressed plan given but the sparse engine has no tiles")
 

@@ -6,21 +6,22 @@ decomposition at the assigned rank (``decomposition.iters`` alternations,
 starting from the guide's SVD of W D) -> local adaptation -> serialized
 compressed model + plan. Verification
 re-derives every stored quantity from the artifacts themselves.
+Each fitted layer is a ``decompose.Decomposition``, also when read back
+(with an empty ``objective_trace``); ``plan.json`` is owned by ``allocate``.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
-from .allocate import CompressionPlan, allocate_ranks, basis_rank, prepare_full_rank
+from .allocate import allocate_ranks, basis_rank, check_plan_matches, prepare_full_rank, read_plan
+from .allocate import write_plan  # noqa: F401 (plans are written and read through this module too)
 from .config import ConfigError
 from .container import read_container, write_container
 from .decompose import (
+    Decomposition,
     StructuredSparse,
     compute_scaling,
     decompose_layer,
@@ -28,21 +29,11 @@ from .decompose import (
     layer_error,
     local_adapt,
 )
-from .model import ModelGraph, check_dense_tensors, load_model
+from .model import ModelGraph, check_dense_tensors, load_model, read_graph
 from .photonic import EngineConfig, EnergyParams, condensed_matmul, load_energy_params, load_engine_config
 from .quantize import dequantize, inject_noise, quantize
-from .util import philox_rng, stable_key
+from .util import COUNT, philox_rng, stable_key
 from .vit import ToyViT, block_loss, collect_calibration, forward, logit_loss
-
-
-@dataclass
-class CompressedLayer:
-    a: np.ndarray
-    b: np.ndarray
-    sparse: StructuredSparse
-
-    def effective_weight(self) -> np.ndarray:
-        return self.a @ self.b + expand(self.sparse)
 
 
 def load_calibration_inputs(path) -> np.ndarray:
@@ -85,7 +76,7 @@ def compress_model(cfg: dict, engines: EngineConfig):
         temperature=cfg["allocator"]["temperature"],
     )
 
-    compressed: dict[str, CompressedLayer] = {}
+    compressed: dict[str, Decomposition] = {}
     plan_by_id = {pl.id: pl for pl in plan.layers}
     for lid in weights:
         w, d, pl = weights[lid], scaling[lid], plan_by_id[lid]
@@ -97,7 +88,7 @@ def compress_model(cfg: dict, engines: EngineConfig):
             steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"],
             seed=cfg["seed"], key=stable_key(lid),
         )
-        compressed[lid] = CompressedLayer(a=dec.a, b=dec.b, sparse=dec.sparse)
+        compressed[lid] = dec
         pl.error = layer_error(w, d, dec)
 
     summary = {
@@ -109,7 +100,7 @@ def compress_model(cfg: dict, engines: EngineConfig):
     return graph, tensors, compressed, plan, summary
 
 
-def save_compressed(path, graph: ModelGraph, tensors: dict, compressed: dict[str, CompressedLayer]) -> None:
+def save_compressed(path, graph: ModelGraph, tensors: dict, compressed: dict[str, Decomposition]) -> None:
     """Write a compressed model: factors + condensed sparse per layer,
     untouched tensors (embedding, head, layernorms) as-is."""
     out: dict[str, np.ndarray] = {}
@@ -133,7 +124,7 @@ def load_compressed(path):
     compressed layer (see ``_check_layer``) are checked here, once.
     """
     manifest, tensors = read_container(path)
-    graph = ModelGraph.from_json(manifest["graph"])
+    graph = read_graph(path, manifest)
     comp_meta = manifest.get("compressed_layers", {})
     if not isinstance(comp_meta, dict):
         raise ValueError(f"{path}: compressed_layers must be a JSON object, got {type(comp_meta).__name__}")
@@ -154,7 +145,7 @@ def load_compressed(path):
         absent = [name for name in names if name not in tensors]
         if absent:
             raise ValueError(f"{path}: compressed layer {lid!r} lacks tensor(s): {', '.join(absent)}")
-        cl = CompressedLayer(
+        cl = Decomposition(
             a=np.asarray(tensors[f"{lid}.a"], dtype=np.float64),
             b=np.asarray(tensors[f"{lid}.b"], dtype=np.float64),
             sparse=StructuredSparse(
@@ -164,6 +155,7 @@ def load_compressed(path):
                 kept_cols=np.asarray(tensors[f"{lid}.sparse.cols"], dtype=np.int64),
                 condensed=np.asarray(tensors[f"{lid}.sparse.values"], dtype=np.float64),
             ),
+            objective_trace=[],
         )
         try:
             _check_layer(cl, info)
@@ -174,12 +166,13 @@ def load_compressed(path):
     return graph, compressed, others
 
 
-def _check_layer(cl: CompressedLayer, info: dict) -> None:
+def _check_layer(cl: Decomposition, info: dict) -> None:
     """Manifest g and r, factor shapes, sparse structure, manifest d."""
     sp, r = cl.sparse, info.get("r")
     rows, cols = sp.full_rows, sp.full_cols
     for key in ("g", "r"):
-        _require_count(info.get(key), key)
+        if not COUNT[1](info.get(key)):
+            raise ValueError(f"{key} must be {COUNT[0]}, got {info.get(key)!r}")
     if cl.a.shape != (rows, r) or cl.b.shape != (r, cols):
         raise ValueError(f"a is {cl.a.shape}, b is {cl.b.shape}; manifest r = {r} needs {(rows, r)} and {(r, cols)}")
     sp.validate()
@@ -187,53 +180,12 @@ def _check_layer(cl: CompressedLayer, info: dict) -> None:
         raise ValueError(f"manifest d = {info.get('d')!r}, but sparse.cols keeps {sp.kept_per_chunk} per chunk")
 
 
-def _require_count(value, what: str) -> None:
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
-
-
-def effective_tensors(graph: ModelGraph, compressed: dict[str, CompressedLayer], others: dict) -> dict:
+def effective_tensors(graph: ModelGraph, compressed: dict[str, Decomposition], others: dict) -> dict:
     """Dense tensor bundle with compressed layers reconstructed, for inference."""
     tensors = dict(others)
     for lid, cl in compressed.items():
-        tensors[lid] = cl.effective_weight()
+        tensors[lid] = cl.reconstruct()
     return tensors
-
-
-def write_plan(path, plan: CompressionPlan) -> None:
-    Path(path).write_text(json.dumps(plan.to_json(), sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def read_plan(path) -> CompressionPlan:
-    try:
-        plan = CompressionPlan.from_json(json.loads(Path(path).read_text()))
-    except KeyError as exc:
-        raise ValueError(f"{path}: plan has no field {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise ValueError(f"{path}: malformed plan: {exc}") from exc
-    for key in ("alpha", "sparse_ratio", "psi_achieved"):
-        _require_number(getattr(plan, key), f"{path}: plan {key}")
-    _require_int(plan.iterations, f"{path}: plan iterations")
-    for i, pl in enumerate(plan.layers):
-        if type(pl.id) is not str:
-            raise ValueError(f"{path}: plan layer {i}: id must be a string, got {pl.id!r}")
-        for key in ("rows", "cols", "params"):
-            _require_int(getattr(pl, key), f"{path}: plan layer {pl.id!r}: {key}")
-        for key in ("r", "d", "g"):
-            _require_count(getattr(pl, key), f"{path}: plan layer {pl.id!r}: {key}")
-        if pl.error is not None:
-            _require_number(pl.error, f"{path}: plan layer {pl.id!r}: error")
-    return plan
-
-
-def _require_number(value, what: str) -> None:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-
-
-def _require_int(value, what: str) -> None:
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def hardware_from_config(cfg: dict) -> tuple[EngineConfig, EnergyParams]:
@@ -267,13 +219,11 @@ def verify_artifacts(
     plan = read_plan(plan_path)
     plan_by_id = {pl.id: pl for pl in plan.layers}
     want = {l.id: (l.rows, l.cols) for l in graph_o.compressible_layers()}
-    for what, have in (
-        ("compressed/original model", {lid: (cl.a.shape[0], cl.b.shape[1]) for lid, cl in compressed.items()}),
-        ("plan/model", {pl.id: (pl.rows, pl.cols) for pl in plan.layers}),
-    ):
-        off = sorted(lid for lid in want.keys() | have.keys() if want.get(lid) != have.get(lid))
-        if off:
-            raise ValueError(f"{what} mismatch at layer(s): {', '.join(off)}")
+    have = {lid: (cl.a.shape[0], cl.b.shape[1]) for lid, cl in compressed.items()}
+    off = sorted(lid for lid in want.keys() | have.keys() if want.get(lid) != have.get(lid))
+    if off:
+        raise ValueError(f"compressed/original model mismatch at layer(s): {', '.join(off)}")
+    check_plan_matches(plan, graph_o)
     stored = {lid: (cl.a.shape[1], cl.sparse.kept_per_chunk, cl.sparse.granularity) for lid, cl in compressed.items()}
     off = sorted(lid for lid, pl in plan_by_id.items() if (pl.r, pl.d, pl.g) != stored[lid])
     if off:

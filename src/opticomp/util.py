@@ -1,7 +1,16 @@
-"""Shared helpers: array coercion and reproducible random streams."""
+"""Shared helpers: array coercion, JSON field checks, reproducible random streams."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# What a JSON field must be, as (its description, its test).
+FINITE = ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v))
+INTEGER = ("an integer", lambda v: type(v) is int)
+COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+STRING = ("a string", lambda v: type(v) is str)
+LIST = ("a list", lambda v: type(v) is list)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -18,6 +27,25 @@ def check_finite(m: np.ndarray, context: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise FloatingPointError(f"non-finite values produced by {context}")
     return m
+
+
+def read_record(obj, table: dict, where: str) -> dict:
+    """The fields ``table`` lists (field -> (description, test)) of the JSON
+    object ``obj``, each checked; ValueError naming ``where`` and the field
+    otherwise. A field whose test accepts None may be absent (read as None).
+    ``where`` starts with the kind of file; a record's "id" names it."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where.rstrip(':')} must be a JSON object, got {type(obj).__name__}")
+    values = {}
+    for name, (meaning, ok) in table.items():
+        if name not in obj and not ok(None):
+            raise ValueError(f"{where.split()[0]} has no field {name!r}")
+        value = values[name] = obj.get(name)
+        if not ok(value):
+            raise ValueError(f"{where} {name} must be {meaning}, got {value!r}")
+        if name == "id":
+            where = f"{where.split()[0]} layer {value!r}:"
+    return values
 
 
 def philox_rng(seed: int, *key: int) -> np.random.Generator:

@@ -11,7 +11,9 @@ oracle forms each head's whole (tokens x tokens) softmax at once, as the
 query-blocked attention kernel does not. The adapter oracle is the
 gradient-descent loop on separate arrays that forms the error E explicitly
 and E G as E @ G, with a gradient for every candidate; the alternation
-oracle forms W D - A B afresh for each objective and the S-step.
+oracle forms W D - A B afresh for each objective and the S-step. The
+plan oracle is the hand-written ``plan.json`` record that the field tables
+of ``allocate`` replace.
 """
 from __future__ import annotations
 
@@ -221,3 +223,26 @@ def recomputing_alternate(wd, first, s, g, iters):
         if obj < best[0]:
             best = (obj, sparse)
     return trace, best[1]
+
+
+def hand_written_plan_json(plan) -> dict:
+    """The stored record of a CompressionPlan, every field written out."""
+    return {
+        "alpha": plan.alpha,
+        "sparse_ratio": plan.sparse_ratio,
+        "psi_achieved": plan.psi_achieved,
+        "iterations": plan.iterations,
+        "layers": [
+            {
+                "id": l.id,
+                "rows": l.rows,
+                "cols": l.cols,
+                "r": l.r,
+                "d": l.d,
+                "g": l.g,
+                "params": l.params,
+                "error": l.error,
+            }
+            for l in plan.layers
+        ],
+    }

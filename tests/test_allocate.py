@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from opticomp import allocate
 from opticomp.allocate import (
+    LAYER_FIELDS,
+    PLAN_FIELDS,
     CompressionPlan,
     PlanLayer,
     allocate_ranks,
@@ -12,13 +15,17 @@ from opticomp.allocate import (
     max_rank,
     prepare_full_rank,
     psi,
+    read_plan,
     redistribute,
     select_batch,
     step_size,
+    write_plan,
 )
 from opticomp.decompose import ScalingDiag, alternate, compute_scaling, decompose_layer, expand
 from opticomp.linalg import frobenius_norm, truncated_svd
 from opticomp.util import philox_rng
+
+from oracles import hand_written_plan_json
 
 
 def random_layers(seed, count, m=32, n=48, t=64):
@@ -38,9 +45,11 @@ class TestPrepareFullRank:
         state = prepare_full_rank([("l", w)], scaling, s=0.25, g=2, iters=2)
         layer = state.layers[0]
         guide = decompose_layer(w, scaling["l"], layer.r_max, 0.25, 2, iters=2)
-        # top-2 triplets of the residual: singular values sorted descending
-        assert guide.singular_values[0] >= guide.singular_values[1]
-        assert layer.tail_sq[0] == guide.best_objective**2 + np.sum(guide.singular_values**2)
+        # top-2 triplets of the residual (D = I, so S is stored unscaled):
+        # singular values sorted descending
+        sigma = truncated_svd(w - expand(guide.sparse), layer.r_max).singular_values
+        assert sigma[0] >= sigma[1]
+        assert layer.tail_sq[0] == guide.best_objective**2 + np.sum(sigma**2)
         assert layer.d == guide.sparse.kept_per_chunk
 
     def test_default_guide_is_one_alternation(self, monkeypatch):
@@ -277,3 +286,82 @@ class TestPsi:
         assert max_rank(64, 96) == (64 * 96) // 160
         assert max_rank(1, 1) == 1
 
+
+
+def two_layer_plan() -> CompressionPlan:
+    return CompressionPlan(
+        alpha=0.3,
+        sparse_ratio=0.125,
+        layers=[
+            PlanLayer("block0.attn.q", 24, 24, r=5, d=3, g=4, params=312, error=0.22130519873413467),
+            PlanLayer("block0.mlp.fc1", 48, 24, r=7, d=3, g=4, params=648, error=None),
+        ],
+        psi_achieved=0.3125000000000001,
+        iterations=4,
+    )
+
+
+class TestPlanFile:
+    def test_round_trip_keeps_every_field(self, tmp_path):
+        plan = two_layer_plan()
+        write_plan(tmp_path / "plan.json", plan)
+        assert read_plan(tmp_path / "plan.json") == plan  # a null error included
+
+    def test_rewriting_a_read_plan_gives_the_same_bytes(self, tmp_path):
+        write_plan(tmp_path / "a.json", two_layer_plan())
+        write_plan(tmp_path / "b.json", read_plan(tmp_path / "a.json"))
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_bytes_match_the_hand_written_record(self, tmp_path):
+        plan = two_layer_plan()
+        write_plan(tmp_path / "plan.json", plan)
+        text = json.dumps(hand_written_plan_json(plan), sort_keys=True, separators=(",", ":")) + "\n"
+        assert (tmp_path / "plan.json").read_bytes() == text.encode()
+
+    @pytest.mark.parametrize(
+        "record,field",
+        [("plan", name) for name, (_, ok) in PLAN_FIELDS.items() if not ok(None)]
+        + [("layer", name) for name, (_, ok) in LAYER_FIELDS.items() if not ok(None)],
+    )
+    def test_a_missing_required_field_is_named(self, tmp_path, record, field):
+        obj = hand_written_plan_json(two_layer_plan())
+        del (obj if record == "plan" else obj["layers"][1])[field]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError) as info:
+            read_plan(path)
+        assert str(info.value) == f"{path}: plan has no field {field!r}"
+
+    def test_an_absent_error_reads_as_null(self, tmp_path):
+        obj = hand_written_plan_json(two_layer_plan())
+        del obj["layers"][0]["error"]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(obj))
+        assert read_plan(path).layers[0].error is None
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda obj: [obj], "plan must be a JSON object, got list"),
+            (lambda obj: obj["layers"].__setitem__(0, 5), "plan layer 0 must be a JSON object, got int"),
+            (lambda obj: obj.update(layers={}), "plan layers must be a list, got {}"),
+            (lambda obj: obj.update(iterations=4.0), "plan iterations must be an integer, got 4.0"),
+            (lambda obj: obj["layers"][1].update(rows=True), "plan layer 'block0.mlp.fc1': rows must be an integer, got True"),
+        ],
+        ids=["plan_list", "layer_int", "layers_object", "iterations_float", "rows_bool"],
+    )
+    def test_a_record_of_the_wrong_json_type_is_named(self, tmp_path, edit, message):
+        obj = hand_written_plan_json(two_layer_plan())
+        obj = edit(obj) or obj
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError) as info:
+            read_plan(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_a_file_that_is_not_json_is_named(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError) as info:
+            read_plan(path)
+        assert str(info.value).startswith(f"{path}: Expecting property name")

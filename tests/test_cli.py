@@ -65,6 +65,19 @@ def one_block_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def narrow_dir(tmp_path_factory):
+    """A hidden-16 toy with the layer ids of ``toy_dir``'s, compressed into run/."""
+    out = tmp_path_factory.mktemp("toy16")
+    assert main([
+        "gen-toy", "--out", str(out), "--seed", "11",
+        "--hidden", "16", "--heads", "2", "--blocks", "2", "--in-dim", "12",
+        "--calib-tokens", "32", "--samples", "12", "--tokens", "6",
+    ]) == 0
+    assert main(compress_args(out, out / "run")) == 0
+    return out
+
+
 def rewrite_tensor(src, dst, tensor, edit):
     """Copy the container at src to dst with ``edit`` applied to one tensor."""
     manifest, tensors = read_container(src)
@@ -355,6 +368,19 @@ class TestSimulate:
         assert "EDP ratio" not in captured.out
         assert not (tmp_path / "out" / "comparison.json").exists()
 
+    def test_plan_of_other_layer_shapes_exits_one(self, toy_dir, narrow_dir, tmp_path, capsys):
+        # Same layer ids, other (rows, cols): the plan of a hidden-16 toy.
+        capsys.readouterr()
+        assert main([
+            "simulate", "--plan", str(narrow_dir / "run" / "plan.json"),
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--out", str(tmp_path),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: plan/model mismatch at layer(s): block0.attn.k, block0.attn.o, ")
+        assert captured.out == ""
+        assert not (tmp_path / "report.json").exists()
+
     def test_compare_writes_the_same_report(self, toy_dir, compressed_dir, tmp_path):
         # --compare adds report_baseline.json and comparison.json only.
         for name, extra in (("plain", ()), ("compare", ("--compare",))):
@@ -415,6 +441,50 @@ class TestMalformedInputs:
         assert self.simulate_baseline(toy_dir, tmp_path, "--set", f"hardware.engine_config={path}") == 2
         err = capsys.readouterr().err
         assert f"config error: {path}: missing field dense.ptc.n_lambda" in err
+
+    @pytest.mark.parametrize("verb", ["compress", "simulate"])
+    def test_sparse_ptc_rows_not_in_quarters_exit_two(self, toy_dir, compressed_dir, tmp_path, capsys, verb):
+        # Only the sparse engine gates its rows in quarters of n_v.
+        engines = EngineConfig.default().to_json()
+        engines["sparse"]["ptc"]["n_v"] = 6
+        path = tmp_path / "engines.json"
+        path.write_text(json.dumps(engines))
+        hardware = ("--set", f"hardware.engine_config={path}")
+        args = {
+            "compress": compress_args(toy_dir, tmp_path / "run", *hardware),
+            "simulate": ["simulate", "--plan", str(compressed_dir / "plan.json"),
+                         "--set", f"paths.model={toy_dir}/model.lten", "--out", str(tmp_path / "run"), *hardware],
+        }[verb]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {path}: row gating needs n_v divisible by 4, got 6\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda graph: {k: v for k, v in graph.items() if k != "blocks"}, "graph has no field 'blocks'"),
+            (lambda graph: graph["layers"][1].update(rows="24"), "graph layer 'block0.attn.q': rows must be an integer, got '24'"),
+            (lambda graph: [graph], "graph must be a JSON object, got list"),
+            (lambda graph: graph.update(hidden_size="x"), "graph hidden_size must be an integer >= 1, got 'x'"),
+            (lambda graph: graph["blocks"][0].update(mlp="block0.mlp.fc1"),
+             "graph block 0: mlp must be a list of layer ids, got 'block0.mlp.fc1'"),
+        ],
+        ids=["no_blocks", "rows_string", "graph_list", "hidden_size_string", "block_group_string"],
+    )
+    def test_malformed_model_graph_exits_one(self, toy_dir, tmp_path, capsys, edit, message):
+        bad_toy = tmp_path / "toy"
+        shutil.copytree(toy_dir, bad_toy)
+
+        def edit_graph(manifest):
+            manifest["graph"] = edit(manifest["graph"]) or manifest["graph"]
+
+        rewrite_manifest(bad_toy / "model.lten", edit_graph)
+        assert main(compress_args(bad_toy, tmp_path / "run")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad_toy / 'model.lten'}: {message}\n"
+        assert not (tmp_path / "run" / "plan.json").exists()
 
     def test_plan_without_layers_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
         plan = json.loads((compressed_dir / "plan.json").read_text())
@@ -589,17 +659,10 @@ class TestVerify:
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
-    def test_layer_shape_mismatch_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
+    def test_layer_shape_mismatch_exits_one(self, toy_dir, compressed_dir, narrow_dir, capsys):
         # Same layer ids, other widths: the compressed model of a hidden-16 toy.
-        narrow = tmp_path / "toy16"
-        assert main([
-            "gen-toy", "--out", str(narrow), "--seed", "11",
-            "--hidden", "16", "--heads", "2", "--blocks", "2", "--in-dim", "12",
-            "--calib-tokens", "32", "--samples", "12", "--tokens", "6",
-        ]) == 0
-        assert main(compress_args(narrow, narrow / "run")) == 0
         capsys.readouterr()
-        extra = ("--compressed", str(narrow / "run" / "compressed.lten"))
+        extra = ("--compressed", str(narrow_dir / "run" / "compressed.lten"))
         assert main(self.verify_args(toy_dir, compressed_dir, *extra)) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: compressed/original model mismatch at layer(s): block0.attn.k, ")

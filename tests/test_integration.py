@@ -7,7 +7,7 @@ from opticomp.config import load_config
 from opticomp.decompose import compute_scaling, decompose_layer, local_adapt
 from opticomp.model import ModelGraph
 from opticomp.photonic import EngineConfig
-from opticomp.pipeline import CompressedLayer, compress_model, effective_tensors
+from opticomp.pipeline import compress_model, effective_tensors
 from opticomp.util import philox_rng, stable_key
 from opticomp.vit import ToyViT, block_loss, build_toy_graph, collect_calibration, forward, gen_toy_model
 
@@ -20,7 +20,7 @@ def compress_all_layers(graph, tensors, calib, rank, adapt_steps, seed):
         dec = decompose_layer(w, compute_scaling(x), r=rank, s=0.125, g=4, iters=20)
         if adapt_steps:
             dec = local_adapt(dec, w, x, steps=adapt_steps, seed=seed * 1000 + idx)
-        compressed[layer.id] = CompressedLayer(a=dec.a, b=dec.b, sparse=dec.sparse)
+        compressed[layer.id] = dec
     others = {k: v for k, v in tensors.items() if k not in compressed}
     return effective_tensors(graph, compressed, others)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,11 @@ class TestEngineBlock:
         with pytest.raises(ValueError, match=r"cores_per_tile >= 1, got .*cores_per_tile=0"):
             EngineBlock(tiles=2, cores_per_tile=0, ptc=PTC12)
 
+    def test_sparse_rows_must_come_in_quarters(self):
+        # Rejected when the engine is built, not when a plan is simulated.
+        with pytest.raises(ValueError, match="row gating needs n_v divisible by 4, got 6"):
+            EngineConfig(dense=EngineBlock(2, 1, PTC12), sparse=EngineBlock(1, 1, PtcConfig(6, 12, 12)))
+
 
 class TestSimulate:
     def test_hand_counted_single_invocation_ledger(self):
@@ -303,6 +310,13 @@ class TestSimulate:
         plan = toy_plan(graph)
         plan.layers = plan.layers[:-1]
         with pytest.raises(ValueError, match="block0.mlp.fc2"):
+            simulate(plan, graph, EngineConfig.default(), EnergyParams(), 24)
+
+    def test_plan_of_other_layer_shapes_is_a_mismatch(self):
+        graph = build_toy_graph(hidden=24, heads=2, mlp_ratio=2, blocks=1, classes=4, in_dim=12)
+        plan = toy_plan(graph)
+        plan.layers[0] = replace(plan.layers[0], cols=plan.layers[0].cols + 1)
+        with pytest.raises(ValueError, match=rf"^plan/model mismatch at layer\(s\): {plan.layers[0].id}$"):
             simulate(plan, graph, EngineConfig.default(), EnergyParams(), 24)
 
     def test_report_json_and_csv(self, tmp_path):
