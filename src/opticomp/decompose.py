@@ -46,6 +46,7 @@ from .linalg import SvdResult, balanced_factors, frobenius_norm, truncated_svd
 from .util import as_matrix, philox_rng
 
 EPS_SCALE = 1e-8  # floor for D entries, relative to the largest entry
+FIT_FLOOR = 1e-24  # local_adapt's stop: f at rounding level against <T, T G>
 
 
 @dataclass(frozen=True)
@@ -310,7 +311,8 @@ class _GramAdapter:
     into Gram terms, <A_eff^T A_eff, B_eff G B_eff^T> - 2 <A_eff, T G B_eff^T>
     + <T, T G>, f cancels near a good fit. ``objective`` keeps U, [V, V G]
     and E G of the point it evaluates and ``gradient`` reads them, so a
-    point that is not kept costs no gradient.
+    point that is not kept costs no gradient. ``energy`` = <T, T G> with
+    T G = A (B G) - E0 G.
     """
 
     def __init__(self, a, b, target, gram, q):
@@ -319,6 +321,7 @@ class _GramAdapter:
         err0 = a @ b - target
         self.base = np.concatenate([err0, err0 @ gram], axis=1)  # [E0, E0 G], (m x 2n)
         self.b_bg = np.concatenate([b, b @ gram], axis=1)  # [B, B G], (r x 2n)
+        self.energy = float(np.einsum("ij,ij->", target, a @ self.b_bg[:, n:] - self.base[:, n:]))
         self.shapes = ((m, q), (q, r), (r, q), (q, n))
         self.size = sum(rows * cols for rows, cols in self.shapes)
         self.u = np.empty((m, 2 * q))
@@ -416,7 +419,9 @@ def local_adapt(
     retried at half the learning rate (floor 1e-8). A step is taken only if
     it does not raise the objective, so the returned objective never
     exceeds the input's. A rejected step costs one objective evaluation; the
-    gradient is formed only at the points taken.
+    gradient is formed only at the points taken. An objective at most
+    ``FIT_FLOOR`` times <W - S, (W - S) X X^T>, an exact fit, takes no step:
+    there rounding alone would decide it.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -435,6 +440,8 @@ def local_adapt(
     trace = [f]
     step_lr = lr
     for step in range(steps):
+        if f <= FIT_FLOOR * kernel.energy:
+            break
         kernel.gradient(grad_v)  # the last point evaluated is theta
         if not np.isfinite(grad).all():
             raise FloatingPointError(f"non-finite adapter gradient at step {step}")

@@ -2,11 +2,11 @@
 
 Functional side: a photonic tensor core (PTC) of size (n_v, n_h, n_lambda)
 multiplies an (n_h x n_lambda) weight block by an (n_lambda x n_v)
-activation block per invocation. ``ptc_matmul`` runs a batch of
-invocations, one per leading index of stacked blocks. Full layers are
-tiled over those blocks: for each of the pk inner block slices, one batch
-covers every (row block, column block) pair and its products are summed
-into the output, the analog accumulation over the inner dimension.
+activation block per invocation; ``ptc_matmul`` runs one, or a stack of
+them. ``ptc_layer_matmul`` runs a layer slice by slice: the invocations of
+one inner slice of n_lambda are blocks of one 2-D product, and the slices'
+products are summed in order, the analog accumulation over the inner
+dimension.
 Condensed sparse chunks run on a reconfigurable engine whose input light
 can be gated in quarters of its n_v rows through a two-stage splitter tree
 (modes 2:0 / 1:1 / 0:2); functionally, each chunk's kept input rows are
@@ -220,31 +220,20 @@ def ptc_matmul(w_blk: np.ndarray, x_blk: np.ndarray, ptc: PtcConfig) -> np.ndarr
 
 
 def ptc_layer_matmul(w: np.ndarray, x: np.ndarray, ptc: PtcConfig) -> np.ndarray:
-    """Full W @ X assembled from tiled PTC invocations (functional check path).
-
-    W and X are zero-padded once and viewed as block grids (pr, pk, n_h,
-    n_lambda) and (pk, pb, n_lambda, n_v). Each inner slice k is one batch
-    of pr * pb invocations, summed into the (pr, pb, n_h, n_v) output
-    blocks: the analog accumulation over the inner dimension.
-    """
+    """Full W @ X as the PTC runs it (functional check path): each inner
+    slice of n_lambda is one 2-D product, added into the output in slice
+    order, the analog accumulation over the inner dimension. A slice's
+    pr * pb invocations are independent blocks of that product, and padding
+    would only add cut-away outputs and exact zeros, so nothing is padded."""
     w = as_matrix(w, "weight")
     x = as_matrix(x, "input")
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"cannot multiply {w.shape} by {x.shape}")
-    m, inner = w.shape
-    batch = x.shape[1]
-    n_h, n_l, n_v = ptc.n_h, ptc.n_lambda, ptc.n_v
-    pr, pk, pb = ceil(m / n_h), ceil(inner / n_l), ceil(batch / n_v)
-    wp = np.zeros((pr * n_h, pk * n_l))
-    wp[:m, :inner] = w
-    xp = np.zeros((pk * n_l, pb * n_v))
-    xp[:inner, :batch] = x
-    w_grid = wp.reshape(pr, n_h, pk, n_l).transpose(0, 2, 1, 3)
-    x_grid = xp.reshape(pk, n_l, pb, n_v).transpose(0, 2, 1, 3)
-    acc = np.zeros((pr, pb, n_h, n_v))
-    for k in range(pk):
-        acc += ptc_matmul(w_grid[:, k, None], x_grid[k], ptc)
-    return acc.transpose(0, 2, 1, 3).reshape(pr * n_h, pb * n_v)[:m, :batch].copy()
+    n_l = ptc.n_lambda
+    acc = np.zeros((w.shape[0], x.shape[1]))
+    for k in range(0, w.shape[1], n_l):
+        acc += w[:, k:k + n_l] @ x[k:k + n_l]
+    return acc
 
 
 def condensed_matmul(sp: StructuredSparse, x: np.ndarray) -> np.ndarray:

@@ -238,18 +238,21 @@ def verify_artifacts(
     # a recomputation (needs calibration), and the kept parameter count.
     worst_matmul = worst_error = 0.0
     kept = 0
+    unrecorded = sorted(lid for lid, pl in plan_by_id.items() if pl.error is None)
     for lid, cl in compressed.items():
         x = philox_rng(seed, 5, stable_key(lid)).standard_normal((cl.sparse.full_cols, 8))
         worst_matmul = max(worst_matmul, float(np.abs(condensed_matmul(cl.sparse, x) - expand(cl.sparse) @ x).max()))
-        if calib is not None:
+        if calib is not None and not unrecorded:
             recomputed = layer_error(np.asarray(tensors_o[lid], dtype=np.float64), compute_scaling(calib[lid]), cl)
-            worst_error = max(worst_error, abs(recomputed - (plan_by_id[lid].error or 0.0)))
+            worst_error = max(worst_error, abs(recomputed - plan_by_id[lid].error))
         kept += cl.a.shape[1] * (cl.a.shape[0] + cl.b.shape[1]) + cl.sparse.full_rows * cl.sparse.kept_per_chunk
 
     checks = [CheckResult("condensed_matmul", worst_matmul <= 1e-9, f"max |condensed - dense| = {worst_matmul:.3e}")]
     if calib is not None:
         detail = f"max |recorded - recomputed| layer error = {worst_error:.3e}"
-        checks.append(CheckResult("reconstruction_fidelity", worst_error <= 1e-6, detail))
+        if unrecorded:
+            detail = f"layer error not recorded for: {', '.join(unrecorded)}"
+        checks.append(CheckResult("reconstruction_fidelity", not unrecorded and worst_error <= 1e-6, detail))
 
     # psi recomputed from actual stored tensor shapes, exact rational check.
     orig = sum(l.rows * l.cols for l in graph_c.compressible_layers())
@@ -262,8 +265,7 @@ def verify_artifacts(
     # Feature / logit drift between original and compressed model.
     model_o = ToyViT.from_tensors(graph_o, tensors_o)
     model_c = ToyViT.from_tensors(graph_c, effective_tensors(graph_c, compressed, others))
-    in_dim = int(graph_o.meta["in_dim"])
-    probe = philox_rng(seed, 6).standard_normal((in_dim, 16))
+    probe = philox_rng(seed, 6).standard_normal((graph_o.layer("embed").cols, 16))
     logits_o, feats_o = forward(model_o, probe)
     logits_c, feats_c = forward(model_c, probe)
     bdrift = block_loss(feats_c, feats_o)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from opticomp.decompose import expand, structured_sparsify
+from opticomp.decompose import FIT_FLOOR, expand, structured_sparsify
 from opticomp.linalg import balanced_factors, frobenius_norm
 from opticomp.util import philox_rng
 
@@ -156,7 +156,8 @@ def full_matrix_forward(model, inputs: np.ndarray):
 
 def explicit_error_local_adapt(dec, w, x, steps=100, lr=1e-2, seed=0, key=0):
     """``local_adapt`` with E = A_eff B_eff - (W - S) and E @ G formed at
-    every candidate; returns the merged (a, b) and the objective trace."""
+    every candidate, and the stopping floor from (W - S) @ G; returns the
+    merged (a, b) and the objective trace."""
 
     def objective_and_grads(ua, va, ub, vb):
         a_eff = dec.a + ua @ va
@@ -181,7 +182,10 @@ def explicit_error_local_adapt(dec, w, x, steps=100, lr=1e-2, seed=0, key=0):
     f, grads = objective_and_grads(*params)
     trace = [f]
     step_lr = lr
+    floor = FIT_FLOOR * float(np.sum(target * (target @ gram)))
     for _ in range(steps):
+        if f <= floor:
+            break
         assert all(np.all(np.isfinite(gr)) for gr in grads)
         while True:
             cand = tuple(p - step_lr * gr for p, gr in zip(params, grads))

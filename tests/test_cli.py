@@ -690,6 +690,36 @@ class TestVerify:
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_a_plan_without_layer_errors_fails_fidelity(self, toy_dir, compressed_dir, tmp_path, capsys):
+        # A layer's error may be null or absent in plan.json; verify must not read it as 0.
+        plan = json.loads((compressed_dir / "plan.json").read_text())
+        plan["layers"][0]["error"] = None
+        del plan["layers"][3]["error"]
+        missing = sorted([plan["layers"][0]["id"], plan["layers"][3]["id"]])
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main(self.verify_args(toy_dir, compressed_dir, "--plan", str(path))) == 1
+        captured = capsys.readouterr()
+        assert f"[FAIL] reconstruction_fidelity: layer error not recorded for: {', '.join(missing)}\n" in captured.out
+        assert captured.out.count("FAIL") == 1
+        assert captured.err == ""
+
+    def test_a_model_without_meta_in_dim_verifies_with_the_same_probe(self, toy_dir, compressed_dir, tmp_path, capsys):
+        # The probe's row count comes from the embedding layer, which the forward checks.
+        assert main(self.verify_args(toy_dir, compressed_dir)) == 0
+        want = capsys.readouterr().out
+        bad_toy = tmp_path / "toy"
+        shutil.copytree(toy_dir, bad_toy)
+
+        def drop_in_dim(manifest):
+            del manifest["graph"]["meta"]["in_dim"]
+
+        rewrite_manifest(bad_toy / "model.lten", drop_in_dim)
+        assert main(self.verify_args(bad_toy, compressed_dir)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == want
+        assert captured.err == ""
+
     def test_plan_ranks_must_match_the_compressed_model(self, toy_dir, compressed_dir, tmp_path, capsys):
         # q and o are both hidden x hidden, so swapping their ranks keeps psi and the layer set.
         plan = json.loads((compressed_dir / "plan.json").read_text())

@@ -221,11 +221,25 @@ class TestLocalAdaptLoop:
         assume(len(want_trace) == steps + 1)
         got = local_adapt(dec, w, x, steps=steps, seed=seed, key=7)
         assert len(got.objective_trace) == len(want_trace)
-        # An exact fit leaves objectives of rounding size, so the scale is ||W X||^2.
+        # Near an exact fit objectives are of rounding size, so the scale is ||W X||^2.
         scale = frobenius_norm(w @ x) ** 2
         np.testing.assert_allclose(got.objective_trace, want_trace, rtol=1e-9, atol=1e-12 * scale)
         assert frobenius_norm(got.a - want_a) <= 1e-9 * frobenius_norm(want_a)
         assert frobenius_norm(got.b - want_b) <= 1e-9 * frobenius_norm(want_b)
+
+    @SETTINGS
+    @given(st.integers(4, 32), st.integers(4, 32), st.integers(2, 48), st.integers(0, 2**32 - 1))
+    def test_an_exact_fit_takes_no_step(self, m, n, tokens, seed):
+        # At r = min(m, n) the objective starts at rounding level; stepping
+        # on would let rounding decide, so both loops stop at the floor.
+        rng = np.random.default_rng(seed)
+        w, x = rng.normal(size=(m, n)), rng.normal(size=(n, tokens))
+        dec = decompose_layer(w, compute_scaling(x), r=min(m, n), s=0.25, g=2, iters=3)
+        got = local_adapt(dec, w, x, steps=20, seed=seed, key=7)
+        _, _, want_trace = explicit_error_local_adapt(dec, w, x, steps=20, seed=seed, key=7)
+        assert len(got.objective_trace) == len(want_trace) == 1
+        np.testing.assert_array_equal(got.a, dec.a)
+        np.testing.assert_array_equal(got.b, dec.b)
 
     def test_a_non_finite_gradient_raises_naming_the_step(self):
         # A weight near the float64 limit overflows E G once the adapters move.
@@ -247,6 +261,9 @@ class TestBatchedPtc:
     @example(1, 1, 1, 16, 16, 16, 1)  # one padded block
     @example(48, 36, 24, 12, 12, 12, 2)  # exact multiples, no padding
     @example(5, 80, 3, 1, 1, 16, 3)  # single-row PTC, long inner accumulation
+    @example(30, 5, 9, 4, 6, 12, 4)  # inner < n_lambda: one short slice
+    @example(27, 40, 1, 12, 12, 12, 5)  # batch = 1
+    @example(9, 80, 6, 3, 4, 1, 6)  # n_lambda = 1: one slice per inner index
     def test_layer_matmul_matches_blockwise_loop(self, m, inner, batch, n_v, n_h, n_lambda, seed):
         rng = np.random.default_rng(seed)
         w, x = rng.normal(size=(m, inner)), rng.normal(size=(inner, batch))
@@ -263,7 +280,7 @@ class TestBatchedPtc:
         ptc = PtcConfig(n_v, n_h, n_lambda)
         w, x = rng.normal(size=(a, b, n_h, n_lambda)), rng.normal(size=(a, b, n_lambda, n_v))
         got = ptc_matmul(w, x, ptc)
-        # Broadcast leading dims, as ptc_layer_matmul uses them.
+        # Leading dims broadcast as in np.matmul.
         w_row, x_col = rng.normal(size=(a, 1, n_h, n_lambda)), rng.normal(size=(b, n_lambda, n_v))
         got_bc = ptc_matmul(w_row, x_col, ptc)
         assert got.shape == got_bc.shape == (a, b, n_h, n_v)
@@ -293,8 +310,9 @@ class TestBatchedPtc:
 
     def test_peak_memory_holds_no_product_tensor(self):
         # A (pr, pb, pk, n_h, n_v) tensor of every invocation's product would
-        # be pk = 64 times the output; the batched path holds the padded
-        # operands, the output accumulator and one slice's products.
+        # be pk = 64 times the output; the slice-by-slice path holds the
+        # output accumulator and one slice's product, and pads nothing. The
+        # bound still allows for padded operands.
         ptc = PtcConfig(12, 12, 12)
         rng = np.random.default_rng(0)
         w, x = rng.normal(size=(3072, 768)), rng.normal(size=(768, 197))
