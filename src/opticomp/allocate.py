@@ -27,7 +27,7 @@ import numpy as np
 from .decompose import ScalingDiag, alternate, expand
 from .linalg import SvdResult, frobenius_norm, singular_values, truncated_svd
 from .model import ModelGraph
-from .util import COUNT, FINITE, INTEGER, LIST, STRING, read_record
+from .util import COUNT, FINITE, INTEGER, LIST, STRING, nullable, read_record
 
 BASE_SCALE_HIDDEN = 768  # hidden sizes at or above this use the full basis rank
 
@@ -242,7 +242,7 @@ class CompressionPlan:
 # by ``util.read_record``. A layer's error may be null or absent.
 PLAN_FIELDS = {"alpha": FINITE, "sparse_ratio": FINITE, "psi_achieved": FINITE, "iterations": INTEGER, "layers": LIST}
 LAYER_FIELDS = {"id": STRING, "rows": INTEGER, "cols": INTEGER, "r": COUNT, "d": COUNT, "g": COUNT, "params": INTEGER,
-                "error": (FINITE[0], lambda v: v is None or FINITE[1](v))}
+                "error": nullable(FINITE)}
 
 
 def write_plan(path, plan: CompressionPlan) -> None:
@@ -257,8 +257,10 @@ def read_plan(path) -> CompressionPlan:
     ValueError naming the file, the layer and the field."""
     try:
         obj = read_record(json.loads(Path(path).read_text()), PLAN_FIELDS, "plan")
-        layers = enumerate(obj["layers"])
-        obj["layers"] = [PlanLayer(**read_record(l, LAYER_FIELDS, f"plan layer {i}:")) for i, l in layers]
+        obj["layers"] = [
+            PlanLayer(**read_record(l, LAYER_FIELDS, f"plan layer {i}:", optional=("error",)))
+            for i, l in enumerate(obj["layers"])
+        ]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return CompressionPlan(**obj)

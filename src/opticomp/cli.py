@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .container import ContainerError, write_container
 from .model import load_model, save_model
-from .photonic import EngineConfig, comparison, simulate
+from .photonic import EngineConfig, comparison, read_report, simulate
 from .pipeline import (
     compress_model,
     hardware_from_config,
@@ -25,7 +24,7 @@ from .pipeline import (
     verify_artifacts,
     write_plan,
 )
-from .util import philox_rng
+from .util import COUNT, NATURAL, NON_NEGATIVE, from_text, philox_rng
 from .vit import build_toy_graph, gen_toy_dataset, gen_toy_model, save_dataset
 
 
@@ -46,16 +45,13 @@ def _config_from(args) -> dict:
     return load_config(args.config, overrides)
 
 
-def _count(minimum: int):
-    """argparse type: an integer >= ``minimum``."""
+def _arg(kind):
+    """argparse type: a value ``kind`` allows, read as ``--set`` values are."""
 
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+    def parse(text: str):
+        value = from_text(text, kind)
+        if not kind[1](value):
+            raise argparse.ArgumentTypeError(f"must be {kind[0]}, got {text!r}")
         return value
 
     return parse
@@ -74,17 +70,6 @@ def _output_dir(path) -> Path:
     except OSError as exc:
         raise UsageError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
-
-
-def _noise_ratio(text: str) -> float:
-    """argparse type: a finite float >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
 
 
 def cmd_gen_toy(args) -> int:
@@ -180,14 +165,8 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-_COMPARISON_FIELDS = {"edp_ratio", "baseline", "compressed"}
-_REPORT_FIELDS = {"total_energy_pj", "cycles", "energy_pj", "per_layer"}
-
-
 def cmd_report(args) -> int:
-    data = json.loads(Path(args.report).read_text())
-    if not isinstance(data, dict) or not (_COMPARISON_FIELDS <= data.keys() or _REPORT_FIELDS <= data.keys()):
-        raise ValueError(f"{args.report}: neither a simulate report nor a comparison")
+    data = read_report(args.report)
     if "edp_ratio" in data:
         print(f"{'metric':<18}{'baseline':>16}{'compressed':>16}{'ratio':>10}")
         for metric, key in (("energy (pJ)", "energy_pj"), ("latency (s)", "latency_s"), ("EDP (pJ*s)", "edp_pj_s")):
@@ -212,16 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-toy", help="generate a seeded toy model + calibration + dataset")
     p.add_argument("--out", default="toy")
-    p.add_argument("--seed", type=_count(0), default=0)
-    p.add_argument("--hidden", type=_count(1), default=48)
-    p.add_argument("--heads", type=_count(1), default=4)
-    p.add_argument("--mlp-ratio", type=_count(1), default=2)
-    p.add_argument("--blocks", type=_count(1), default=2)
-    p.add_argument("--classes", type=_count(1), default=10)
-    p.add_argument("--in-dim", type=_count(1), default=24)
-    p.add_argument("--calib-tokens", type=_count(1), default=256)
-    p.add_argument("--samples", type=_count(1), default=64)
-    p.add_argument("--tokens", type=_count(1), default=16)
+    p.add_argument("--seed", type=_arg(NATURAL), default=0)
+    p.add_argument("--hidden", type=_arg(COUNT), default=48)
+    p.add_argument("--heads", type=_arg(COUNT), default=4)
+    p.add_argument("--mlp-ratio", type=_arg(COUNT), default=2)
+    p.add_argument("--blocks", type=_arg(COUNT), default=2)
+    p.add_argument("--classes", type=_arg(COUNT), default=10)
+    p.add_argument("--in-dim", type=_arg(COUNT), default=24)
+    p.add_argument("--calib-tokens", type=_arg(COUNT), default=256)
+    p.add_argument("--samples", type=_arg(COUNT), default=64)
+    p.add_argument("--tokens", type=_arg(COUNT), default=16)
     p.set_defaults(func=cmd_gen_toy)
 
     p = sub.add_parser("compress", help="run the full compression pipeline")
@@ -239,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--compressed", help="compressed model path (default: <out>/compressed.lten)")
     p.add_argument("--plan", help="plan path (default: <out>/plan.json)")
-    p.add_argument("--quant-noise", type=_noise_ratio, default=None,
+    p.add_argument("--quant-noise", type=_arg(NON_NEGATIVE), default=None,
                    help="also evaluate 8-bit quantization with this noise ratio (finite, >= 0)")
     p.set_defaults(func=cmd_verify)
 

@@ -2,34 +2,33 @@
 from __future__ import annotations
 
 import json
-import math
 
-# Allowed ranges: (description, test). Float bounds exclude inf and NaN.
-_UNIT_OPEN = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
-_UNIT_HALF_OPEN = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
-_POSITIVE = ("> 0", lambda v: 0.0 < v < math.inf)
-_AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
-_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+from .util import COUNT, FINITE, NATURAL, OBJECT, POSITIVE, STRING, check, from_text, nullable
 
-# Every config field: dotted name -> (type, default, allowed range). Fields
-# whose default is None may be null; a range of None allows any value.
+# Allowed values beyond util's: (description, test). Float bounds exclude inf and NaN.
+_UNIT_OPEN = ("a number in (0, 1)", lambda v: FINITE[1](v) and 0.0 < v < 1.0)
+_UNIT_HALF_OPEN = ("a number in (0, 1]", lambda v: FINITE[1](v) and 0.0 < v <= 1.0)
+_PATH = nullable(STRING)
+
+# Every config field: dotted name -> (allowed values, default). A field with
+# a float default holds a float, also when given an integer.
 _FIELDS = {
-    "paths.model": (str, None, None),
-    "paths.calibration": (str, None, None),
-    "paths.output": (str, "out", None),
-    "targets.alpha": (float, 0.3, _UNIT_OPEN),
-    "targets.sparse_ratio": (float, 0.125, _UNIT_OPEN),
-    "targets.granularity": (int, 4, _AT_LEAST_ONE),
-    "allocator.threshold": (float, 0.5, _UNIT_HALF_OPEN),
-    "allocator.temperature": (float, 1.0, _POSITIVE),
-    "allocator.basis_rank": (int, None, _AT_LEAST_ONE),
-    "decomposition.iters": (int, 80, _AT_LEAST_ONE),
-    "decomposition.adapt_steps": (int, 100, _NON_NEGATIVE),
-    "decomposition.adapt_lr": (float, 1e-2, _POSITIVE),
-    "hardware.engine_config": (str, None, None),
-    "hardware.energy_params": (str, None, None),
-    "hardware.batch_tokens": (int, 197, _AT_LEAST_ONE),
-    "seed": (int, 0, _NON_NEGATIVE),
+    "paths.model": (_PATH, None),
+    "paths.calibration": (_PATH, None),
+    "paths.output": (STRING, "out"),
+    "targets.alpha": (_UNIT_OPEN, 0.3),
+    "targets.sparse_ratio": (_UNIT_OPEN, 0.125),
+    "targets.granularity": (COUNT, 4),
+    "allocator.threshold": (_UNIT_HALF_OPEN, 0.5),
+    "allocator.temperature": (POSITIVE, 1.0),
+    "allocator.basis_rank": (nullable(COUNT), None),
+    "decomposition.iters": (COUNT, 80),
+    "decomposition.adapt_steps": (NATURAL, 100),
+    "decomposition.adapt_lr": (POSITIVE, 1e-2),
+    "hardware.engine_config": (_PATH, None),
+    "hardware.energy_params": (_PATH, None),
+    "hardware.batch_tokens": (COUNT, 197),
+    "seed": (NATURAL, 0),
 }
 
 
@@ -38,9 +37,10 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
-    """Merge defaults <- config file <- ``key.path=value`` overrides."""
+    """Merge defaults <- config file <- ``key.path=value`` overrides; each
+    value is checked once, as it is set."""
     cfg: dict = {}
-    for dotted, (_, default, _) in _FIELDS.items():
+    for dotted, (_, default) in _FIELDS.items():
         node, leaf = _slot(cfg, dotted)
         node[leaf] = default
     if path is not None:
@@ -49,54 +49,35 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"{path}: config must be a JSON object, got {file_cfg!r}")
-        _merge(cfg, file_cfg, prefix="")
+        _merge(cfg, check(file_cfg, OBJECT, f"{path}: config", ConfigError), f"{path}: ", prefix="")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key.path=value")
-        key, _, value = item.partition("=")
-        set_field(cfg, key.strip(), value.strip())
-    _validate(cfg)
+        dotted, _, text = (part.strip() for part in item.partition("="))
+        if dotted not in _FIELDS:
+            raise ConfigError(f"unknown config field {dotted!r}")
+        node, leaf = _slot(cfg, dotted)
+        node[leaf] = _checked(dotted, from_text(text, _FIELDS[dotted][0]))
     return cfg
 
 
-def _merge(dst: dict, src: dict, prefix: str) -> None:
+def _merge(dst: dict, src: dict, source: str, prefix: str) -> None:
     for key, value in src.items():
         dotted = f"{prefix}{key}"
-        if isinstance(dst.get(key), dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {dotted!r} must be a JSON object, got {value!r}")
-            _merge(dst[key], value, prefix=f"{dotted}.")
-        elif dotted in _FIELDS:
-            dst[key] = _checked(dotted, value)
+        if dotted in _FIELDS:
+            dst[key] = _checked(dotted, value, source)
+        elif key in dst:  # a section: every other key of dst is one
+            section = check(value, OBJECT, f"{source}config section {dotted!r}", ConfigError)
+            _merge(dst[key], section, source, prefix=f"{dotted}.")
         else:
-            raise ConfigError(f"unknown config field {dotted!r}")
+            raise ConfigError(f"{source}unknown config field {dotted!r}")
 
 
-def _checked(dotted: str, value):
-    """``value`` as the field's type (an int is a valid float); ConfigError otherwise."""
-    kind, default, _ = _FIELDS[dotted]
-    if value is None and default is None:
-        return None
-    if kind is float and type(value) is int:
-        return float(value)
-    if type(value) is not kind:
-        nullable = " or null" if default is None else ""
-        raise ConfigError(f"config field {dotted!r} must be {kind.__name__}{nullable}, got {value!r}")
-    return value
-
-
-def set_field(cfg: dict, dotted: str, raw: str) -> None:
-    if dotted not in _FIELDS:
-        raise ConfigError(f"unknown config field {dotted!r}")
-    kind = _FIELDS[dotted][0]
-    try:
-        value = None if raw in ("null", "none", "None") else kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config field {dotted!r} must be {kind.__name__}, got {raw!r}") from exc
-    node, leaf = _slot(cfg, dotted)
-    node[leaf] = _checked(dotted, value)
+def _checked(dotted: str, value, source: str = ""):
+    """``value`` if the field allows it; ConfigError naming ``source`` and the field otherwise."""
+    allowed, default = _FIELDS[dotted]
+    check(value, allowed, f"{source}config field {dotted!r}", ConfigError)
+    return float(value) if type(default) is float else value
 
 
 def _slot(cfg: dict, dotted: str) -> tuple[dict, str]:
@@ -105,11 +86,3 @@ def _slot(cfg: dict, dotted: str) -> tuple[dict, str]:
     for part in parents:
         cfg = cfg.setdefault(part, {})
     return cfg, leaf
-
-
-def _validate(cfg: dict) -> None:
-    for dotted, (_, _, allowed) in _FIELDS.items():
-        node, leaf = _slot(cfg, dotted)
-        value = node[leaf]
-        if allowed is not None and value is not None and not allowed[1](value):
-            raise ConfigError(f"config field {dotted!r} must be {allowed[0]}, got {value!r}")

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .util import INTEGER, LIST, OBJECT, STRING, check, read_record
+
 MAGIC = b"LTEN"
 VERSION = 1
 ALIGNMENT = 64
@@ -112,34 +114,10 @@ def write_container(path, tensors: dict[str, np.ndarray], extra: dict | None = N
             fh.write(data)
 
 
-_ENTRY_KEYS = ("name", "dtype", "shape", "byte_offset", "byte_len")
-
-
-def _entries(path, manifest) -> list[dict]:
-    """The manifest's tensor entries, each checked for its keys and their JSON types."""
-    if not isinstance(manifest, dict):
-        raise ContainerError(f"{path}: manifest must be a JSON object")
-    entries = manifest.get("tensors", [])
-    if not isinstance(entries, list):
-        raise ContainerError(f"{path}: manifest 'tensors' must be a list")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ContainerError(f"{path}: tensor entry {i} must be a JSON object")
-        missing = [key for key in _ENTRY_KEYS if key not in entry]
-        if missing:
-            raise ContainerError(f"{path}: tensor entry {i} has no {missing[0]!r}")
-        shape = entry["shape"]
-        if (
-            type(entry["name"]) is not str
-            or type(entry["dtype"]) is not str
-            or not isinstance(shape, list)
-            or any(type(v) is not int for v in (*shape, entry["byte_offset"], entry["byte_len"]))
-        ):
-            raise ContainerError(
-                f"{path}: tensor entry {i} needs a string name and dtype, a list of integers as shape "
-                f"and integer byte_offset and byte_len, got {entry!r}"
-            )
-    return entries
+# A manifest's tensor entry: field -> (description, test), checked by
+# ``util.read_record``.
+_SHAPE = ("a list of integers", lambda v: LIST[1](v) and all(INTEGER[1](n) for n in v))
+_ENTRY_FIELDS = {"name": STRING, "dtype": STRING, "shape": _SHAPE, "byte_offset": INTEGER, "byte_len": INTEGER}
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -164,10 +142,14 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: manifest is not valid JSON: {exc}") from exc
 
+    check(manifest, OBJECT, f"{path}: manifest", ContainerError)
+    entries = check(manifest.get("tensors", []), LIST, f"{path}: manifest 'tensors'", ContainerError)
+
     blob = raw[16 + manifest_len :]
     tensors: dict[str, np.ndarray] = {}
     extents: list[tuple[int, int, str]] = []
-    for entry in _entries(path, manifest):
+    for i, entry in enumerate(entries):
+        entry = read_record(entry, _ENTRY_FIELDS, f"{path}: tensor entry {i}:", ContainerError)
         name = entry["name"]
         if name in tensors:
             raise DuplicateTensorError(f"{path}: tensor {name!r} appears more than once in the manifest")

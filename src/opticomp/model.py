@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import read_container, write_container
-from .util import COUNT, INTEGER, LIST, STRING, read_record
+from .util import COUNT, INTEGER, LIST, OBJECT, STRING, read_record
 
 COMPRESSIBLE_KINDS = ("attn_q", "attn_k", "attn_v", "attn_o", "mlp_fc1", "mlp_fc2")
 LAYER_KINDS = COMPRESSIBLE_KINDS + ("embed", "head")
@@ -34,12 +34,12 @@ class LayerSpec:
 
 @dataclass
 class ModelGraph:
-    """Ordered layers, their grouping into blocks, and free-form metadata."""
+    """Ordered layers, their grouping into blocks, and integer metadata (``_META_FIELDS``)."""
 
     layers: list[LayerSpec]
     blocks: list[dict]  # [{"attn": [ids], "mlp": [ids]}], in block order
     hidden_size: int
-    meta: dict[str, str] = field(default_factory=dict)
+    meta: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         ids = [layer.id for layer in self.layers]
@@ -68,25 +68,32 @@ class ModelGraph:
     def to_json(self) -> dict:
         obj = {name: getattr(self, name) for name in _GRAPH_FIELDS}
         obj["layers"] = [{name: getattr(l, name) for name in _LAYER_FIELDS} for l in self.layers]
+        obj["meta"] = {name: str(value) for name, value in self.meta.items()}
         return obj
 
     @classmethod
     def from_json(cls, obj) -> "ModelGraph":
-        """The graph of a manifest, every field checked against its table."""
-        top = read_record(obj, _GRAPH_FIELDS, "graph")
+        """The graph of a manifest, every record checked against its table."""
+        top = read_record(obj, _GRAPH_FIELDS, "graph", optional=("meta",))
         layers = [LayerSpec(**read_record(l, _LAYER_FIELDS, f"graph layer {i}:")) for i, l in enumerate(top["layers"])]
         for i, block in enumerate(top["blocks"]):
-            read_record(block, _BLOCK_FIELDS, f"graph block {i}:")
-        return cls(layers=layers, blocks=top["blocks"], hidden_size=top["hidden_size"], meta=dict(top["meta"] or {}))
+            read_record(block, _BLOCK_FIELDS, f"graph block {i}:", optional=_BLOCK_FIELDS)
+        meta = read_record(top.get("meta", {}), _META_FIELDS, "graph meta:", optional=_META_FIELDS)
+        kinds = {l.id: l.kind for l in layers}
+        for end in ("embed", "head"):
+            if kinds.get(end) != end:
+                raise ValueError(f"graph has no layer {end!r} of kind {end!r}")
+        return cls(layers, top["blocks"], top["hidden_size"], {name: int(text) for name, text in meta.items()})
 
 
 # The graph manifest, one table per record: field -> (description, test),
-# checked by ``util.read_record``. meta and a block's groups may be absent.
-_IDS = ("a list of layer ids", lambda v: v is None or (type(v) is list and all(type(i) is str for i in v)))
-_META = ("a JSON object", lambda v: v is None or type(v) is dict)
-_GRAPH_FIELDS = {"hidden_size": COUNT, "layers": LIST, "blocks": LIST, "meta": _META}
+# checked by ``util.read_record``. meta, its fields and block groups may be absent.
+_IDS = ("a list of layer ids", lambda v: LIST[1](v) and all(STRING[1](i) for i in v))
+_DIGITS = ("an integer string >= 1", lambda v: STRING[1](v) and v.isascii() and v.isdigit() and int(v) >= 1)
+_GRAPH_FIELDS = {"hidden_size": COUNT, "layers": LIST, "blocks": LIST, "meta": OBJECT}
 _LAYER_FIELDS = {"id": STRING, "kind": STRING, "rows": INTEGER, "cols": INTEGER}
 _BLOCK_FIELDS = {"attn": _IDS, "mlp": _IDS}
+_META_FIELDS = dict.fromkeys(("heads", "in_dim", "blocks", "classes", "mlp_ratio"), _DIGITS)
 
 
 def read_graph(path, manifest: dict) -> ModelGraph:

@@ -54,9 +54,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from math import ceil
+from pathlib import Path
 
 import numpy as np
 
@@ -64,7 +65,9 @@ from .allocate import CompressionPlan, check_plan_matches
 from .config import ConfigError
 from .decompose import StructuredSparse
 from .model import ModelGraph
-from .util import as_matrix
+from .util import (
+    BOOL, COUNT, FINITE, INTEGER, LIST, NATURAL, NON_NEGATIVE, OBJECT, POSITIVE, STRING, as_matrix, read_record,
+)
 
 WEIGHT_BYTES = 1  # 8-bit weights
 ACT_BYTES = 1  # 8-bit activations
@@ -136,8 +139,14 @@ class EngineConfig:
         return asdict(self)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "EngineConfig":
-        return _from_json(cls, obj)
+    def from_json(cls, obj) -> "EngineConfig":
+        """The engine config of a JSON object; ConfigError naming the dotted record and the field otherwise."""
+        top = read_record(obj, _ENGINE_FIELDS, "engine config", ConfigError, optional=_SWITCHES)
+        for side in ("dense", "sparse"):
+            block = read_record(top[side], _BLOCK_FIELDS, f"engine config {side}:", ConfigError)
+            ptc = read_record(block["ptc"], _PTC_FIELDS, f"engine config {side}.ptc:", ConfigError)
+            top[side] = EngineBlock(block["tiles"], block["cores_per_tile"], PtcConfig(**ptc))
+        return cls(**top)
 
 
 @dataclass(frozen=True)
@@ -164,37 +173,18 @@ class EnergyParams:
         return asdict(self)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "EnergyParams":
-        return _from_json(cls, obj)
+    def from_json(cls, obj) -> "EnergyParams":
+        """The energy params of a JSON object; ConfigError naming the field otherwise."""
+        return cls(**read_record(obj, _PARAMS_FIELDS, "energy params", ConfigError, optional=_PARAMS_FIELDS))
 
 
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
-_NESTED = {"EngineBlock": EngineBlock, "PtcConfig": PtcConfig}
-
-
-def _from_json(cls, obj, where: str = ""):
-    """``cls`` built from a JSON object, nested config dataclasses included.
-
-    A missing field without a default, an unknown field or a value of the
-    wrong JSON type raises ConfigError naming the dotted field."""
-    if type(obj) is not dict:
-        raise ConfigError(f"{where.rstrip('.') or 'top level'} must be a JSON object, got {obj!r}")
-    known = {f.name: f for f in fields(cls)}
-    for name in obj:
-        if name not in known:
-            raise ConfigError(f"unknown field {where}{name}")
-    kwargs = {}
-    for name, f in known.items():
-        if name not in obj:
-            if f.default is MISSING:
-                raise ConfigError(f"missing field {where}{name}")
-        elif f.type in _NESTED:
-            kwargs[name] = _from_json(_NESTED[f.type], obj[name], f"{where}{name}.")
-        elif type(obj[name]) in _JSON_TYPES[f.type]:
-            kwargs[name] = obj[name]
-        else:
-            raise ConfigError(f"field {where}{name} must be {f.type}, got {obj[name]!r}")
-    return cls(**kwargs)
+# The hardware files, one table per record: field -> (description, test),
+# checked by ``util.read_record``. A field with a default may be absent.
+_PTC_FIELDS = dict.fromkeys(("n_v", "n_h", "n_lambda"), COUNT)
+_BLOCK_FIELDS = {"tiles": NATURAL, "cores_per_tile": COUNT, "ptc": OBJECT}
+_SWITCHES = ("broadcast_enabled", "adc_sharing_enabled")
+_ENGINE_FIELDS = {"dense": OBJECT, "sparse": OBJECT, **dict.fromkeys(_SWITCHES, BOOL)}
+_PARAMS_FIELDS = dict.fromkeys((f.name for f in fields(EnergyParams)), NON_NEGATIVE)
 
 
 # --- functional PTC model ----------------------------------------------------
@@ -346,15 +336,7 @@ class CostReport:
             "latency_s": self.latency_s,
             "edp_pj_s": self.edp,
             "per_layer": [
-                {
-                    "id": lc.layer_id,
-                    "dense_invocations": lc.dense_invocations,
-                    "sparse_invocations": lc.sparse_invocations,
-                    "dense_cycles": lc.dense_cycles,
-                    "sparse_cycles": lc.sparse_cycles,
-                    "cycles": lc.cycles,
-                    "energy_pj": lc.energy,
-                }
+                {"id": lc.layer_id, "energy_pj": lc.energy, **{name: getattr(lc, name) for name in LAYER_COUNTS}}
                 for lc in self.per_layer
             ],
         }
@@ -502,6 +484,43 @@ def comparison(baseline: CostReport, compressed: CostReport) -> dict:
         "edp_ratio": baseline.edp / compressed.edp,
         "component_ratios": ratios,
     }
+
+
+# report.json and comparison.json, one table per record: field -> (description,
+# test). ``CostReport.to_json`` and ``comparison`` write them; ``read_report``
+# reads them through ``util.read_record``.
+LAYER_COUNTS = ("dense_invocations", "sparse_invocations", "dense_cycles", "sparse_cycles", "cycles")
+COMPONENT_FIELDS = dict.fromkeys(COMPONENTS, FINITE)
+REPORT_FIELDS = {"energy_pj": OBJECT, "total_energy_pj": FINITE, "cycles": INTEGER, "latency_s": FINITE,
+                 "edp_pj_s": FINITE, "per_layer": LIST}
+REPORT_LAYER_FIELDS = {"id": STRING, "energy_pj": OBJECT, **dict.fromkeys(LAYER_COUNTS, INTEGER)}
+TOTAL_FIELDS = dict.fromkeys(("energy_pj", "latency_s", "edp_pj_s"), POSITIVE)
+COMPARISON_FIELDS = {"baseline": OBJECT, "compressed": OBJECT, "component_ratios": OBJECT,
+                     **dict.fromkeys(("energy_ratio", "latency_ratio", "edp_ratio"), FINITE)}
+
+
+def read_report(path) -> dict:
+    """A simulate report or comparison (told apart by ``per_layer`` and
+    ``edp_ratio``), every record checked against its table; ValueError naming
+    the file, the record and the field otherwise."""
+    try:
+        data = json.loads(Path(path).read_text())
+        keys = data if OBJECT[1](data) else {}
+        if "edp_ratio" in keys:
+            data = read_record(data, COMPARISON_FIELDS, "comparison")
+            for side in ("baseline", "compressed"):
+                read_record(data[side], TOTAL_FIELDS, f"comparison {side}:")
+        elif "per_layer" in keys:
+            data = read_record(data, REPORT_FIELDS, "report")
+            read_record(data["energy_pj"], COMPONENT_FIELDS, "report energy_pj:")
+            for i, layer in enumerate(data["per_layer"]):
+                layer = read_record(layer, REPORT_LAYER_FIELDS, f"report layer {i}:")
+                read_record(layer["energy_pj"], COMPONENT_FIELDS, f"report layer {layer['id']!r} energy_pj:")
+        else:
+            raise ValueError("neither a simulate report nor a comparison")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return data
 
 
 def _load_hardware(path, from_json):

@@ -32,7 +32,7 @@ from .decompose import (
 from .model import ModelGraph, check_dense_tensors, load_model, read_graph
 from .photonic import EngineConfig, EnergyParams, condensed_matmul, load_energy_params, load_engine_config
 from .quantize import dequantize, inject_noise, quantize
-from .util import COUNT, philox_rng, stable_key
+from .util import COUNT, OBJECT, check, philox_rng, read_record, stable_key
 from .vit import ToyViT, block_loss, collect_calibration, forward, logit_loss
 
 
@@ -125,9 +125,7 @@ def load_compressed(path):
     """
     manifest, tensors = read_container(path)
     graph = read_graph(path, manifest)
-    comp_meta = manifest.get("compressed_layers", {})
-    if not isinstance(comp_meta, dict):
-        raise ValueError(f"{path}: compressed_layers must be a JSON object, got {type(comp_meta).__name__}")
+    comp_meta = check(manifest.get("compressed_layers", {}), OBJECT, f"{path}: compressed_layers")
     if not comp_meta:
         raise ValueError(f"{path}: container holds no compressed layers")
     specs = {l.id: l for l in graph.compressible_layers()}
@@ -138,9 +136,7 @@ def load_compressed(path):
     compressed = {}
     for lid, info in comp_meta.items():
         spec = specs[lid]
-        if not isinstance(info, dict):
-            got = type(info).__name__
-            raise ValueError(f"{path}: compressed layer {lid!r}: manifest entry must be a JSON object, got {got}")
+        info = read_record(info, _ENTRY_FIELDS, f"{path}: compressed layer {lid!r}:")
         names = [f"{lid}.{part}" for part in ("a", "b", "sparse.values", "sparse.cols")]
         absent = [name for name in names if name not in tensors]
         if absent:
@@ -149,7 +145,7 @@ def load_compressed(path):
             a=np.asarray(tensors[f"{lid}.a"], dtype=np.float64),
             b=np.asarray(tensors[f"{lid}.b"], dtype=np.float64),
             sparse=StructuredSparse(
-                granularity=info.get("g"),
+                granularity=info["g"],
                 full_rows=spec.rows,
                 full_cols=spec.cols,
                 kept_cols=np.asarray(tensors[f"{lid}.sparse.cols"], dtype=np.int64),
@@ -166,18 +162,19 @@ def load_compressed(path):
     return graph, compressed, others
 
 
+# A compressed layer's manifest entry, checked by ``util.read_record``.
+_ENTRY_FIELDS = {"r": COUNT, "d": COUNT, "g": COUNT}
+
+
 def _check_layer(cl: Decomposition, info: dict) -> None:
-    """Manifest g and r, factor shapes, sparse structure, manifest d."""
-    sp, r = cl.sparse, info.get("r")
+    """Factor shapes against the manifest r, sparse structure, manifest d."""
+    sp, r = cl.sparse, info["r"]
     rows, cols = sp.full_rows, sp.full_cols
-    for key in ("g", "r"):
-        if not COUNT[1](info.get(key)):
-            raise ValueError(f"{key} must be {COUNT[0]}, got {info.get(key)!r}")
     if cl.a.shape != (rows, r) or cl.b.shape != (r, cols):
         raise ValueError(f"a is {cl.a.shape}, b is {cl.b.shape}; manifest r = {r} needs {(rows, r)} and {(r, cols)}")
     sp.validate()
-    if info.get("d") != sp.kept_per_chunk:
-        raise ValueError(f"manifest d = {info.get('d')!r}, but sparse.cols keeps {sp.kept_per_chunk} per chunk")
+    if info["d"] != sp.kept_per_chunk:
+        raise ValueError(f"manifest d = {info['d']}, but sparse.cols keeps {sp.kept_per_chunk} per chunk")
 
 
 def effective_tensors(graph: ModelGraph, compressed: dict[str, Decomposition], others: dict) -> dict:

@@ -48,7 +48,7 @@ class ToyViT:
 
     @classmethod
     def from_tensors(cls, graph: ModelGraph, tensors: dict[str, np.ndarray]) -> "ToyViT":
-        heads = int(graph.meta.get("heads", "1"))
+        heads = graph.meta.get("heads", 1)
         num_blocks = len(graph.blocks)
         if graph.hidden_size % heads != 0:
             raise ValueError(f"hidden size {graph.hidden_size} not divisible by {heads} heads")
@@ -336,11 +336,11 @@ def build_toy_graph(hidden=48, heads=4, mlp_ratio=2, blocks=2, classes=10, in_di
         block_groups.append({"attn": attn_ids, "mlp": mlp_ids})
     layers.append(LayerSpec("head", "head", classes, hidden))
     meta = {
-        "heads": str(heads),
-        "mlp_ratio": str(mlp_ratio),
-        "blocks": str(blocks),
-        "classes": str(classes),
-        "in_dim": str(in_dim),
+        "heads": heads,
+        "mlp_ratio": mlp_ratio,
+        "blocks": blocks,
+        "classes": classes,
+        "in_dim": in_dim,
     }
     return ModelGraph(layers=layers, blocks=block_groups, hidden_size=hidden, meta=meta)
 
@@ -361,9 +361,8 @@ def gen_toy_model(graph: ModelGraph, seed: int) -> dict[str, np.ndarray]:
 def gen_toy_dataset(graph: ModelGraph, tensors: dict[str, np.ndarray], samples: int, tokens: int, seed: int) -> ToyDataset:
     """Random token inputs labeled by the generating model's own argmax."""
     model = ToyViT.from_tensors(graph, tensors)
-    in_dim = int(graph.meta["in_dim"])
     rng = philox_rng(seed, 2)
-    inputs = rng.normal(0.0, 1.0, size=(samples, in_dim, tokens))
+    inputs = rng.normal(0.0, 1.0, size=(samples, graph.layer("embed").cols, tokens))
     return ToyDataset(inputs=inputs, labels=_predict(model, inputs))
 
 

@@ -324,13 +324,15 @@ class TestPlanFile:
         + [("layer", name) for name, (_, ok) in LAYER_FIELDS.items() if not ok(None)],
     )
     def test_a_missing_required_field_is_named(self, tmp_path, record, field):
+        # A layer is named by its id once that is read, by its index before.
         obj = hand_written_plan_json(two_layer_plan())
         del (obj if record == "plan" else obj["layers"][1])[field]
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(ValueError) as info:
             read_plan(path)
-        assert str(info.value) == f"{path}: plan has no field {field!r}"
+        where = "plan" if record == "plan" else "plan layer 1" if field == "id" else "plan layer 'block0.mlp.fc1'"
+        assert str(info.value) == f"{path}: {where} has no field {field!r}"
 
     def test_an_absent_error_reads_as_null(self, tmp_path):
         obj = hand_written_plan_json(two_layer_plan())
@@ -347,8 +349,9 @@ class TestPlanFile:
             (lambda obj: obj.update(layers={}), "plan layers must be a list, got {}"),
             (lambda obj: obj.update(iterations=4.0), "plan iterations must be an integer, got 4.0"),
             (lambda obj: obj["layers"][1].update(rows=True), "plan layer 'block0.mlp.fc1': rows must be an integer, got True"),
+            (lambda obj: obj.update(alpha=10**400), f"plan alpha must be a finite number, got {10**400}"),
         ],
-        ids=["plan_list", "layer_int", "layers_object", "iterations_float", "rows_bool"],
+        ids=["plan_list", "layer_int", "layers_object", "iterations_float", "rows_bool", "alpha_beyond_float"],
     )
     def test_a_record_of_the_wrong_json_type_is_named(self, tmp_path, edit, message):
         obj = hand_written_plan_json(two_layer_plan())

@@ -1,19 +1,26 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opticomp import cli, pipeline
+from opticomp.allocate import read_plan
 from opticomp.cli import main
+from opticomp.config import ConfigError
 from opticomp.container import read_container, write_container
 from opticomp.model import LayerSpec, ModelGraph, load_model, save_model
-from opticomp.photonic import EngineConfig
+from opticomp.photonic import EnergyParams, EngineConfig, load_energy_params, load_engine_config
 
 from test_container import rewrite_manifest
 
@@ -411,12 +418,13 @@ class TestMalformedInputs:
         path.write_text(json.dumps(file_cfg))
         assert main(compress_args(toy_dir, tmp_path / "run", "--config", str(path))) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and repr(field) in err
+        assert err.startswith(f"config error: {path}: config ") and repr(field) in err
         assert not (tmp_path / "run").exists()
 
     def test_null_for_a_field_without_null_default_exits_two(self, toy_dir, tmp_path, capsys):
         assert main(compress_args(toy_dir, tmp_path, "--set", "targets.alpha=null")) == 2
-        assert "'targets.alpha' must be float" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "config error: config field 'targets.alpha' must be a number in (0, 1), got None\n"
 
     def simulate_baseline(self, toy_dir, tmp_path, *extra):
         return main([
@@ -431,7 +439,7 @@ class TestMalformedInputs:
         path.write_text(json.dumps({"adc": 1.0, "bogus": 2.0}))
         assert self.simulate_baseline(toy_dir, tmp_path, "--set", f"hardware.energy_params={path}") == 2
         err = capsys.readouterr().err
-        assert f"config error: {path}: unknown field bogus" in err
+        assert err == f"config error: {path}: energy params has unknown field 'bogus'\n"
 
     def test_engine_config_missing_n_lambda_exits_two(self, toy_dir, tmp_path, capsys):
         engines = EngineConfig.default().to_json()
@@ -440,7 +448,7 @@ class TestMalformedInputs:
         path.write_text(json.dumps(engines))
         assert self.simulate_baseline(toy_dir, tmp_path, "--set", f"hardware.engine_config={path}") == 2
         err = capsys.readouterr().err
-        assert f"config error: {path}: missing field dense.ptc.n_lambda" in err
+        assert err == f"config error: {path}: engine config dense.ptc has no field 'n_lambda'\n"
 
     @pytest.mark.parametrize("verb", ["compress", "simulate"])
     def test_sparse_ptc_rows_not_in_quarters_exit_two(self, toy_dir, compressed_dir, tmp_path, capsys, verb):
@@ -470,8 +478,19 @@ class TestMalformedInputs:
             (lambda graph: graph.update(hidden_size="x"), "graph hidden_size must be an integer >= 1, got 'x'"),
             (lambda graph: graph["blocks"][0].update(mlp="block0.mlp.fc1"),
              "graph block 0: mlp must be a list of layer ids, got 'block0.mlp.fc1'"),
+            (lambda graph: graph["layers"][1].update(bias=True),
+             "graph layer 'block0.attn.q' has unknown field 'bias'"),
+            (lambda graph: graph["blocks"][0].update(norm=[]), "graph block 0 has unknown field 'norm'"),
+            (lambda graph: graph["meta"].update(depth="2"), "graph meta has unknown field 'depth'"),
+            (lambda graph: graph["meta"].update(heads="abc"),
+             "graph meta: heads must be an integer string >= 1, got 'abc'"),
+            (lambda graph: graph["meta"].update(heads=2), "graph meta: heads must be an integer string >= 1, got 2"),
+            (lambda graph: graph.update(layers=graph["layers"][1:]), "graph has no layer 'embed' of kind 'embed'"),
+            (lambda graph: graph["layers"][-1].update(kind="embed"), "graph has no layer 'head' of kind 'head'"),
         ],
-        ids=["no_blocks", "rows_string", "graph_list", "hidden_size_string", "block_group_string"],
+        ids=["no_blocks", "rows_string", "graph_list", "hidden_size_string", "block_group_string", "layer_unknown_key",
+             "block_unknown_key", "meta_unknown_key", "meta_heads_not_digits", "meta_heads_number", "no_embed",
+             "head_of_kind_embed"],
     )
     def test_malformed_model_graph_exits_one(self, toy_dir, tmp_path, capsys, edit, message):
         bad_toy = tmp_path / "toy"
@@ -486,6 +505,20 @@ class TestMalformedInputs:
         assert captured.err == f"error: {bad_toy / 'model.lten'}: {message}\n"
         assert not (tmp_path / "run" / "plan.json").exists()
 
+    def test_verify_on_a_model_without_embed_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
+        bad_toy = tmp_path / "toy"
+        shutil.copytree(toy_dir, bad_toy)
+
+        def drop_embed(manifest):
+            del manifest["graph"]["layers"][0]
+
+        rewrite_manifest(bad_toy / "model.lten", drop_embed)
+        assert main(["verify", "--set", f"paths.model={bad_toy}/model.lten",
+                     "--set", f"paths.calibration={bad_toy}/calib.lten", "--out", str(compressed_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad_toy / 'model.lten'}: graph has no layer 'embed' of kind 'embed'\n"
+        assert captured.out == ""
+
     def test_plan_without_layers_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
         plan = json.loads((compressed_dir / "plan.json").read_text())
         del plan["layers"]
@@ -497,6 +530,21 @@ class TestMalformedInputs:
             "--out", str(tmp_path / "out"),
         ]) == 1
         assert f"error: {path}: plan has no field 'layers'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["rows", "id"])
+    def test_a_plan_layer_without_a_field_is_named(self, toy_dir, compressed_dir, tmp_path, capsys, field):
+        # The layer is named by its id once that is read, by its index before.
+        plan = json.loads((compressed_dir / "plan.json").read_text())
+        del plan["layers"][3][field]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main([
+            "simulate", "--plan", str(path),
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--out", str(tmp_path / "out"),
+        ]) == 1
+        layer = "plan layer 3" if field == "id" else f"plan layer {plan['layers'][3]['id']!r}"
+        assert capsys.readouterr().err == f"error: {path}: {layer} has no field {field!r}\n"
 
     @pytest.mark.parametrize("field,value", [("g", 0), ("r", -5)], ids=["g_zero", "r_negative"])
     def test_plan_field_below_one_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys, field, value):
@@ -568,7 +616,7 @@ class TestMalformedInputs:
             layers=[LayerSpec("embed", "embed", 24, 12), LayerSpec("head", "head", 10, 24)],
             blocks=[],
             hidden_size=24,
-            meta={"in_dim": "12", "heads": "2"},
+            meta={"in_dim": 12, "heads": 2},
         )
         path = tmp_path / "empty.lten"
         save_model(path, graph, {"embed": np.ones((24, 12)), "head": np.ones((10, 24))})
@@ -641,7 +689,7 @@ class TestVerify:
         "edit,message",
         [
             (lambda meta, t: meta["block0.attn.q"].update(g=0), "g must be an integer >= 1, got 0"),
-            (lambda meta, t: meta["block0.attn.q"].pop("g"), "g must be an integer >= 1, got None"),
+            (lambda meta, t: meta["block0.attn.q"].pop("g"), " has no field 'g'\n"),
             (sliced("a", np.s_[:, :-1]), "a is (24, 11), b is (12, 24)"),
             (sliced("b", np.s_[:, :-1]), "a is (24, 12), b is (12, 23)"),
             (sliced("sparse.values", np.s_[:-1]), "condensed has shape (23, 3), expected (24, 3)"),
@@ -655,7 +703,7 @@ class TestVerify:
         rewrite_compressed(compressed_dir / "compressed.lten", path, edit)
         assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {path}: compressed layer 'block0.attn.q': ")
+        assert captured.err.startswith(f"error: {path}: compressed layer 'block0.attn.q'")
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -674,10 +722,12 @@ class TestVerify:
             (lambda plan: plan.update(alpha=[0.3]), "plan alpha must be a finite number, got [0.3]"),
             (lambda plan: plan.update(alpha=None), "plan alpha must be a finite number, got None"),
             (lambda plan: plan.update(psi_achieved="0.31"), "plan psi_achieved must be a finite number, got '0.31'"),
-            (lambda plan: plan["layers"][0].update(error="x"), "error must be a finite number, got 'x'"),
+            (lambda plan: plan["layers"][0].update(error="x"), "error must be a finite number or null, got 'x'"),
             (lambda plan: plan["layers"][0].update(id=5), "plan layer 0: id must be a string, got 5"),
+            (lambda plan: plan["layers"][0].update(eror=plan["layers"][0].pop("error")), " has unknown field 'eror'\n"),
+            (lambda plan: plan.update(layer_count=12), "plan has unknown field 'layer_count'\n"),
         ],
-        ids=["alpha_list", "alpha_null", "psi_string", "error_string", "id_int"],
+        ids=["alpha_list", "alpha_null", "psi_string", "error_string", "id_int", "error_misspelt", "plan_unknown_key"],
     )
     def test_plan_field_of_wrong_type_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys, edit, message):
         plan = json.loads((compressed_dir / "plan.json").read_text())
@@ -802,7 +852,7 @@ class TestVerify:
             (lambda layers: list(layers.items()), "compressed_layers must be a JSON object, got list"),
             (
                 lambda layers: {**layers, "block0.attn.q": [12, 3, 4]},
-                "compressed layer 'block0.attn.q': manifest entry must be a JSON object, got list",
+                "compressed layer 'block0.attn.q' must be a JSON object, got list",
             ),
         ],
         ids=["layers_list", "entry_list"],
@@ -882,3 +932,156 @@ class TestReport:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["metric", "baseline", "compressed", "ratio"]
         assert len(lines) == 4
+
+    def test_comparison_with_a_number_for_a_side_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
+        assert main([
+            "simulate", "--plan", str(compressed_dir / "plan.json"), "--compare",
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--out", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        path = tmp_path / "comparison.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "baseline": 5}))
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: comparison baseline must be a JSON object, got int\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda data: data["per_layer"][2].pop("sparse_cycles"),
+             "report layer 'block0.attn.k' has no field 'sparse_cycles'"),
+            (lambda data: data["per_layer"][0]["energy_pj"].update(laser="1"),
+             "report layer 'embed' energy_pj: laser must be a finite number, got '1'"),
+            (lambda data: data.update(cycles=True), "report cycles must be an integer, got True"),
+        ],
+        ids=["layer_without_cycles", "energy_string", "cycles_bool"],
+    )
+    def test_malformed_report_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys, edit, message):
+        assert main([
+            "simulate", "--plan", str(compressed_dir / "plan.json"),
+            "--set", f"paths.model={toy_dir}/model.lten",
+            "--out", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        path = tmp_path / "report.json"
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == ""
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**30) | st.sampled_from([0, 1, 4, 10**400]) | st.floats()
+    | st.text(max_size=4) | st.sampled_from(["2", "abc", "embed", "block0.attn.q"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+# Each record: the file it sits in and the keys that lead to it there.
+RECORDS = {
+    "plan": ("plan", ()),
+    "plan_layer": ("plan", ("layers", 3)),
+    "graph": ("graph", ()),
+    "graph_layer": ("graph", ("layers", 1)),
+    "graph_block": ("graph", ("blocks", 0)),
+    "graph_meta": ("graph", ("meta",)),
+    "engine_config": ("engines", ()),
+    "engine_block": ("engines", ("sparse",)),
+    "engine_ptc": ("engines", ("dense", "ptc")),
+    "energy_params": ("energy", ()),
+    "compressed_layer_entry": ("compressed", ("block0.attn.q",)),
+    "report": ("report", ()),
+    "report_layer": ("report", ("per_layer", 2)),
+    "report_layer_energies": ("report", ("per_layer", 2, "energy_pj")),
+    "comparison": ("comparison", ()),
+    "comparison_side": ("comparison", ("compressed",)),
+}
+
+
+@pytest.fixture(scope="module")
+def report_dir(toy_dir, compressed_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim")
+    assert main([
+        "simulate", "--plan", str(compressed_dir / "plan.json"), "--compare",
+        "--set", f"paths.model={toy_dir}/model.lten", "--set", "hardware.batch_tokens=24", "--out", str(out),
+    ]) == 0
+    return out
+
+
+class TestRecordEdits:
+    """One edit of one record in a valid file: an unknown key added, a key
+    deleted, or a value swapped for another JSON value. Reading the file then
+    succeeds or raises its reader's documented error, never another one."""
+
+    def document(self, kind, toy_dir, compressed_dir, report_dir):
+        if kind == "plan":
+            return json.loads((compressed_dir / "plan.json").read_text())
+        if kind == "graph":
+            return read_container(toy_dir / "model.lten")[0]["graph"]
+        if kind == "engines":
+            return EngineConfig.default().to_json()
+        if kind == "energy":
+            return EnergyParams().to_json()
+        if kind == "compressed":
+            return read_container(compressed_dir / "compressed.lten")[0]["compressed_layers"]
+        return json.loads((report_dir / f"{kind}.json").read_text())
+
+    def read(self, kind, doc, tmp, compressed_dir) -> bool:
+        """Read ``doc`` as its reader does; whether it was rejected with the reader's documented error."""
+        path = Path(tmp, "record.json")
+        path.write_text(json.dumps(doc))
+        try:
+            if kind == "plan":
+                read_plan(path)
+            elif kind == "graph":
+                ModelGraph.from_json(doc)
+            elif kind in ("engines", "energy"):
+                (load_engine_config if kind == "engines" else load_energy_params)(path)
+            elif kind == "compressed":
+                manifest, tensors = read_container(compressed_dir / "compressed.lten")
+                extra = {k: v for k, v in manifest.items() if k != "tensors"}
+                write_container(Path(tmp, "c.lten"), tensors, extra={**extra, "compressed_layers": doc})
+                pipeline.load_compressed(Path(tmp, "c.lten"))
+            else:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(["report", str(path)])
+                assert code in (0, 1)
+                return code == 1
+        except ConfigError:
+            assert kind in ("engines", "energy")
+            return True
+        except ValueError:
+            assert kind not in ("engines", "energy")
+            return True
+        return False
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("record", sorted(RECORDS))
+    def test_an_edited_record_reads_or_raises_its_readers_error(
+        self, toy_dir, compressed_dir, report_dir, record, data
+    ):
+        kind, keys = RECORDS[record]
+        doc = self.document(kind, toy_dir, compressed_dir, report_dir)
+        target = doc
+        for key in keys:
+            target = target[key]
+        edit = data.draw(st.sampled_from(["add", "delete", "swap"]), label="edit")
+        if edit == "add":
+            target[data.draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in target), label="key")] = (
+                data.draw(_JSON, label="value")
+            )
+        else:
+            key = data.draw(st.sampled_from(sorted(target)), label="key")
+            if edit == "delete":
+                del target[key]
+            else:
+                target[key] = data.draw(_JSON, label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            rejected = self.read(kind, doc, tmp, compressed_dir)
+        assert rejected or edit != "add", "a record with an unknown field was read"

@@ -178,9 +178,9 @@ def _tensors_as_object(manifest):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (_drop_dtype, "tensor entry 0 has no 'dtype'"),
+        (_drop_dtype, "tensor entry 0 has no field 'dtype'"),
         (lambda manifest: [manifest], "manifest must be a JSON object"),
-        (_string_shape, "list of integers as shape"),
+        (_string_shape, "tensor entry 0: shape must be a list of integers, got 'ab'"),
         (_tensors_as_object, "'tensors' must be a list"),
     ],
     ids=["entry_without_dtype", "manifest_is_array", "string_shape", "tensors_not_a_list"],

@@ -10,7 +10,7 @@ def single_layer_graph():
         layers=[LayerSpec("embed", "embed", 4, 4)],
         blocks=[],
         hidden_size=4,
-        meta={"heads": "1", "in_dim": "4"},
+        meta={"heads": 1, "in_dim": 4},
     )
     return graph
 
