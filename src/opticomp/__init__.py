@@ -22,7 +22,6 @@ from .photonic import (
     SplitterPlan,
     condensed_matmul,
     plan_splitters,
-    ptc_matmul,
     simulate,
 )
 from .quantize import QuantizedTensor, dequantize, inject_noise, quantize

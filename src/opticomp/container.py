@@ -180,3 +180,13 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if start < end:
             raise OverlappingTensorsError(f"{path}: tensors {first!r} and {second!r} share blob bytes")
     return manifest, tensors
+
+
+def read_tensors(path, *names: str) -> list[np.ndarray]:
+    """The named tensors of the container at ``path``, in order; a missing
+    one raises ValueError naming the file and the tensor."""
+    _, tensors = read_container(path)
+    missing = next((name for name in names if name not in tensors), None)
+    if missing is not None:
+        raise ValueError(f"{path}: no tensor {missing!r}")
+    return [tensors[name] for name in names]

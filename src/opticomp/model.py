@@ -55,6 +55,9 @@ class ModelGraph:
                 raise ValueError(f"layer {layer.id!r} belongs to no block group")
             if not layer.compressible and in_group:
                 raise ValueError(f"layer {layer.id!r} is embedding/head but grouped in a block")
+        heads = self.meta.get("heads", 1)
+        if self.hidden_size % heads:
+            raise ValueError(f"graph hidden_size {self.hidden_size} is not divisible by meta.heads {heads}")
 
     def layer(self, layer_id: str) -> LayerSpec:
         for layer in self.layers:
@@ -76,10 +79,16 @@ class ModelGraph:
         """The graph of a manifest, every record checked against its table."""
         top = read_record(obj, _GRAPH_FIELDS, "graph", optional=("meta",))
         layers = [LayerSpec(**read_record(l, _LAYER_FIELDS, f"graph layer {i}:")) for i, l in enumerate(top["layers"])]
-        for i, block in enumerate(top["blocks"]):
-            read_record(block, _BLOCK_FIELDS, f"graph block {i}:", optional=_BLOCK_FIELDS)
-        meta = read_record(top.get("meta", {}), _META_FIELDS, "graph meta:", optional=_META_FIELDS)
         kinds = {l.id: l.kind for l in layers}
+        for i, block in enumerate(top["blocks"]):
+            block = read_record(block, _BLOCK_FIELDS, f"graph block {i}:")
+            for group, want in block_ids(i).items():
+                if block[group] != want:
+                    raise ValueError(f"graph block {i}: {group} must list {want}, got {block[group]}")
+                missing = next((lid for lid in want if lid not in kinds), None)
+                if missing is not None:
+                    raise ValueError(f"graph block {i}: {group} lists {missing!r}, which is not a graph layer")
+        meta = read_record(top.get("meta", {}), _META_FIELDS, "graph meta:", optional=_META_FIELDS)
         for end in ("embed", "head"):
             if kinds.get(end) != end:
                 raise ValueError(f"graph has no layer {end!r} of kind {end!r}")
@@ -87,13 +96,18 @@ class ModelGraph:
 
 
 # The graph manifest, one table per record: field -> (description, test),
-# checked by ``util.read_record``. meta, its fields and block groups may be absent.
+# checked by ``util.read_record``. meta and its fields may be absent.
 _IDS = ("a list of layer ids", lambda v: LIST[1](v) and all(STRING[1](i) for i in v))
 _DIGITS = ("an integer string >= 1", lambda v: STRING[1](v) and v.isascii() and v.isdigit() and int(v) >= 1)
 _GRAPH_FIELDS = {"hidden_size": COUNT, "layers": LIST, "blocks": LIST, "meta": OBJECT}
 _LAYER_FIELDS = {"id": STRING, "kind": STRING, "rows": INTEGER, "cols": INTEGER}
 _BLOCK_FIELDS = {"attn": _IDS, "mlp": _IDS}
 _META_FIELDS = dict.fromkeys(("heads", "in_dim", "blocks", "classes", "mlp_ratio"), _DIGITS)
+
+
+def block_ids(i: int) -> dict[str, list[str]]:
+    """The layer ids block ``i``'s groups list, in order: the ones the forward pass reads."""
+    return {"attn": [f"block{i}.attn.{proj}" for proj in "qkvo"], "mlp": [f"block{i}.mlp.fc1", f"block{i}.mlp.fc2"]}
 
 
 def read_graph(path, manifest: dict) -> ModelGraph:

@@ -2,11 +2,10 @@
 
 Functional side: a photonic tensor core (PTC) of size (n_v, n_h, n_lambda)
 multiplies an (n_h x n_lambda) weight block by an (n_lambda x n_v)
-activation block per invocation; ``ptc_matmul`` runs one, or a stack of
-them. ``ptc_layer_matmul`` runs a layer slice by slice: the invocations of
-one inner slice of n_lambda are blocks of one 2-D product, and the slices'
-products are summed in order, the analog accumulation over the inner
-dimension.
+activation block per invocation. ``ptc_layer_matmul`` runs a layer slice by
+slice: the invocations of one inner slice of n_lambda are blocks of one 2-D
+product, and the slices' products are summed in order, the analog
+accumulation over the inner dimension.
 Condensed sparse chunks run on a reconfigurable engine whose input light
 can be gated in quarters of its n_v rows through a two-stage splitter tree
 (modes 2:0 / 1:1 / 0:2); functionally, each chunk's kept input rows are
@@ -188,25 +187,6 @@ _PARAMS_FIELDS = dict.fromkeys((f.name for f in fields(EnergyParams)), NON_NEGAT
 
 
 # --- functional PTC model ----------------------------------------------------
-
-
-def ptc_matmul(w_blk: np.ndarray, x_blk: np.ndarray, ptc: PtcConfig) -> np.ndarray:
-    """PTC invocations: (..., n_h x n_lambda) times (..., n_lambda x n_v).
-
-    One invocation per leading index; leading dimensions broadcast as in
-    ``np.matmul``, so a 2-D pair is a single invocation.
-    """
-    w_blk = np.asarray(w_blk, dtype=np.float64)
-    x_blk = np.asarray(x_blk, dtype=np.float64)
-    if w_blk.shape[-2:] != (ptc.n_h, ptc.n_lambda):
-        raise ValueError(f"weight block {w_blk.shape} != PTC (..., {ptc.n_h}, {ptc.n_lambda})")
-    if x_blk.shape[-2:] != (ptc.n_lambda, ptc.n_v):
-        raise ValueError(f"input block {x_blk.shape} != PTC (..., {ptc.n_lambda}, {ptc.n_v})")
-    if not np.isfinite(w_blk).all():
-        raise ValueError("weight block contains non-finite entries")
-    if not np.isfinite(x_blk).all():
-        raise ValueError("input block contains non-finite entries")
-    return w_blk @ x_blk
 
 
 def ptc_layer_matmul(w: np.ndarray, x: np.ndarray, ptc: PtcConfig) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .allocate import allocate_ranks, basis_rank, check_plan_matches, prepare_full_rank, read_plan
 from .allocate import write_plan  # noqa: F401 (plans are written and read through this module too)
 from .config import ConfigError
-from .container import read_container, write_container
+from .container import read_container, read_tensors, write_container
 from .decompose import (
     Decomposition,
     StructuredSparse,
@@ -37,10 +37,8 @@ from .vit import ToyViT, block_loss, collect_calibration, forward, logit_loss
 
 
 def load_calibration_inputs(path) -> np.ndarray:
-    _, tensors = read_container(path)
-    if "inputs" not in tensors:
-        raise ValueError(f"{path}: no 'inputs' tensor in calibration container")
-    return np.asarray(tensors["inputs"], dtype=np.float64)
+    (inputs,) = read_tensors(path, "inputs")
+    return np.asarray(inputs, dtype=np.float64)
 
 
 def compress_model(cfg: dict, engines: EngineConfig):
@@ -120,10 +118,14 @@ def save_compressed(path, graph: ModelGraph, tensors: dict, compressed: dict[str
 def load_compressed(path):
     """Read a compressed model; returns (graph, compressed layers, other tensors).
 
-    The dense tensors (every other layer and the layernorm vectors) and each
-    compressed layer (see ``_check_layer``) are checked here, once.
+    Every stored float is checked finite, and the dense tensors (every other
+    layer and the layernorm vectors) and each compressed layer (see
+    ``_check_layer``) are checked here, once.
     """
     manifest, tensors = read_container(path)
+    for name, arr in tensors.items():
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {name!r} contains non-finite entries")
     graph = read_graph(path, manifest)
     comp_meta = check(manifest.get("compressed_layers", {}), OBJECT, f"{path}: compressed_layers")
     if not comp_meta:

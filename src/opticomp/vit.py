@@ -26,8 +26,8 @@ from math import sqrt
 
 import numpy as np
 
-from .container import read_container, write_container
-from .model import LayerSpec, ModelGraph, layernorm_names
+from .container import read_tensors, write_container
+from .model import LayerSpec, ModelGraph, block_ids, layernorm_names
 from .util import as_matrix, philox_rng
 
 LN_EPS = 1e-6
@@ -48,13 +48,9 @@ class ToyViT:
 
     @classmethod
     def from_tensors(cls, graph: ModelGraph, tensors: dict[str, np.ndarray]) -> "ToyViT":
-        heads = graph.meta.get("heads", 1)
-        num_blocks = len(graph.blocks)
-        if graph.hidden_size % heads != 0:
-            raise ValueError(f"hidden size {graph.hidden_size} not divisible by {heads} heads")
         weights = {l.id: as_matrix(tensors[l.id], l.id) for l in graph.layers}
         ln_params = {name: np.asarray(tensors[name], dtype=np.float64) for name in layernorm_names(graph)}
-        return cls(graph, weights, ln_params, graph.hidden_size, heads, num_blocks)
+        return cls(graph, weights, ln_params, graph.hidden_size, graph.meta.get("heads", 1), len(graph.blocks))
 
 
 @dataclass
@@ -323,17 +319,13 @@ def collect_calibration(graph: ModelGraph, tensors: dict[str, np.ndarray], input
 def build_toy_graph(hidden=48, heads=4, mlp_ratio=2, blocks=2, classes=10, in_dim=24) -> ModelGraph:
     mlp_hidden = hidden * mlp_ratio
     layers = [LayerSpec("embed", "embed", hidden, in_dim)]
-    block_groups = []
-    for i in range(blocks):
-        attn_ids, mlp_ids = [], []
-        for proj in ("q", "k", "v", "o"):
-            lid = f"block{i}.attn.{proj}"
+    block_groups = [block_ids(i) for i in range(blocks)]
+    for group in block_groups:
+        for proj, lid in zip("qkvo", group["attn"]):
             layers.append(LayerSpec(lid, f"attn_{proj}", hidden, hidden))
-            attn_ids.append(lid)
-        layers.append(LayerSpec(f"block{i}.mlp.fc1", "mlp_fc1", mlp_hidden, hidden))
-        layers.append(LayerSpec(f"block{i}.mlp.fc2", "mlp_fc2", hidden, mlp_hidden))
-        mlp_ids = [f"block{i}.mlp.fc1", f"block{i}.mlp.fc2"]
-        block_groups.append({"attn": attn_ids, "mlp": mlp_ids})
+        fc1, fc2 = group["mlp"]
+        layers.append(LayerSpec(fc1, "mlp_fc1", mlp_hidden, hidden))
+        layers.append(LayerSpec(fc2, "mlp_fc2", hidden, mlp_hidden))
     layers.append(LayerSpec("head", "head", classes, hidden))
     meta = {
         "heads": heads,
@@ -371,8 +363,8 @@ def save_dataset(path, dataset: ToyDataset) -> None:
 
 
 def load_dataset(path) -> ToyDataset:
-    _, tensors = read_container(path)
+    inputs, labels = read_tensors(path, "inputs", "labels")
     return ToyDataset(
-        inputs=np.asarray(tensors["inputs"], dtype=np.float64),
-        labels=np.asarray(tensors["labels"], dtype=np.int64).reshape(-1),
+        inputs=np.asarray(inputs, dtype=np.float64),
+        labels=np.asarray(labels, dtype=np.int64).reshape(-1),
     )

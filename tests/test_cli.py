@@ -19,7 +19,7 @@ from opticomp.allocate import read_plan
 from opticomp.cli import main
 from opticomp.config import ConfigError
 from opticomp.container import read_container, write_container
-from opticomp.model import LayerSpec, ModelGraph, load_model, save_model
+from opticomp.model import LayerSpec, ModelGraph, block_ids, load_model, save_model
 from opticomp.photonic import EnergyParams, EngineConfig, load_energy_params, load_engine_config
 
 from test_container import rewrite_manifest
@@ -108,6 +108,32 @@ def sliced(tensor, index):
     return lambda meta, tensors: tensors.update({name: tensors[name][index]})
 
 
+def rename_layer(old, new):
+    """An edit of a model's (graph, tensors) that renames one block layer everywhere."""
+
+    def edit(graph, tensors):
+        next(layer for layer in graph["layers"] if layer["id"] == old)["id"] = new
+        for block in graph["blocks"]:
+            for ids in block.values():
+                ids[:] = [new if lid == old else lid for lid in ids]
+        tensors[new] = tensors.pop(old)
+
+    return edit
+
+
+def append_block(groups):
+    """An edit of a model's (graph, tensors) that appends a block of ``groups``
+    and its layernorm vectors, and no layer."""
+
+    def edit(graph, tensors):
+        graph["blocks"].append(groups)
+        i, hidden = len(graph["blocks"]) - 1, graph["hidden_size"]
+        for ln in ("ln1", "ln2"):
+            tensors[f"block{i}.{ln}.weight"], tensors[f"block{i}.{ln}.bias"] = np.ones(hidden), np.zeros(hidden)
+
+    return edit
+
+
 class TestGenToy:
     def test_outputs_exist(self, toy_dir):
         for name in ("model.lten", "calib.lten", "data.lten"):
@@ -133,7 +159,8 @@ class TestGenToy:
         with pytest.raises(SystemExit) as exc:
             main(["gen-toy", "--out", str(tmp_path / "toy"), flag, value])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be an integer >= " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer >= " in err and "Traceback" not in err
         assert not (tmp_path / "toy").exists()
 
     def test_hidden_not_divisible_by_heads_exits_two_and_writes_nothing(self, tmp_path, capsys):
@@ -198,7 +225,7 @@ class TestCompress:
     def test_invalid_alpha_exits_two(self, toy_dir, tmp_path, capsys, model_never_loaded, extra, field):
         assert main(compress_args(toy_dir, tmp_path, *extra)) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and repr(field) in err
+        assert "config error" in err and repr(field) in err and "Traceback" not in err
         assert not (tmp_path / "plan.json").exists()
 
     def test_granularity_above_sparse_ptc_rows_exits_two(self, toy_dir, tmp_path, capsys, model_never_loaded):
@@ -385,7 +412,7 @@ class TestSimulate:
         ]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: plan/model mismatch at layer(s): block0.attn.k, block0.attn.o, ")
-        assert captured.out == ""
+        assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "report.json").exists()
 
     def test_compare_writes_the_same_report(self, toy_dir, compressed_dir, tmp_path):
@@ -485,12 +512,13 @@ class TestMalformedInputs:
             (lambda graph: graph["meta"].update(heads="abc"),
              "graph meta: heads must be an integer string >= 1, got 'abc'"),
             (lambda graph: graph["meta"].update(heads=2), "graph meta: heads must be an integer string >= 1, got 2"),
+            (lambda graph: graph["meta"].update(heads="5"), "graph hidden_size 24 is not divisible by meta.heads 5"),
             (lambda graph: graph.update(layers=graph["layers"][1:]), "graph has no layer 'embed' of kind 'embed'"),
             (lambda graph: graph["layers"][-1].update(kind="embed"), "graph has no layer 'head' of kind 'head'"),
         ],
         ids=["no_blocks", "rows_string", "graph_list", "hidden_size_string", "block_group_string", "layer_unknown_key",
-             "block_unknown_key", "meta_unknown_key", "meta_heads_not_digits", "meta_heads_number", "no_embed",
-             "head_of_kind_embed"],
+             "block_unknown_key", "meta_unknown_key", "meta_heads_not_digits", "meta_heads_number",
+             "meta_heads_not_dividing_hidden", "no_embed", "head_of_kind_embed"],
     )
     def test_malformed_model_graph_exits_one(self, toy_dir, tmp_path, capsys, edit, message):
         bad_toy = tmp_path / "toy"
@@ -503,6 +531,40 @@ class TestMalformedInputs:
         assert main(compress_args(bad_toy, tmp_path / "run")) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {bad_toy / 'model.lten'}: {message}\n"
+        assert not (tmp_path / "run" / "plan.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (rename_layer("block0.attn.q", "block0.attn.query"),
+             "graph block 0: attn must list ['block0.attn.q', 'block0.attn.k', 'block0.attn.v', 'block0.attn.o'], "
+             "got ['block0.attn.query', 'block0.attn.k', 'block0.attn.v', 'block0.attn.o']"),
+            (append_block({"attn": ["x"], "mlp": []}),
+             "graph block 2: attn must list ['block2.attn.q', 'block2.attn.k', 'block2.attn.v', 'block2.attn.o'], "
+             "got ['x']"),
+            (append_block(block_ids(2)), "graph block 2: attn lists 'block2.attn.q', which is not a graph layer"),
+        ],
+        ids=["layer_renamed", "block_of_other_ids", "block_of_absent_layers"],
+    )
+    def test_block_the_forward_cannot_run_exits_one(self, toy_dir, tmp_path, capsys, edit, message):
+        # Each model is whole otherwise: every graph layer and layernorm vector has its tensor.
+        manifest, tensors = read_container(toy_dir / "model.lten")
+        tensors = dict(tensors)
+        edit(manifest["graph"], tensors)
+        bad_toy = tmp_path / "toy"
+        shutil.copytree(toy_dir, bad_toy)
+        write_container(bad_toy / "model.lten", tensors, extra={"graph": manifest["graph"]})
+        assert main(compress_args(bad_toy, tmp_path / "run")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad_toy / 'model.lten'}: {message}\n"
+        assert not (tmp_path / "run" / "plan.json").exists()
+
+    def test_calibration_without_inputs_exits_one(self, toy_dir, tmp_path, capsys):
+        bad_toy = tmp_path / "toy"
+        shutil.copytree(toy_dir, bad_toy)
+        write_container(bad_toy / "calib.lten", {"tokens": np.zeros((12, 4))})
+        assert main(compress_args(bad_toy, tmp_path / "run")) == 1
+        assert capsys.readouterr().err == f"error: {bad_toy / 'calib.lten'}: no tensor 'inputs'\n"
         assert not (tmp_path / "run" / "plan.json").exists()
 
     def test_verify_on_a_model_without_embed_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
@@ -663,7 +725,8 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(self.verify_args(toy_dir, compressed_dir, "--quant-noise", ratio))
         assert exc.value.code == 2
-        assert f"argument --quant-noise: must be a finite number >= 0, got '{ratio}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument --quant-noise: must be a finite number >= 0, got '{ratio}'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--quant", "--q"])
     def test_an_abbreviated_quant_noise_gets_the_range_message(self, toy_dir, compressed_dir, capsys, flag):
@@ -683,6 +746,19 @@ class TestVerify:
         assert captured.err == (
             f"error: {path}: compressed layer 'block0.attn.q': kept column index out of range [0, 24)\n"
         )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "tensor,value",
+        [("block0.attn.q.sparse.values", np.nan), ("block1.mlp.fc2.a", np.inf), ("block0.ln1.bias", -np.inf)],
+        ids=["sparse_values_nan", "factor_inf", "layernorm_minus_inf"],
+    )
+    def test_non_finite_compressed_tensor_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys, tensor, value):
+        path = tmp_path / "compressed.lten"
+        rewrite_tensor(compressed_dir / "compressed.lten", path, tensor, lambda t: t.flat.__setitem__(0, value))
+        assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: tensor {tensor!r} contains non-finite entries\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -803,8 +879,8 @@ class TestVerify:
         }[one_block]
         assert main(self.verify_args(model_dir, compressed_dir, *extra)) == 1
         captured = capsys.readouterr()
-        assert f"error: {message} at layer(s): block1.attn.k, block1.attn.o," in captured.err
-        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message} at layer(s): block1.attn.k, block1.attn.o,")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_compressed_layer_missing_a_tensor_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys):
         manifest, tensors = read_container(compressed_dir / "compressed.lten")
@@ -813,7 +889,7 @@ class TestVerify:
         write_container(path, tensors, extra={k: v for k, v in manifest.items() if k != "tensors"})
         assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
         captured = capsys.readouterr()
-        assert f"error: {path}: compressed layer 'block0.attn.q' lacks tensor(s): block0.attn.q.a\n" in captured.err
+        assert captured.err == f"error: {path}: compressed layer 'block0.attn.q' lacks tensor(s): block0.attn.q.a\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("tensor", ["embed", "head", "block0.ln1.weight", "block1.ln2.bias"])

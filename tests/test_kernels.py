@@ -1,7 +1,7 @@
 """Property tests for the vectorized kernels: the projection L-step and
 its start from a higher-rank SVD, the alternation's shared residual, the partial-sort structured sparsify, the
-factored Gram-form adapter kernel and its loop, and the batched functional PTC model (stacked invocations and the
-condensed sparse gather)."""
+factored Gram-form adapter kernel and its loop, and the batched functional PTC model (the slice-by-slice layer
+product and the condensed sparse gather)."""
 import tracemalloc
 
 import numpy as np
@@ -21,7 +21,7 @@ from opticomp.decompose import (
     structured_sparsify,
 )
 from opticomp.linalg import balanced_factors, frobenius_norm, truncated_svd
-from opticomp.photonic import PtcConfig, condensed_matmul, ptc_layer_matmul, ptc_matmul
+from opticomp.photonic import PtcConfig, condensed_matmul, ptc_layer_matmul
 
 from oracles import (
     blockwise_ptc_matmul,
@@ -273,40 +273,13 @@ class TestBatchedPtc:
         assert got.shape == (m, batch)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @SETTINGS
-    @given(st.integers(1, 4), st.integers(1, 4), ptc_dims, ptc_dims, ptc_dims, st.integers(0, 2**32 - 1))
-    def test_stacked_invocations_equal_two_dimensional_calls(self, a, b, n_v, n_h, n_lambda, seed):
-        rng = np.random.default_rng(seed)
-        ptc = PtcConfig(n_v, n_h, n_lambda)
-        w, x = rng.normal(size=(a, b, n_h, n_lambda)), rng.normal(size=(a, b, n_lambda, n_v))
-        got = ptc_matmul(w, x, ptc)
-        # Leading dims broadcast as in np.matmul.
-        w_row, x_col = rng.normal(size=(a, 1, n_h, n_lambda)), rng.normal(size=(b, n_lambda, n_v))
-        got_bc = ptc_matmul(w_row, x_col, ptc)
-        assert got.shape == got_bc.shape == (a, b, n_h, n_v)
-        for i in range(a):
-            for j in range(b):
-                np.testing.assert_array_equal(got[i, j], ptc_matmul(w[i, j], x[i, j], ptc))
-                np.testing.assert_array_equal(got_bc[i, j], ptc_matmul(w_row[i, 0], x_col[j], ptc))
-
-    def test_stacked_call_rejects_a_wrong_trailing_shape(self):
-        ptc = PtcConfig(4, 3, 2)
-        with pytest.raises(ValueError, match="PTC"):
-            ptc_matmul(np.ones((5, 3, 2)), np.ones((5, 2, 3)), ptc)
-        with pytest.raises(ValueError, match="PTC"):
-            ptc_matmul(np.ones((5, 2, 3)), np.ones((5, 2, 4)), ptc)
-
     @pytest.mark.parametrize("operand", ["weight", "input"])
     def test_nan_is_rejected(self, operand):
         ptc = PtcConfig(4, 3, 2)
         w, x = np.ones((7, 5)), np.ones((5, 6))
-        w_blk, x_blk = np.ones((2, 3, 2)), np.ones((2, 2, 4))
         (w if operand == "weight" else x)[4, 2] = np.nan
-        (w_blk if operand == "weight" else x_blk)[1, 1, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             ptc_layer_matmul(w, x, ptc)
-        with pytest.raises(ValueError, match="non-finite"):
-            ptc_matmul(w_blk, x_blk, ptc)
 
     def test_peak_memory_holds_no_product_tensor(self):
         # A (pr, pb, pk, n_h, n_v) tensor of every invocation's product would

@@ -18,7 +18,6 @@ from opticomp.photonic import (
     operating_height,
     plan_splitters,
     ptc_layer_matmul,
-    ptc_matmul,
     simulate,
 )
 from opticomp.util import philox_rng
@@ -28,18 +27,6 @@ PTC12 = PtcConfig(12, 12, 12)
 
 
 class TestPtcMatmul:
-    def test_identity_weight(self):
-        x = np.random.default_rng(1).normal(size=(12, 12))
-        np.testing.assert_array_equal(ptc_matmul(np.eye(12), x, PTC12), x)
-
-    def test_zero_input(self):
-        w = np.random.default_rng(2).normal(size=(12, 12))
-        np.testing.assert_array_equal(ptc_matmul(w, np.zeros((12, 12)), PTC12), 0.0)
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError, match="PTC"):
-            ptc_matmul(np.ones((11, 12)), np.ones((12, 12)), PTC12)
-
     def test_tiled_layer_matches_reference(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=(40, 29))

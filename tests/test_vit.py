@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opticomp.container import write_container
 from opticomp.vit import (
     ERF_CHUNK,
     QUERY_BLOCK,
@@ -295,3 +296,15 @@ class TestEvaluate:
         ds2 = load_dataset(tmp_path / "d.lten")
         np.testing.assert_array_equal(ds.labels, ds2.labels)
         np.testing.assert_allclose(ds.inputs, ds2.inputs, atol=1e-6)  # f32 storage
+
+    @pytest.mark.parametrize("missing", ["inputs", "labels"])
+    def test_dataset_without_a_tensor_names_the_file_and_the_tensor(self, tmp_path, missing):
+        graph, tensors, _ = make_model(seed=15)
+        ds = gen_toy_dataset(graph, tensors, samples=5, tokens=4, seed=16)
+        kept = {"inputs": ds.inputs, "labels": ds.labels}
+        del kept[missing]
+        path = tmp_path / "d.lten"
+        write_container(path, kept, extra={"kind": "dataset"})
+        with pytest.raises(ValueError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: no tensor {missing!r}"
