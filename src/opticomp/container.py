@@ -12,7 +12,9 @@ Layout, all little-endian:
 
 Supported dtypes are ``f32`` (little-endian float32) and ``i32``
 (little-endian int32). Extra manifest keys (e.g. a model graph) ride along
-untouched. Round trips are bit-exact.
+untouched. Round trips are bit-exact, NaN and infinity included:
+``read_container`` checks the format only. What a kind of file must hold is
+its table, ``name -> (dtype, shape)``, checked by ``check_tensors``.
 """
 from __future__ import annotations
 
@@ -64,12 +66,13 @@ class OverlappingTensorsError(ContainerError):
     """Two tensors' byte extents share bytes of the blob."""
 
 
+_STORED = {"f": "f32", "i": "i32", "u": "i32"}  # numpy dtype kind -> the dtype it is stored as
+
+
 def _dtype_name(arr: np.ndarray) -> str:
-    if arr.dtype.kind == "f":
-        return "f32"
-    if arr.dtype.kind in "iu":
-        return "i32"
-    raise ContainerError(f"unsupported tensor dtype {arr.dtype}")
+    if arr.dtype.kind not in _STORED:
+        raise ContainerError(f"unsupported tensor dtype {arr.dtype}")
+    return _STORED[arr.dtype.kind]
 
 
 def write_container(path, tensors: dict[str, np.ndarray], extra: dict | None = None) -> None:
@@ -182,11 +185,31 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     return manifest, tensors
 
 
-def read_tensors(path, *names: str) -> list[np.ndarray]:
-    """The named tensors of the container at ``path``, in order; a missing
-    one raises ValueError naming the file and the tensor."""
+def check_tensors(path, tensors: dict, table: dict) -> None:
+    """Check ``tensors`` against a file's table, ``name -> (dtype, shape)``:
+    each named tensor is present, stored as ``dtype`` (``f32`` or ``i32``, as
+    ``write_container`` stores it) with ``shape`` (a None dimension matches any
+    length), and finite if f32; a ValueError naming ``path`` and the tensor
+    otherwise. Tensors the table does not name are not looked at."""
+    for name, (dtype, shape) in table.items():
+        arr = tensors.get(name)
+        if arr is None:
+            raise ValueError(f"{path}: no tensor {name!r}")
+        held = _STORED.get(arr.dtype.kind)
+        if held != dtype:
+            raise ValueError(f"{path}: tensor {name!r} holds {held or arr.dtype}, expected {dtype}")
+        if arr.shape != shape and (
+            arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+        ):
+            wanted = str(tuple(shape)).replace("None", "*")
+            raise ValueError(f"{path}: tensor {name!r} has shape {arr.shape}, expected {wanted}")
+        if dtype == "f32" and not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {name!r} contains non-finite entries")
+
+
+def read_tensors(path, table: dict) -> list[np.ndarray]:
+    """The tensors ``table`` names (see ``check_tensors``), in its order, from
+    the container at ``path``."""
     _, tensors = read_container(path)
-    missing = next((name for name in names if name not in tensors), None)
-    if missing is not None:
-        raise ValueError(f"{path}: no tensor {missing!r}")
-    return [tensors[name] for name in names]
+    check_tensors(path, tensors, table)
+    return [tensors[name] for name in table]

@@ -106,12 +106,10 @@ class StructuredSparse:
         return lo, min(lo + self.granularity, self.full_rows)
 
     def validate(self) -> None:
-        """Shapes, index range and per-chunk order; needs granularity >= 1."""
-        cols, values = self.kept_cols, self.condensed
-        if cols.ndim != 2 or cols.shape[0] != self.num_chunks or cols.shape[1] < 1:
-            raise ValueError(f"kept_cols has shape {cols.shape}, expected ({self.num_chunks}, d) with d >= 1")
-        if values.shape != (self.full_rows, cols.shape[1]):
-            raise ValueError(f"condensed has shape {values.shape}, expected {(self.full_rows, cols.shape[1])}")
+        """Index range and per-chunk order. The shapes are the file reader's
+        to check (``pipeline.load_compressed``); here ``kept_cols`` must be
+        non-empty."""
+        cols = self.kept_cols
         if cols.min() < 0 or cols.max() >= self.full_cols:
             raise ValueError(f"kept column index out of range [0, {self.full_cols})")
         if np.any(np.diff(cols, axis=1) <= 0):

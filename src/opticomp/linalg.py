@@ -55,11 +55,7 @@ def truncated_svd(m: np.ndarray, k: int) -> SvdResult:
     ``m`` in Frobenius norm. Singular values come back non-increasing and
     non-negative.
     """
-    m = as_matrix(m, "m")
-    min_dim = min(m.shape)
-    if not 1 <= k <= min_dim:
-        raise SvdError(f"rank k={k} out of range [1, {min_dim}] for shape {m.shape}")
-    u, s, vt = _lapack_svd(m, compute_uv=True)
+    u, s, vt = _lapack_svd(as_matrix(m, "m"), compute_uv=True)
     result = SvdResult(u=u, singular_values=s, vt=vt).truncate(k)
     check_finite(result.u, "truncated_svd")
     check_finite(result.vt, "truncated_svd")

@@ -1,11 +1,13 @@
-"""Transformer model manifest and tensor bundle on top of the LTEN container."""
+"""Transformer model manifest and tensor bundle on top of the LTEN container.
+A model file's tensors are checked against its table (``dense_shapes``) on
+write and read."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import check_tensors, read_container, write_container
 from .util import COUNT, INTEGER, LIST, OBJECT, STRING, read_record
 
 COMPRESSIBLE_KINDS = ("attn_q", "attn_k", "attn_v", "attn_o", "mlp_fc1", "mlp_fc2")
@@ -122,15 +124,9 @@ def read_graph(path, manifest: dict) -> ModelGraph:
 
 
 def save_model(path, graph: ModelGraph, tensors: dict[str, np.ndarray]) -> None:
-    """Write graph + tensors to an LTEN file; layer tensors are shape-checked."""
-    for layer in graph.layers:
-        arr = tensors.get(layer.id)
-        if arr is None:
-            raise ValueError(f"missing tensor for layer {layer.id!r}")
-        if tuple(arr.shape) != (layer.rows, layer.cols):
-            raise ValueError(
-                f"layer {layer.id!r}: manifest says {layer.rows}x{layer.cols}, tensor is {arr.shape}"
-            )
+    """Write graph + tensors to an LTEN file, once the tensors hold the
+    model's table (``dense_shapes``)."""
+    check_tensors(path, tensors, dense_shapes(graph))
     write_container(path, tensors, extra={"graph": graph.to_json()})
 
 
@@ -141,22 +137,17 @@ def layernorm_names(graph: ModelGraph) -> list[str]:
     ]
 
 
-def check_dense_tensors(path, graph: ModelGraph, tensors: dict, skip=()) -> None:
-    """Each graph layer not in ``skip`` has its rows x cols tensor and each
-    layernorm vector is (hidden,); a missing or misshapen one names the file
-    and the tensor."""
-    want = {layer.id: (layer.rows, layer.cols) for layer in graph.layers if layer.id not in skip}
-    want.update((name, (graph.hidden_size,)) for name in layernorm_names(graph))
-    for name, shape in want.items():
-        if name not in tensors:
-            raise ValueError(f"{path}: no tensor {name!r}")
-        if tuple(tensors[name].shape) != shape:
-            got = tuple(tensors[name].shape)
-            raise ValueError(f"{path}: tensor {name!r} has shape {got}, expected {shape}")
+def dense_shapes(graph: ModelGraph, skip=()) -> dict[str, tuple]:
+    """The table (``container.check_tensors``) of a model file's dense
+    tensors: each graph layer not in ``skip`` is ``rows x cols`` and each
+    layernorm vector ``(hidden,)``, all f32."""
+    table = {layer.id: ("f32", (layer.rows, layer.cols)) for layer in graph.layers if layer.id not in skip}
+    table.update((name, ("f32", (graph.hidden_size,))) for name in layernorm_names(graph))
+    return table
 
 
 def load_model(path) -> tuple[ModelGraph, dict[str, np.ndarray]]:
     manifest, tensors = read_container(path)
     graph = read_graph(path, manifest)
-    check_dense_tensors(path, graph, tensors)
+    check_tensors(path, tensors, dense_shapes(graph))
     return graph, tensors

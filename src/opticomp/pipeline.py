@@ -4,7 +4,8 @@ Glues the stages together: calibration capture -> activation scaling ->
 one-step rank-r_max guide -> greedy rank allocation -> per-layer
 decomposition at the assigned rank (``decomposition.iters`` alternations,
 starting from the guide's SVD of W D) -> local adaptation -> serialized
-compressed model + plan. Verification
+compressed model + plan. Every tensor file is checked against its table
+(``container.check_tensors``) where it is read. Verification
 re-derives every stored quantity from the artifacts themselves.
 Each fitted layer is a ``decompose.Decomposition``, also when read back
 (with an empty ``objective_trace``); ``plan.json`` is owned by ``allocate``.
@@ -19,7 +20,7 @@ import numpy as np
 from .allocate import allocate_ranks, basis_rank, check_plan_matches, prepare_full_rank, read_plan
 from .allocate import write_plan  # noqa: F401 (plans are written and read through this module too)
 from .config import ConfigError
-from .container import read_container, read_tensors, write_container
+from .container import check_tensors, read_container, read_tensors, write_container
 from .decompose import (
     Decomposition,
     StructuredSparse,
@@ -29,7 +30,7 @@ from .decompose import (
     layer_error,
     local_adapt,
 )
-from .model import ModelGraph, check_dense_tensors, load_model, read_graph
+from .model import ModelGraph, dense_shapes, load_model, read_graph
 from .photonic import EngineConfig, EnergyParams, condensed_matmul, load_energy_params, load_engine_config
 from .quantize import dequantize, inject_noise, quantize
 from .util import COUNT, OBJECT, check, philox_rng, read_record, stable_key
@@ -37,7 +38,7 @@ from .vit import ToyViT, block_loss, collect_calibration, forward, logit_loss
 
 
 def load_calibration_inputs(path) -> np.ndarray:
-    (inputs,) = read_tensors(path, "inputs")
+    (inputs,) = read_tensors(path, {"inputs": ("f32", (None, None))})
     return np.asarray(inputs, dtype=np.float64)
 
 
@@ -118,14 +119,12 @@ def save_compressed(path, graph: ModelGraph, tensors: dict, compressed: dict[str
 def load_compressed(path):
     """Read a compressed model; returns (graph, compressed layers, other tensors).
 
-    Every stored float is checked finite, and the dense tensors (every other
-    layer and the layernorm vectors) and each compressed layer (see
-    ``_check_layer``) are checked here, once.
+    The file's table is checked here, once (``container.check_tensors``):
+    the model table (``model.dense_shapes``) for the dense tensors, and each
+    compressed layer's factors and condensed sparse part at the ``r``, ``d``
+    and ``g`` of its manifest entry; then its indices (``StructuredSparse.validate``).
     """
     manifest, tensors = read_container(path)
-    for name, arr in tensors.items():
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise ValueError(f"{path}: tensor {name!r} contains non-finite entries")
     graph = read_graph(path, manifest)
     comp_meta = check(manifest.get("compressed_layers", {}), OBJECT, f"{path}: compressed_layers")
     if not comp_meta:
@@ -134,15 +133,18 @@ def load_compressed(path):
     unknown = sorted(set(comp_meta) - set(specs))
     if unknown:
         raise ValueError(f"{path}: its graph has no compressible layer(s): {', '.join(unknown)}")
-    check_dense_tensors(path, graph, tensors, skip=comp_meta)
+    check_tensors(path, tensors, dense_shapes(graph, skip=comp_meta))
     compressed = {}
     for lid, info in comp_meta.items():
         spec = specs[lid]
         info = read_record(info, _ENTRY_FIELDS, f"{path}: compressed layer {lid!r}:")
-        names = [f"{lid}.{part}" for part in ("a", "b", "sparse.values", "sparse.cols")]
-        absent = [name for name in names if name not in tensors]
-        if absent:
-            raise ValueError(f"{path}: compressed layer {lid!r} lacks tensor(s): {', '.join(absent)}")
+        rows, r, d = spec.rows, info["r"], info["d"]
+        check_tensors(path, tensors, {
+            f"{lid}.a": ("f32", (rows, r)),
+            f"{lid}.b": ("f32", (r, spec.cols)),
+            f"{lid}.sparse.values": ("f32", (rows, d)),
+            f"{lid}.sparse.cols": ("i32", (-(-rows // info["g"]), d)),
+        })
         cl = Decomposition(
             a=np.asarray(tensors[f"{lid}.a"], dtype=np.float64),
             b=np.asarray(tensors[f"{lid}.b"], dtype=np.float64),
@@ -156,7 +158,7 @@ def load_compressed(path):
             objective_trace=[],
         )
         try:
-            _check_layer(cl, info)
+            cl.sparse.validate()
         except ValueError as exc:
             raise ValueError(f"{path}: compressed layer {lid!r}: {exc}") from None
         compressed[lid] = cl
@@ -166,17 +168,6 @@ def load_compressed(path):
 
 # A compressed layer's manifest entry, checked by ``util.read_record``.
 _ENTRY_FIELDS = {"r": COUNT, "d": COUNT, "g": COUNT}
-
-
-def _check_layer(cl: Decomposition, info: dict) -> None:
-    """Factor shapes against the manifest r, sparse structure, manifest d."""
-    sp, r = cl.sparse, info["r"]
-    rows, cols = sp.full_rows, sp.full_cols
-    if cl.a.shape != (rows, r) or cl.b.shape != (r, cols):
-        raise ValueError(f"a is {cl.a.shape}, b is {cl.b.shape}; manifest r = {r} needs {(rows, r)} and {(r, cols)}")
-    sp.validate()
-    if info["d"] != sp.kept_per_chunk:
-        raise ValueError(f"manifest d = {info['d']}, but sparse.cols keeps {sp.kept_per_chunk} per chunk")
 
 
 def effective_tensors(graph: ModelGraph, compressed: dict[str, Decomposition], others: dict) -> dict:

@@ -363,8 +363,8 @@ def save_dataset(path, dataset: ToyDataset) -> None:
 
 
 def load_dataset(path) -> ToyDataset:
-    inputs, labels = read_tensors(path, "inputs", "labels")
-    return ToyDataset(
-        inputs=np.asarray(inputs, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64).reshape(-1),
-    )
+    """A dataset file: its table, and one label per sample."""
+    inputs, labels = read_tensors(path, {"inputs": ("f32", (None, None, None)), "labels": ("i32", (None,))})
+    if len(labels) != len(inputs):
+        raise ValueError(f"{path}: tensor 'labels' has {len(labels)} entries, expected one per sample ({len(inputs)})")
+    return ToyDataset(inputs=np.asarray(inputs, dtype=np.float64), labels=np.asarray(labels, dtype=np.int64))

@@ -626,19 +626,34 @@ class TestMalformedInputs:
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize(
-        "file,tensor,message",
-        [
-            ("model.lten", "block0.attn.q", "block0.attn.q contains non-finite entries"),
-            ("calib.lten", "inputs", "calibration inputs contains non-finite entries"),
-        ],
-        ids=["model_weight", "calibration_inputs"],
+        "file,tensor",
+        [("model.lten", "block0.attn.q"), ("calib.lten", "inputs"), ("model.lten", "block0.ln1.weight")],
+        ids=["model_weight", "calibration_inputs", "layernorm_vector"],
     )
-    def test_non_finite_input_file_exits_one(self, toy_dir, tmp_path, capsys, file, tensor, message):
+    def test_non_finite_input_file_exits_one(self, toy_dir, tmp_path, capsys, file, tensor):
         bad_toy = tmp_path / "toy"
         shutil.copytree(toy_dir, bad_toy)
-        rewrite_tensor(toy_dir / file, bad_toy / file, tensor, lambda t: t.__setitem__((0, 0), np.nan))
+        rewrite_tensor(toy_dir / file, bad_toy / file, tensor, lambda t: t.flat.__setitem__(0, np.nan))
         assert main(compress_args(bad_toy, tmp_path / "run")) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {bad_toy / file}: tensor {tensor!r} contains non-finite entries\n"
+        assert not (tmp_path / "run" / "plan.json").exists()
+
+    @pytest.mark.parametrize(
+        "file,tensor,edit,message",
+        [
+            ("calib.lten", "inputs", lambda t: t.reshape(-1), "has shape (384,), expected (*, *)"),
+            ("model.lten", "head", lambda t: t.astype(np.int32), "holds i32, expected f32"),
+        ],
+        ids=["calibration_inputs_1d", "head_weight_i32"],
+    )
+    def test_input_tensor_breaking_its_table_exits_one(self, toy_dir, tmp_path, capsys, file, tensor, edit, message):
+        bad_toy = tmp_path / "toy"
+        shutil.copytree(toy_dir, bad_toy)
+        manifest, tensors = read_container(toy_dir / file)
+        tensors = {**tensors, tensor: edit(tensors[tensor])}
+        write_container(bad_toy / file, tensors, extra={k: v for k, v in manifest.items() if k != "tensors"})
+        assert main(compress_args(bad_toy, tmp_path / "run")) == 1
+        assert capsys.readouterr().err == f"error: {bad_toy / file}: tensor {tensor!r} {message}\n"
         assert not (tmp_path / "run" / "plan.json").exists()
 
     @pytest.mark.parametrize("shape", [[10**30], [2**62, 4]], ids=["beyond_int64", "wraps_int64"])
@@ -687,6 +702,9 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"error: {path}: model has no compressible layers" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "plan.json").exists()
+
+
+LAYER = "compressed layer 'block0.attn.q'"
 
 
 class TestVerify:
@@ -764,23 +782,37 @@ class TestVerify:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (lambda meta, t: meta["block0.attn.q"].update(g=0), "g must be an integer >= 1, got 0"),
-            (lambda meta, t: meta["block0.attn.q"].pop("g"), " has no field 'g'\n"),
-            (sliced("a", np.s_[:, :-1]), "a is (24, 11), b is (12, 24)"),
-            (sliced("b", np.s_[:, :-1]), "a is (24, 12), b is (12, 23)"),
-            (sliced("sparse.values", np.s_[:-1]), "condensed has shape (23, 3), expected (24, 3)"),
-            (sliced("sparse.cols", np.s_[:, ::-1]), "kept column indices must be strictly increasing per chunk"),
-            (lambda meta, t: meta["block0.attn.q"].update(r=13), "manifest r = 13 needs (24, 13) and (13, 24)"),
+            (lambda meta, t: meta["block0.attn.q"].update(g=0), LAYER + ": g must be an integer >= 1, got 0"),
+            (lambda meta, t: meta["block0.attn.q"].pop("g"), LAYER + " has no field 'g'"),
+            (sliced("a", np.s_[:, :-1]), "tensor 'block0.attn.q.a' has shape (24, 11), expected (24, 12)"),
+            (sliced("b", np.s_[:, :-1]), "tensor 'block0.attn.q.b' has shape (12, 23), expected (12, 24)"),
+            (
+                sliced("sparse.values", np.s_[:-1]),
+                "tensor 'block0.attn.q.sparse.values' has shape (23, 3), expected (24, 3)",
+            ),
+            (
+                sliced("sparse.cols", np.s_[:, ::-1]),
+                LAYER + ": kept column indices must be strictly increasing per chunk",
+            ),
+            (
+                lambda meta, t: meta["block0.attn.q"].update(r=13),
+                "tensor 'block0.attn.q.a' has shape (24, 12), expected (24, 13)",
+            ),
+            (
+                lambda meta, t: t.update({"block0.attn.q.sparse.cols": t["block0.attn.q.sparse.cols"] + 0.5}),
+                "tensor 'block0.attn.q.sparse.cols' holds f32, expected i32",
+            ),
         ],
-        ids=["g_zero", "g_missing", "a_short", "b_narrow", "values_short", "cols_reversed", "manifest_r_off"],
+        ids=[
+            "g_zero", "g_missing", "a_short", "b_narrow", "values_short", "cols_reversed", "manifest_r_off", "cols_f32"
+        ],
     )
     def test_malformed_compressed_layer_exits_one(self, toy_dir, compressed_dir, tmp_path, capsys, edit, message):
         path = tmp_path / "compressed.lten"
         rewrite_compressed(compressed_dir / "compressed.lten", path, edit)
         assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {path}: compressed layer 'block0.attn.q'")
-        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.err == f"error: {path}: {message}\n"
         assert captured.out == ""
 
     def test_layer_shape_mismatch_exits_one(self, toy_dir, compressed_dir, narrow_dir, capsys):
@@ -889,7 +921,7 @@ class TestVerify:
         write_container(path, tensors, extra={k: v for k, v in manifest.items() if k != "tensors"})
         assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: {path}: compressed layer 'block0.attn.q' lacks tensor(s): block0.attn.q.a\n"
+        assert captured.err == f"error: {path}: no tensor 'block0.attn.q.a'\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("tensor", ["embed", "head", "block0.ln1.weight", "block1.ln2.bias"])

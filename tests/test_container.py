@@ -19,6 +19,7 @@ from opticomp.container import (
     ShapeDisagreementError,
     TruncatedBlobError,
     VersionMismatchError,
+    check_tensors,
     read_container,
     write_container,
 )
@@ -247,3 +248,57 @@ def test_mutated_manifest_entry_raises_only_container_errors(entry, field, data)
             read_container(path)
         except ContainerError:
             pass
+
+
+_STORED = {"f32": np.dtype("<f4"), "i32": np.dtype("<i4")}
+_SIDES = st.integers(0, 3)
+_TABLE_SHAPES = st.lists(st.none() | _SIDES, max_size=3).map(tuple)
+
+
+def _expected_defect(arr, dtype, shape):
+    """What ``check_tensors`` must report of one table entry, or None."""
+    if arr is None:
+        return "no tensor"
+    if arr.dtype != _STORED[dtype]:
+        return "holds"
+    if arr.ndim != len(shape) or any(want is not None and want != got for want, got in zip(shape, arr.shape)):
+        return "has shape"
+    if dtype == "f32" and (np.isnan(arr) | np.isinf(arr)).any():
+        return "contains non-finite entries"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from("abcd"), st.tuples(st.sampled_from(sorted(_STORED)), _TABLE_SHAPES), max_size=4),
+    st.data(),
+)
+def test_check_tensors_passes_exactly_the_tensors_that_hold_the_table(table, data):
+    # Each tensor is absent, of a random dtype and shape, or as its table
+    # entry lists it, maybe with one non-finite entry; "e" is in no table.
+    tensors = {}
+    for name in [*table, "e"]:
+        case = data.draw(st.sampled_from(["absent", "random", *["listed"] * 4]))
+        if case == "absent":
+            continue
+        dtype, shape = table.get(name, ("f32", ()))
+        if case == "random":
+            dtype, shape = data.draw(st.sampled_from(sorted(_STORED))), data.draw(_TABLE_SHAPES)
+        shape = tuple(data.draw(_SIDES) if side is None else side for side in shape)
+        finite = st.floats(width=32, allow_nan=False, allow_infinity=False) if dtype == "f32" else None
+        arr = data.draw(hnp.arrays(_STORED[dtype], shape, elements=finite))
+        if dtype == "f32" and arr.size and data.draw(st.booleans()):
+            arr.flat[data.draw(st.integers(0, arr.size - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        tensors[name] = arr
+    defects = [(name, _expected_defect(tensors.get(name), dtype, shape)) for name, (dtype, shape) in table.items()]
+    defects = [(name, defect) for name, defect in defects if defect]
+    if not defects:
+        check_tensors("t.lten", tensors, table)
+        return
+    with pytest.raises(ValueError) as exc:
+        check_tensors("t.lten", tensors, table)
+    (name, defect), message = defects[0], str(exc.value)
+    if defect == "no tensor":
+        assert message == f"t.lten: no tensor {name!r}"
+    else:
+        assert message.startswith(f"t.lten: tensor {name!r} {defect}")

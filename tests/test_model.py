@@ -48,6 +48,16 @@ class TestModelRoundTrip:
         for name, arr in tensors.items():
             assert tensors2[name].tobytes() == np.asarray(arr, dtype=np.float32).tobytes()
 
+    def test_non_finite_tensor_rejected_before_writing(self, tmp_path):
+        graph = build_toy_graph(hidden=16, heads=2, mlp_ratio=2, blocks=2, classes=5, in_dim=8)
+        tensors = gen_toy_model(graph, seed=3)
+        tensors["block1.ln2.bias"][3] = np.nan
+        path = tmp_path / "m.lten"
+        with pytest.raises(ValueError) as exc:
+            save_model(path, graph, tensors)
+        assert str(exc.value) == f"{path}: tensor 'block1.ln2.bias' contains non-finite entries"
+        assert not path.exists()
+
     def test_shape_mismatch_on_save(self, tmp_path):
         graph = single_layer_graph()
         with pytest.raises(ValueError, match="embed"):

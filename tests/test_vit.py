@@ -297,6 +297,23 @@ class TestEvaluate:
         np.testing.assert_array_equal(ds.labels, ds2.labels)
         np.testing.assert_allclose(ds.inputs, ds2.inputs, atol=1e-6)  # f32 storage
 
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            (lambda labels: labels[:-2], "tensor 'labels' has 3 entries, expected one per sample (5)"),
+            (lambda labels: labels + 0.5, "tensor 'labels' holds f32, expected i32"),
+        ],
+        ids=["two_labels_dropped", "float_labels"],
+    )
+    def test_dataset_labels_must_be_one_integer_per_sample(self, tmp_path, labels, message):
+        graph, tensors, _ = make_model(seed=15)
+        ds = gen_toy_dataset(graph, tensors, samples=5, tokens=4, seed=16)
+        path = tmp_path / "d.lten"
+        write_container(path, {"inputs": ds.inputs, "labels": labels(ds.labels)}, extra={"kind": "dataset"})
+        with pytest.raises(ValueError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("missing", ["inputs", "labels"])
     def test_dataset_without_a_tensor_names_the_file_and_the_tensor(self, tmp_path, missing):
         graph, tensors, _ = make_model(seed=15)
