@@ -11,13 +11,23 @@ sequences (samples x in_dim x tokens): weight products broadcast over the
 leading axis, and layernorm and pooling act on the last two axes, so each
 sample's result is bit-identical to its own 2-D forward.
 
-Attention takes query tokens ``QUERY_BLOCK`` at a time. A block's scores are
-one (rows x tokens) array per head, exponentiated in place, and the value
-product is divided by the softmax row sums only after it is formed, so the
-scale and the normalisation touch (head dim x tokens) and no
-(tokens x tokens) array is ever made. Everything is pure-functional numpy
-(no activation is written after it is made), so repeated calls are
-bit-identical and calibration capture can keep activations by reference.
+Attention takes query tokens ``QUERY_BLOCK`` (32) at a time, all heads of a
+block in one batched product, so that a block's scores (heads x tokens x 32)
+stay in cache, and no (tokens x tokens) array is ever made. Each block costs
+three passes over its scores: the score product, ``exp`` in place, and the
+value product. The softmax shift is not the row max but the Cauchy-Schwarz
+bound c_i = ||q_i|| max_j ||k_j|| (q scaled by 1/sqrt(dh); the max per
+sequence and head), folded into the score product as one extra row:
+[k; -1]^T [q; c] is the block's scores less c, formed transposed
+(tokens x rows) so that both products take their operands as stored, and
+none exceeds 0 before ``exp``. A row of ones under v makes the value product
+[v; 1] e carry the softmax sums in its last row, and the outputs are divided
+by them after it. If a sum falls below ``SUM_FLOOR`` (1e-280), the bound sat
+far above that query's max (only extreme logits do this), and that sequence
+and head's block is taken again with the exact max. Everything is
+pure-functional numpy (no activation is written after it is made), so
+repeated calls are bit-identical and calibration capture can keep
+activations by reference.
 """
 from __future__ import annotations
 
@@ -31,7 +41,8 @@ from .model import LayerSpec, ModelGraph, block_ids, layernorm_names
 from .util import as_matrix, philox_rng
 
 LN_EPS = 1e-6
-QUERY_BLOCK = 128  # query tokens per attention block: each block's scores are QUERY_BLOCK x tokens
+QUERY_BLOCK = 32  # query tokens per attention block: each block's scores are heads x tokens x QUERY_BLOCK
+SUM_FLOOR = 1e-280  # a softmax sum below this takes its block again with the exact max
 SAMPLE_CHUNK = 32  # dataset samples stacked into one forward by gen_toy_dataset and evaluate
 
 
@@ -48,7 +59,10 @@ class ToyViT:
 
     @classmethod
     def from_tensors(cls, graph: ModelGraph, tensors: dict[str, np.ndarray]) -> "ToyViT":
-        weights = {l.id: as_matrix(tensors[l.id], l.id) for l in graph.layers}
+        """The model of checked tensors: from a reader that checked the file's
+        table (``load_model``, ``load_compressed``), ``gen_toy_model`` or
+        ``effective_tensors``, so they are not scanned again here."""
+        weights = {l.id: np.ascontiguousarray(tensors[l.id], dtype=np.float64) for l in graph.layers}
         ln_params = {name: np.asarray(tensors[name], dtype=np.float64) for name in layernorm_names(graph)}
         return cls(graph, weights, ln_params, graph.hidden_size, graph.meta.get("heads", 1), len(graph.blocks))
 
@@ -81,18 +95,46 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nd
     projections, QUERY_BLOCK query tokens at a time (see the module docstring)."""
     hidden, tokens = q.shape[-2:]
     dh = hidden // heads
-    q = q * (1.0 / sqrt(dh))
-    out = np.empty(q.shape)
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        for start in range(0, tokens, QUERY_BLOCK):
-            blk = slice(start, start + QUERY_BLOCK)
-            e = np.swapaxes(q[..., sl, blk], -1, -2) @ k[..., sl, :]  # (..., rows x tokens) scores
-            e -= e.max(axis=-1, keepdims=True)
-            np.exp(e, out=e)
-            np.divide(v[..., sl, :] @ np.swapaxes(e, -1, -2), e.sum(axis=-1)[..., None, :], out=out[..., sl, blk])
-            del e  # so that the next block's scores do not coexist with these
-    return out
+    split = (*q.shape[:-2], heads, dh, tokens)
+    # Per sequence and head: qa = [q / sqrt(dh); c] and va = [v; 1], each
+    # (dh + 1) x tokens, and kt = [k; -1]^T, tokens x (dh + 1). So kt @ qa is a
+    # block's scores less the bound c, transposed (tokens x rows), and va @ e
+    # carries the softmax sums in its last row; every product takes its
+    # operands as stored.
+    qa, va = np.empty((2, *split[:-2], dh + 1, tokens))
+    kt = np.empty((*split[:-2], tokens, dh + 1))
+    qs = np.multiply(q.reshape(split), 1.0 / sqrt(dh), out=qa[..., :dh, :])
+    ks = kt[..., :dh]
+    ks[...] = np.swapaxes(k.reshape(split), -1, -2)
+    kt[..., dh] = -1.0
+    bound = np.einsum("...dt,...dt->...t", qs, qs)
+    bound *= np.einsum("...td,...td->...t", ks, ks).max(axis=-1, keepdims=True)
+    np.sqrt(bound, out=qa[..., dh, :])  # c_i = ||q_i|| max_j ||k_j|| (q scaled) >= every score of query i
+    va[..., :dh, :] = v.reshape(split)
+    va[..., dh, :] = 1.0
+    out = np.empty(split)
+    for start in range(0, tokens, QUERY_BLOCK):
+        blk = slice(start, start + QUERY_BLOCK)
+        e = kt @ qa[..., blk]  # (..., heads, tokens x rows), each score <= 0
+        np.exp(e, out=e)
+        num = va @ e  # (..., heads, dh + 1 x rows)
+        del e  # so that the next block's scores do not coexist with these
+        sums = num[..., dh, :]
+        if sums.min() < SUM_FLOOR:
+            for idx in zip(*np.nonzero(sums.min(axis=-1) < SUM_FLOOR)):
+                num[idx] = _exact_shift_block(kt[idx], qa[idx][:, blk], va[idx])
+        np.divide(num[..., :dh, :], num[..., dh:, :], out=out[..., blk])
+    return out.reshape(q.shape)
+
+
+def _exact_shift_block(kt: np.ndarray, qa: np.ndarray, va: np.ndarray) -> np.ndarray:
+    """One sequence and head's value product for one query block, its scores
+    shifted by their exact max per query instead of the bound, for when the
+    bound sat too far above it; the score product leaves out the bound."""
+    z = kt[:, :-1] @ qa[:-1]
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    return va @ z
 
 
 # Cody, "Rational Chebyshev approximation for the error function", Math. Comp.

@@ -26,7 +26,9 @@ from opticomp.vit import (
     save_dataset,
 )
 
-from oracles import full_matrix_forward
+from opticomp import vit
+
+from oracles import full_matrix_attention, full_matrix_forward
 
 
 def make_model(seed=0, **kwargs):
@@ -70,14 +72,19 @@ class TestForward:
         k[::dh] = 1.0
         q[:, 1] *= 1e3
         q[:, QUERY_BLOCK + 1] *= 1e3
-        q[::dh, 2] = 800.0 * np.sqrt(dh)  # exp overflows without the row-max shift
-        q[::dh, QUERY_BLOCK + 2] = -800.0 * np.sqrt(dh)  # and underflows to 0 / 0 here
+        q[::dh, 2] = 800.0 * np.sqrt(dh)  # exp overflows unshifted
+        q[::dh, QUERY_BLOCK + 2] = -800.0 * np.sqrt(dh)  # and underflows to 0 / 0 shifted by the bound
         out = _attention(q, k, v, heads)
         assert np.all(np.isfinite(out))
         # Each output is a convex combination of v's columns.
         slack = 1e-12 * np.abs(v).max()
         assert np.all(out >= v.min(axis=1, keepdims=True) - slack)
         assert np.all(out <= v.max(axis=1, keepdims=True) + slack)
+        # The bound sits far above these queries' row max, so their blocks
+        # take the exact shift, and they still match the oracle.
+        ref = full_matrix_attention(q, k, v, heads)
+        for col in (1, 2, QUERY_BLOCK + 1, QUERY_BLOCK + 2):
+            assert relative_gap(out[:, col], ref[:, col]) <= 1e-12
 
     def test_shape_mismatch_names_layer(self):
         _, _, model = make_model(seed=4)
@@ -152,6 +159,31 @@ class TestQueryBlockedAttention:
             for one, stacked in zip(one_feats.pairs(), feats.pairs(), strict=True):
                 assert one.shape == (tokens, 48)
                 assert one.tobytes() == stacked[i].tobytes()
+
+    def test_one_sample_taking_the_exact_shift_leaves_the_stack_bit_identical(self, monkeypatch):
+        # Only sample 1's head 1 has a query whose scores sit far below the
+        # bound, so only its first block is taken again with the exact row max.
+        exact_blocks = []
+        exact = vit._exact_shift_block
+        monkeypatch.setattr(vit, "_exact_shift_block", lambda *a: exact_blocks.append(1) or exact(*a))
+        heads, dh, tokens = 2, 4, QUERY_BLOCK + 5
+        rng = np.random.default_rng(8)
+        q, k, v = (rng.normal(size=(3, heads * dh, tokens)) for _ in range(3))
+        k[:, dh] = 1.0
+        q[1, dh, 2] = 800.0 * np.sqrt(dh)
+        stacked = _attention(q, k, v, heads)
+        assert len(exact_blocks) == 1
+        for i in range(3):
+            one = _attention(q[i], k[i], v[i], heads)
+            assert one.tobytes() == stacked[i].tobytes()
+            assert relative_gap(one, full_matrix_attention(q[i], k[i], v[i], heads)) <= 1e-12
+        assert len(exact_blocks) == 2
+
+    def test_attention_at_the_long_calibration_shape_matches_the_oracle(self):
+        heads, dh, tokens = 4, 12, 1536
+        q, k, v = np.random.default_rng(9).normal(size=(3, heads * dh, tokens))
+        out = _attention(q, k, v, heads)
+        assert relative_gap(out, full_matrix_attention(q, k, v, heads)) <= 1e-12
 
     def test_long_calibration_forward_makes_no_tokens_by_tokens_array(self):
         tokens = 1536
