@@ -72,6 +72,13 @@ def _output_dir(path) -> Path:
     return out
 
 
+def _require_paths(cfg: dict, verb: str, *names: str) -> None:
+    """ConfigError naming the first ``paths.<name>`` left null; called before any file is read."""
+    for name in names:
+        if cfg["paths"][name] is None:
+            raise ConfigError(f"{verb} needs config field 'paths.{name}'; set it with --set paths.{name}=PATH")
+
+
 def cmd_gen_toy(args) -> int:
     if args.hidden % args.heads:
         print(f"error: --hidden {args.hidden} is not divisible by --heads {args.heads}", file=sys.stderr)
@@ -95,6 +102,7 @@ def cmd_gen_toy(args) -> int:
 
 def cmd_compress(args) -> int:
     cfg = _config_from(args)
+    _require_paths(cfg, "compress", "model", "calibration")
     engines, _ = hardware_from_config(cfg)
     out = _output_dir(cfg["paths"]["output"])
     start = time.perf_counter()
@@ -114,6 +122,7 @@ def cmd_compress(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from(args)
+    _require_paths(cfg, "simulate", "model")
     engines, params = hardware_from_config(cfg)
     if bool(args.plan) == args.baseline:
         print("error: provide exactly one of --plan PATH or --baseline", file=sys.stderr)
@@ -148,6 +157,7 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def cmd_verify(args) -> int:
     cfg = _config_from(args)
+    _require_paths(cfg, "verify", "model")
     out = Path(cfg["paths"]["output"])
     checks = verify_artifacts(
         original_path=cfg["paths"]["model"],

@@ -245,7 +245,8 @@ def decompose_layer(
 
     ``start``, if given, is the truncated SVD of W D at some rank >= r (the
     allocator's guide keeps one per layer); its top r triplets are the first
-    L-step, bit-identical to a fresh rank-r SVD of W D.
+    L-step, bit-identical to a fresh rank-r SVD of W D. ``w`` is scanned
+    here, and the closing refit's matrix in ``truncated_svd``.
     """
     w = as_matrix(w, "weight")
     if r < 1:

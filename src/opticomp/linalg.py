@@ -2,7 +2,10 @@
 values alone, and the balanced factor split.
 
 All routines work on float64 2-D numpy arrays and are deterministic for
-identical inputs on a given platform. Factors returned by
+identical inputs on a given platform. ``truncated_svd`` takes its matrix
+through ``util.as_matrix``, the package's entry scan; ``singular_values``
+scans nothing. A LAPACK failure is numpy's ``LinAlgError``, a
+``ValueError``. Factors returned by
 :func:`balanced_factors` split the singular values evenly between the two
 sides, which keeps later gradient-based refinement well conditioned.
 """
@@ -12,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import as_matrix, check_finite
-
-
-class SvdError(RuntimeError):
-    """Truncated SVD failed (bad rank request or no convergence)."""
+from .util import as_matrix
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class SvdResult:
         of the same matrix (both slice one LAPACK result)."""
         top = len(self.singular_values)
         if not 1 <= k <= top:
-            raise SvdError(f"rank k={k} out of range [1, {top}] for a rank-{top} SVD")
+            raise ValueError(f"rank k={k} out of range [1, {top}] for a rank-{top} SVD")
         return SvdResult(
             u=np.ascontiguousarray(self.u[:, :k]),
             singular_values=np.ascontiguousarray(self.singular_values[:k]),
@@ -55,27 +54,14 @@ def truncated_svd(m: np.ndarray, k: int) -> SvdResult:
     ``m`` in Frobenius norm. Singular values come back non-increasing and
     non-negative.
     """
-    u, s, vt = _lapack_svd(as_matrix(m, "m"), compute_uv=True)
-    result = SvdResult(u=u, singular_values=s, vt=vt).truncate(k)
-    check_finite(result.u, "truncated_svd")
-    check_finite(result.vt, "truncated_svd")
-    return result
+    u, s, vt = np.linalg.svd(as_matrix(m, "m"), full_matrices=False)
+    return SvdResult(u=u, singular_values=s, vt=vt).truncate(k)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
     """All min(m.shape) singular values of ``m``, non-increasing, without
     the singular vectors (LAPACK's values-only path)."""
-    s = _lapack_svd(as_matrix(m, "m"), compute_uv=False)
-    check_finite(s, "singular_values")
-    return s
-
-
-def _lapack_svd(m: np.ndarray, compute_uv: bool):
-    try:
-        return np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:
-        # LAPACK's implicit QR iteration hit its internal sweep cap.
-        raise SvdError(f"SVD did not converge within the LAPACK iteration cap: {exc}") from exc
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def balanced_factors(svd: SvdResult) -> tuple[np.ndarray, np.ndarray]:

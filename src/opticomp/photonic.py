@@ -10,6 +10,9 @@ Condensed sparse chunks run on a reconfigurable engine whose input light
 can be gated in quarters of its n_v rows through a two-stage splitter tree
 (modes 2:0 / 1:1 / 0:2); functionally, each chunk's kept input rows are
 gathered in one indexing step and multiplied by its condensed values.
+``ptc_layer_matmul`` and ``condensed_matmul`` scan their operands on entry
+(``util.as_matrix``), but not a sparse component's indices: those are
+checked where they are made or read (``StructuredSparse.validate``).
 
 Cost side, per layer. Both engines are charged through one pass ledger: a
 pass of row_blocks weight row blocks with lit_rows lit PTC rows each,
@@ -212,8 +215,6 @@ def condensed_matmul(sp: StructuredSparse, x: np.ndarray) -> np.ndarray:
     x = as_matrix(x, "input")
     if x.shape[0] != sp.full_cols:
         raise ValueError(f"input has {x.shape[0]} rows, sparse component expects {sp.full_cols}")
-    if sp.kept_cols.min() < 0 or sp.kept_cols.max() >= sp.full_cols:
-        raise IndexError("kept column index out of range for this input")
     m, chunks, d, batch = sp.full_rows, sp.num_chunks, sp.kept_per_chunk, x.shape[1]
     g = min(sp.granularity, m)  # one chunk of m rows when g >= m
     values = np.zeros((chunks * g, d))

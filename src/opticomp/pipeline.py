@@ -215,9 +215,14 @@ def verify_artifacts(
         raise ValueError(f"compressed/original model mismatch at layer(s): {', '.join(off)}")
     check_plan_matches(plan, graph_o)
     stored = {lid: (cl.a.shape[1], cl.sparse.kept_per_chunk, cl.sparse.granularity) for lid, cl in compressed.items()}
-    off = sorted(lid for lid, pl in plan_by_id.items() if (pl.r, pl.d, pl.g) != stored[lid])
+    off = sorted(lid for lid, pl in plan_by_id.items()
+                 if (pl.r, pl.d, pl.g, pl.params) != (*stored[lid], pl.r * (pl.rows + pl.cols) + pl.rows * pl.d))
     if off:
         raise ValueError(f"plan/compressed model mismatch at layer(s): {', '.join(off)}")
+    shape_o, shape_c = _forward_shape(graph_o), _forward_shape(graph_c)
+    off = [f"{name} {shape_c[name]} vs {value}" for name, value in shape_o.items() if shape_c[name] != value]
+    if off:
+        raise ValueError(f"compressed/original graph mismatch (compressed vs original): {'; '.join(off)}")
 
     calib = None
     if calibration_path is not None:
@@ -280,6 +285,12 @@ def verify_artifacts(
             CheckResult("quant_noise", ok, f"max logit shift under quant+noise = {drift:.4e}")
         )
     return checks
+
+
+def _forward_shape(graph: ModelGraph) -> dict:
+    """What ``vit.forward`` reads of a graph beyond its compressible layers."""
+    shape = {"hidden_size": graph.hidden_size, "meta.heads": graph.meta.get("heads", 1), "blocks": len(graph.blocks)}
+    return shape | {end: (graph.layer(end).rows, graph.layer(end).cols) for end in ("embed", "head")}
 
 
 def quantized_matmul_weights(weights: dict[str, np.ndarray], ratio: float, seed: int) -> dict[str, np.ndarray]:

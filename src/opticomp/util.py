@@ -20,18 +20,13 @@ OBJECT = ("a JSON object", lambda v: type(v) is dict)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce outside data to a C-contiguous float64 2-D array, rejecting non-finite entries."""
+    """Coerce outside data to a C-contiguous float64 2-D array, rejecting
+    non-finite entries: the one scan of an array a caller hands in."""
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
-def check_finite(m: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise FloatingPointError(f"non-finite values produced by {context}")
     return m
 
 

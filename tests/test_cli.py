@@ -235,6 +235,17 @@ class TestCompress:
         assert "config error" in err and "targets.granularity=9" in err and "n_v=8" in err
         assert not (tmp_path / "plan.json").exists()
 
+    def test_an_svd_that_fails_exits_one(self, toy_dir, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert main(compress_args(toy_dir, tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: SVD did not converge\n"
+        assert captured.out == ""
+        assert not (tmp_path / "plan.json").exists()
+
     def test_ranks_do_not_depend_on_final_pass_iterations(self, tmp_path):
         # decomposition.iters sets only the per-rank pass; the allocator's
         # guide is a fixed single alternation. At hidden 32 a guide run for
@@ -327,6 +338,32 @@ def test_out_naming_a_plain_file_exits_two_before_any_work(verb, toy_dir, compre
     err = capsys.readouterr().err
     assert f"error: cannot create output directory {target}: " in err and "Traceback" not in err
     assert target.read_bytes() == b"not a directory"
+
+
+@pytest.mark.parametrize(
+    "verb,extra,field",
+    [
+        ("compress", ("--set", "paths.calibration={toy}/calib.lten"), "paths.model"),
+        ("compress", ("--set", "paths.model={toy}/model.lten"), "paths.calibration"),
+        ("simulate", ("--plan", "{run}/plan.json"), "paths.model"),
+        ("simulate", ("--baseline",), "paths.model"),
+        ("verify", ("--set", "paths.calibration={toy}/calib.lten"), "paths.model"),
+    ],
+    ids=["compress_model", "compress_calibration", "simulate_plan", "simulate_baseline", "verify_model"],
+)
+def test_a_missing_path_exits_two_before_any_work(verb, extra, field, toy_dir, compressed_dir, tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{verb} read a file before checking its paths")
+
+    for name in ("hardware_from_config", "compress_model", "load_model", "read_plan", "verify_artifacts"):
+        monkeypatch.setattr(cli, name, unreachable)
+    out = tmp_path / "out"
+    args = [verb, *(arg.format(toy=toy_dir, run=compressed_dir) for arg in extra), "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {verb} needs config field {field!r}; set it with --set {field}=PATH\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_calibrate_is_an_unknown_verb(capsys):
@@ -890,6 +927,31 @@ class TestVerify:
         assert main(self.verify_args(toy_dir, compressed_dir, "--plan", str(path))) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: plan/compressed model mismatch at layer(s): block0.attn.o, block0.attn.q\n"
+        assert captured.out == ""
+
+    def test_plan_params_must_count_the_layer(self, toy_dir, compressed_dir, tmp_path, capsys):
+        # params = r (rows + cols) + rows d (docs/formats.md); psi is recomputed from the tensors, not from params.
+        plan = json.loads((compressed_dir / "plan.json").read_text())
+        plan["layers"][2]["params"] += 12345
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main(self.verify_args(toy_dir, compressed_dir, "--plan", str(path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: plan/compressed model mismatch at layer(s): {plan['layers'][2]['id']}\n"
+        assert captured.out == ""
+
+    def test_compressed_graph_must_run_the_original_architecture(self, toy_dir, compressed_dir, tmp_path, capsys):
+        # The drift check would otherwise run a one-head model against the two-head original.
+        path = tmp_path / "compressed.lten"
+        shutil.copy(compressed_dir / "compressed.lten", path)
+
+        def one_head(manifest):
+            manifest["graph"]["meta"]["heads"] = "1"
+
+        rewrite_manifest(path, one_head)
+        assert main(self.verify_args(toy_dir, compressed_dir, "--compressed", str(path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: compressed/original graph mismatch (compressed vs original): meta.heads 1 vs 2\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(

@@ -1,7 +1,12 @@
 """Cross-module flows: compression quality as seen by the evaluation surface."""
+import importlib
+import pkgutil
+from collections import Counter
+
 import numpy as np
 
-from opticomp import pipeline
+import opticomp
+from opticomp import pipeline, util
 from opticomp.cli import main
 from opticomp.config import load_config
 from opticomp.decompose import compute_scaling, decompose_layer, local_adapt
@@ -104,3 +109,34 @@ def test_compress_takes_two_full_svds_and_one_values_only_svd_per_layer(tmp_path
     graph = compress_model(cfg, EngineConfig.default())[0]
     layers = len(graph.compressible_layers())
     assert calls == {"full": 2 * layers, "values": layers}
+
+
+def test_compress_scans_each_weight_each_full_svd_input_and_the_calibration_once(tmp_path, monkeypatch):
+    # Arrays are scanned where they enter: each compressible weight in
+    # decompose_layer, each full SVD's matrix in truncated_svd (two per
+    # layer), the calibration inputs in forward. The values-only SVD and the
+    # calibration capture scan nothing again.
+    assert main([
+        "gen-toy", "--out", str(tmp_path), "--seed", "7", "--hidden", "24", "--heads", "2",
+        "--blocks", "2", "--in-dim", "12", "--calib-tokens", "32", "--samples", "4",
+    ]) == 0
+    cfg = load_config(None, [
+        f"paths.model={tmp_path}/model.lten", f"paths.calibration={tmp_path}/calib.lten",
+        "decomposition.iters=2", "decomposition.adapt_steps=1", "seed=7",
+    ])
+    calls = []
+    as_matrix = util.as_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return as_matrix(*args, **kwargs)
+
+    # Every module attribute bound to the function, under whatever name its caller looks up.
+    for info in pkgutil.iter_modules(opticomp.__path__):
+        module = importlib.import_module(f"opticomp.{info.name}")
+        for attr, value in list(vars(module).items()):
+            if value is as_matrix:
+                monkeypatch.setattr(module, attr, counting)
+    graph = compress_model(cfg, EngineConfig.default())[0]
+    layers = len(graph.compressible_layers())
+    assert Counter(name for _, name in calls) == {"weight": layers, "m": 2 * layers, "inputs": 1}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opticomp.linalg import SvdError, balanced_factors, frobenius_norm, singular_values, truncated_svd
+from opticomp.linalg import balanced_factors, frobenius_norm, singular_values, truncated_svd
 
 from oracles import jacobi_svd
 
@@ -71,7 +71,7 @@ class TestTruncatedSvd:
 
     @pytest.mark.parametrize("k", [0, 12, -1])
     def test_rank_out_of_range(self, k):
-        with pytest.raises(SvdError, match="out of range"):
+        with pytest.raises(ValueError, match="out of range"):
             truncated_svd(np.ones((12, 11)), k)
 
     def test_eckart_young_against_random_rank_k(self):
@@ -111,7 +111,7 @@ class TestTruncate:
 
     @pytest.mark.parametrize("k", [0, 5])
     def test_rank_out_of_range(self, k):
-        with pytest.raises(SvdError, match="out of range"):
+        with pytest.raises(ValueError, match="out of range"):
             truncated_svd(np.eye(6), 4).truncate(k)
 
 
@@ -123,17 +123,16 @@ class TestSingularValues:
         np.testing.assert_allclose(s, jacobi_svd(m)[1], atol=1e-10)
         np.testing.assert_allclose(s, truncated_svd(m, 11).singular_values, rtol=1e-13)
 
-    def test_non_convergence_is_an_svd_error(self, monkeypatch):
+    def test_non_convergence_is_a_linalg_error(self, monkeypatch):
+        # numpy's LinAlgError is a ValueError, which the command line reports with exit 1.
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
-        with pytest.raises(SvdError, match="did not converge"):
-            singular_values(np.eye(3))
-
-    def test_non_finite_input_is_rejected(self):
-        with pytest.raises(ValueError):
-            singular_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        for svd in (singular_values, lambda m: truncated_svd(m, 2)):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge") as info:
+                svd(np.eye(3))
+            assert isinstance(info.value, ValueError)
 
 
 def test_balanced_factors_reconstruct():
