@@ -3,10 +3,12 @@
 The guide is one alternation per layer at its break-even rank
 r_max = floor(m n / (m + n)): the exact rank-r_max SVD of W D, one
 structured sparsify, and the singular values of W D - S, taken without
-their vectors. Those values make the error at any rank r <= r_max against
-that S follow from the singular-value tail, with no further SVDs or data
-passes. Each layer keeps only that tail, ||W D||_F and its sparse columns
-per chunk d. The rank-r_max SVD of W D is kept apart, in
+their vectors. Both spectra come from the smaller Gram matrix (``linalg``):
+an ``eigh`` for the SVD, an ``eigvalsh`` for the values, whose squares are
+what the tail sums read. Those values make the error at any rank
+r <= r_max against that S follow from the singular-value tail, with no
+further SVDs or data passes. Each layer keeps only that tail, ||W D||_F
+and its sparse columns per chunk d. The rank-r_max SVD of W D is kept apart, in
 ``RankState.starts``: the fit at the assigned rank r <= r_max takes its top
 r triplets as its first L-step instead of decomposing W D again.
 The search raises ranks of high-error layers in batches until the

@@ -2,7 +2,8 @@
 
 Verbs: gen-toy, compress, simulate, verify, report. Every config field
 can be overridden with ``--set section.field=value``. Exit codes: 0
-success, 1 failed invariant or pipeline error, 2 usage/config error.
+success, 1 failed invariant or pipeline error, 2 usage/config error or a
+file that is missing or cannot be read.
 """
 from __future__ import annotations
 
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path that names a directory, or a file that cannot be read
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ContainerError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,9 @@ both objectives and the S-step.
 
 ``decompose_layer`` closes with an exact SVD refit against the best sparse
 part, so the returned (A, B) are the exact truncated SVD of W D - expand(S).
+Both exact SVDs are ``linalg.truncated_svd``: an eigensolve of the smaller
+Gram matrix, with each triplet's sign fixed, so that A's columns, which
+``local_adapt``'s seeded start multiplies, do not depend on the solver.
 Stored factors are de-scaled so A @ B + expand(S) approximates W directly.
 That ``Decomposition`` is the one fitted-layer type: the pipeline writes
 it to the compressed file, and ``pipeline.load_compressed`` reads it back.

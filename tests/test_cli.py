@@ -237,12 +237,12 @@ class TestCompress:
 
     def test_an_svd_that_fails_exits_one(self, toy_dir, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         assert main(compress_args(toy_dir, tmp_path)) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: SVD did not converge\n"
+        assert captured.err == "error: Eigenvalues did not converge\n"
         assert captured.out == ""
         assert not (tmp_path / "plan.json").exists()
 
@@ -264,29 +264,59 @@ class TestCompress:
             plans.append((plan["psi_achieved"], [(l["id"], l["r"], l["d"]) for l in plan["layers"]]))
         assert plans[0] == plans[1]
 
-    def test_artifacts_identical_across_blas_thread_counts(self, tmp_path):
-        def opticomp(*args, threads=1):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(SRC))
-            subprocess.run([sys.executable, "-m", "opticomp.cli", *args], env=env, check=True, capture_output=True)
+    def test_eigenvector_signs_do_not_reach_the_artifacts(self, toy_dir, compressed_dir, tmp_path, monkeypatch):
+        # The eigensolver's signs are arbitrary; truncated_svd's sign convention
+        # removes them before the adapter's seeded start reads the factors.
+        eigh = np.linalg.eigh
 
-        toy = tmp_path / "toy96"
-        opticomp("gen-toy", "--out", str(toy), "--seed", "3", "--hidden", "96", "--calib-tokens", "256")
-        digests = []
-        for threads in (1, 2):
-            out = tmp_path / f"threads{threads}"
-            opticomp(
-                "compress",
-                "--set", f"paths.model={toy}/model.lten",
-                "--set", f"paths.calibration={toy}/calib.lten",
-                "--set", "decomposition.iters=12",
-                "--set", "decomposition.adapt_steps=20",
-                "--out", str(out), "--seed", "3",
-                threads=threads,
-            )
-            digests.append(
-                [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("plan.json", "compressed.lten")]
-            )
+        def alternately_negated(*args, **kwargs):
+            values, vectors = eigh(*args, **kwargs)
+            return values, vectors * np.where(np.arange(vectors.shape[1]) % 2, -1.0, 1.0)
+
+        monkeypatch.setattr(np.linalg, "eigh", alternately_negated)
+        assert main(compress_args(toy_dir, tmp_path)) == 0
+        for name in ("plan.json", "compressed.lten"):
+            assert (tmp_path / name).read_bytes() == (compressed_dir / name).read_bytes()
+
+    def test_artifacts_identical_across_blas_thread_counts(self, tmp_path):
+        digests = [
+            [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("plan.json", "compressed.lten")]
+            for out in compress_under_blas_threads(tmp_path, hidden=96)
+        ]
         assert digests[0] == digests[1]
+
+    def test_hidden_192_plans_agree_across_blas_thread_counts(self, tmp_path):
+        # Measured at 1 vs 2 threads: identical plans; with LAPACK's SVD in
+        # place of the Gram-form spectra, layer errors 3.6e-14 apart (relative).
+        one, two = (read_plan(out / "plan.json") for out in compress_under_blas_threads(tmp_path, hidden=192))
+        assert one.psi_achieved == two.psi_achieved
+        assert [(l.id, l.r, l.d) for l in one.layers] == [(l.id, l.r, l.d) for l in two.layers]
+        for a, b in zip(one.layers, two.layers):
+            assert abs(a.error - b.error) <= 1e-12 * b.error
+
+
+def compress_under_blas_threads(tmp_path, hidden):
+    """Compress one seeded toy at ``hidden`` under 1 and then 2 BLAS threads,
+    each in a fresh interpreter; return the two output directories."""
+    def opticomp(*args, threads=1):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(SRC))
+        subprocess.run([sys.executable, "-m", "opticomp.cli", *args], env=env, check=True, capture_output=True)
+
+    toy = tmp_path / f"toy{hidden}"
+    opticomp("gen-toy", "--out", str(toy), "--seed", "3", "--hidden", str(hidden), "--calib-tokens", "256")
+    outs = []
+    for threads in (1, 2):
+        outs.append(tmp_path / f"threads{threads}")
+        opticomp(
+            "compress",
+            "--set", f"paths.model={toy}/model.lten",
+            "--set", f"paths.calibration={toy}/calib.lten",
+            "--set", "decomposition.iters=12",
+            "--set", "decomposition.adapt_steps=20",
+            "--out", str(outs[-1]), "--seed", "3",
+            threads=threads,
+        )
+    return outs
 
 
 def compress_in_subprocess(toy_dir, out_dir, block_scipy=False):
@@ -364,6 +394,29 @@ def test_a_missing_path_exits_two_before_any_work(verb, extra, field, toy_dir, c
     assert captured.err == f"config error: {verb} needs config field {field!r}; set it with --set {field}=PATH\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb,extra",
+    [
+        ("compress", ("--set", "paths.model={dir}", "--set", "paths.calibration={toy}/calib.lten")),
+        ("compress", ("--set", "paths.model={toy}/model.lten", "--set", "paths.calibration={dir}")),
+        ("compress", ("--config", "{dir}")),
+        ("simulate", ("--set", "paths.model={toy}/model.lten", "--plan", "{dir}")),
+        ("verify", ("--set", "paths.model={dir}")),
+        ("report", ()),
+    ],
+    ids=["compress_model", "compress_calibration", "compress_config", "simulate_plan", "verify_model", "report"],
+)
+def test_an_input_path_naming_a_directory_exits_two(verb, extra, toy_dir, tmp_path, capsys):
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    args = [verb, *(arg.format(dir=directory, toy=toy_dir) for arg in extra)]
+    args += [str(directory)] if verb == "report" else ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {directory}: Is a directory\n"
+    assert not (tmp_path / "out" / "plan.json").exists()
 
 
 def test_calibrate_is_an_unknown_verb(capsys):

@@ -89,7 +89,8 @@ def test_adapter_stream_does_not_depend_on_layer_position(tmp_path, monkeypatch)
 def test_compress_takes_two_full_svds_and_one_values_only_svd_per_layer(tmp_path, monkeypatch):
     # The guide's SVD of W D is also the fit's first L-step; the guide's
     # closing refit needs only values. The fit's closing refit is the other
-    # full SVD.
+    # full SVD. Each full SVD is one eigh of a Gram matrix, the values-only
+    # one an eigvalsh, and nothing calls LAPACK's SVD.
     assert main([
         "gen-toy", "--out", str(tmp_path), "--seed", "6", "--hidden", "24", "--heads", "2",
         "--blocks", "1", "--in-dim", "12", "--calib-tokens", "32", "--samples", "4",
@@ -98,17 +99,16 @@ def test_compress_takes_two_full_svds_and_one_values_only_svd_per_layer(tmp_path
         f"paths.model={tmp_path}/model.lten", f"paths.calibration={tmp_path}/calib.lten",
         "decomposition.iters=3", "decomposition.adapt_steps=1", "seed=6",
     ])
-    calls = {"full": 0, "values": 0}
-    svd = np.linalg.svd
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    for name in calls:
+        def counting(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
 
-    def counting_svd(*args, **kwargs):
-        calls["full" if kwargs.get("compute_uv", True) else "values"] += 1
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, name, counting)
     graph = compress_model(cfg, EngineConfig.default())[0]
     layers = len(graph.compressible_layers())
-    assert calls == {"full": 2 * layers, "values": layers}
+    assert calls == {"eigh": 2 * layers, "eigvalsh": layers, "svd": 0}
 
 
 def test_compress_scans_each_weight_each_full_svd_input_and_the_calibration_once(tmp_path, monkeypatch):

@@ -94,15 +94,16 @@ class TestWarmLStep:
 
     @pytest.mark.parametrize("iters", [1, 2, 9])
     def test_only_the_first_and_closing_steps_call_svd(self, iters, monkeypatch):
-        # Every L-step between them is a QR projection, whatever ``iters`` is.
+        # Every L-step between them is a QR projection, whatever ``iters`` is;
+        # each of the two SVDs is one eigensolve of a Gram matrix.
         calls = []
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
-        def counting_svd(*args, **kwargs):
+        def counting_eigh(*args, **kwargs):
             calls.append(1)
-            return svd(*args, **kwargs)
+            return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         w = np.random.default_rng(iters).normal(size=(12, 16))
         decompose_layer(w, ScalingDiag.identity(16), r=4, s=0.25, g=3, iters=iters)
         assert len(calls) == 2
