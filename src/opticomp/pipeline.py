@@ -12,7 +12,7 @@ Each fitted layer is a ``decompose.Decomposition``, also when read back
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +52,7 @@ def compress_model(cfg: dict, engines: EngineConfig):
     if not graph.compressible_layers():
         raise ValueError(f"{cfg['paths']['model']}: model has no compressible layers")
     calib_inputs = load_calibration_inputs(cfg["paths"]["calibration"])
-    calib = collect_calibration(graph, tensors, calib_inputs)
+    calib = collect_calibration(ToyViT.from_tensors(graph, tensors), calib_inputs)
 
     dcfg = cfg["decomposition"]
     weights = {l.id: np.asarray(tensors[l.id], dtype=np.float64) for l in graph.compressible_layers()}
@@ -224,9 +224,17 @@ def verify_artifacts(
     if off:
         raise ValueError(f"compressed/original graph mismatch (compressed vs original): {'; '.join(off)}")
 
-    calib = None
+    # Each large object is released after the last check that reads it, so
+    # that one dense model is held at a time: the original's float64 model
+    # (its file's bytes go at once) through calibration, fidelity and its
+    # drift forward; then the compressed model's, which the quant-noise check
+    # quantizes and perturbs in place. Calibration keeps each layer's scaling,
+    # not its activation.
+    model_o = ToyViT.from_tensors(graph_o, tensors_o)
+    del tensors_o
+    scaling = None
     if calibration_path is not None:
-        calib = collect_calibration(graph_o, tensors_o, load_calibration_inputs(calibration_path))
+        scaling = collect_calibration(model_o, load_calibration_inputs(calibration_path), keep=compute_scaling)
 
     # One pass over layers that load_compressed has checked: condensed matmul
     # against expand-then-multiply, the recorded activation-aware error against
@@ -237,13 +245,13 @@ def verify_artifacts(
     for lid, cl in compressed.items():
         x = philox_rng(seed, 5, stable_key(lid)).standard_normal((cl.sparse.full_cols, 8))
         worst_matmul = max(worst_matmul, float(np.abs(condensed_matmul(cl.sparse, x) - expand(cl.sparse) @ x).max()))
-        if calib is not None and not unrecorded:
-            recomputed = layer_error(np.asarray(tensors_o[lid], dtype=np.float64), compute_scaling(calib[lid]), cl)
+        if scaling is not None and not unrecorded:
+            recomputed = layer_error(model_o.weights[lid], scaling[lid], cl)
             worst_error = max(worst_error, abs(recomputed - plan_by_id[lid].error))
         kept += cl.a.shape[1] * (cl.a.shape[0] + cl.b.shape[1]) + cl.sparse.full_rows * cl.sparse.kept_per_chunk
 
     checks = [CheckResult("condensed_matmul", worst_matmul <= 1e-9, f"max |condensed - dense| = {worst_matmul:.3e}")]
-    if calib is not None:
+    if scaling is not None:
         detail = f"max |recorded - recomputed| layer error = {worst_error:.3e}"
         if unrecorded:
             detail = f"layer error not recorded for: {', '.join(unrecorded)}"
@@ -258,10 +266,11 @@ def verify_artifacts(
     )
 
     # Feature / logit drift between original and compressed model.
-    model_o = ToyViT.from_tensors(graph_o, tensors_o)
-    model_c = ToyViT.from_tensors(graph_c, effective_tensors(graph_c, compressed, others))
     probe = philox_rng(seed, 6).standard_normal((graph_o.layer("embed").cols, 16))
     logits_o, feats_o = forward(model_o, probe)
+    del model_o
+    model_c = ToyViT.from_tensors(graph_c, effective_tensors(graph_c, compressed, others))
+    del compressed, others  # the factors, and the compressed file's bytes that ``others`` views
     logits_c, feats_c = forward(model_c, probe)
     bdrift = block_loss(feats_c, feats_o)
     ldrift = logit_loss(logits_c[None, :], logits_o[None, :], np.array([int(np.argmax(logits_o))]))
@@ -274,10 +283,10 @@ def verify_artifacts(
     )
 
     if quant_noise_ratio is not None:
-        clean = quantized_matmul_weights(model_c.weights, ratio=0.0, seed=seed)
-        noisy = with_noise(clean, quant_noise_ratio, seed)
-        lo, _ = forward(replace(model_c, weights=clean), probe)
-        ln, _ = forward(replace(model_c, weights=noisy), probe)
+        quantize_weights(model_c.weights)
+        lo, _ = forward(model_c, probe)
+        with_noise(model_c.weights, quant_noise_ratio, seed)
+        ln, _ = forward(model_c, probe)
         drift = float(np.abs(lo - ln).max())
         expected_zero = quant_noise_ratio == 0.0
         ok = drift == 0.0 if expected_zero else bool(np.isfinite(drift))
@@ -294,13 +303,24 @@ def _forward_shape(graph: ModelGraph) -> dict:
 
 
 def quantized_matmul_weights(weights: dict[str, np.ndarray], ratio: float, seed: int) -> dict[str, np.ndarray]:
-    """Per-channel weight quantization, then optional multiplicative noise."""
-    return with_noise({name: dequantize(quantize(w)) for name, w in weights.items()}, ratio, seed)
+    """Per-channel weight quantization, then optional multiplicative noise,
+    as a new dict; ``weights`` is not written."""
+    return with_noise(quantize_weights(dict(weights)), ratio, seed)
+
+
+def quantize_weights(weights: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Replace each weight in ``weights`` by its per-channel quantization,
+    dequantized, one at a time, so the old array can go before the next is
+    made; returns ``weights``."""
+    for name, w in weights.items():
+        weights[name] = dequantize(quantize(w))
+    return weights
 
 
 def with_noise(weights: dict[str, np.ndarray], ratio: float, seed: int) -> dict[str, np.ndarray]:
-    """Multiplicative noise on each weight, keyed by its name; a ratio of 0
-    returns ``weights`` itself."""
-    if ratio <= 0.0:
-        return weights
-    return {name: inject_noise(w, ratio, seed, key=stable_key(name)) for name, w in weights.items()}
+    """Multiplicative noise on each weight, keyed by its name, written into
+    the arrays of ``weights`` (the products of ``quantize.inject_noise``);
+    returns ``weights``. A negative ratio raises, as ``inject_noise`` does."""
+    for name, w in weights.items():
+        w[...] = inject_noise(w, ratio, seed, key=stable_key(name))
+    return weights

@@ -34,6 +34,7 @@ layer 'embed', also for ``collect_calibration``; weights come checked
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -225,7 +226,7 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def forward(model: ToyViT, inputs: np.ndarray, matmul_fn=None, tap: dict | None = None):
+def forward(model: ToyViT, inputs: np.ndarray, matmul_fn=None, tap: Callable[[str, np.ndarray], None] | None = None):
     """Run one token matrix (in_dim x tokens), or a stack of them
     (samples x in_dim x tokens), through the model.
 
@@ -236,8 +237,9 @@ def forward(model: ToyViT, inputs: np.ndarray, matmul_fn=None, tap: dict | None 
     product, so a long sequence never makes a (tokens x tokens) array.
     ``matmul_fn(w, x)`` overrides the product used for every weight-matrix
     application of a 2-D input (PTC execution hooks into this). ``tap``,
-    when given, maps each weight layer's id to the input activation it
-    consumed, by reference: callers must not write into these arrays.
+    when given, is called as ``tap(layer_id, x)`` with each weight layer's id
+    and the input activation it consumes, by reference: callers must not
+    write into these arrays.
     """
     mm = matmul_fn if matmul_fn is not None else np.matmul
 
@@ -246,7 +248,7 @@ def forward(model: ToyViT, inputs: np.ndarray, matmul_fn=None, tap: dict | None 
         if w.shape[1] != x.shape[-2]:
             raise ValueError(f"layer {layer_id!r}: weight {w.shape} cannot consume input {x.shape}")
         if tap is not None:
-            tap[layer_id] = x
+            tap(layer_id, x)
         return mm(w, x)
 
     if np.ndim(inputs) == 3:
@@ -343,15 +345,22 @@ def evaluate(model: ToyViT, dataset: ToyDataset) -> float:
     return int(np.count_nonzero(_predict(model, dataset.inputs) == dataset.labels)) / len(dataset)
 
 
-def collect_calibration(graph: ModelGraph, tensors: dict[str, np.ndarray], inputs: np.ndarray) -> dict[str, np.ndarray]:
+def collect_calibration(model: ToyViT, inputs: np.ndarray, keep=None) -> dict:
     """Map each compressible layer's id to the (cols x tokens) activation it
-    consumes; layers fed the same matrix (q, k, v) share one array."""
-    model = ToyViT.from_tensors(graph, tensors)
+    consumes, or to ``keep(activation)`` when ``keep`` is given. ``keep`` runs
+    as the forward reaches the layer, so an activation outlives the pass only
+    if it is kept; layers fed the same matrix (q, k, v) share one array."""
     if np.shape(inputs)[-1] < 1:
         raise ValueError("calibration inputs hold no tokens; need at least one")
-    tap: dict = {}
+    ids = [l.id for l in model.graph.compressible_layers()]
+    wanted, kept = set(ids), {}
+
+    def tap(layer_id: str, x: np.ndarray) -> None:
+        if layer_id in wanted:
+            kept[layer_id] = x if keep is None else keep(x)
+
     forward(model, inputs, tap=tap)
-    return {l.id: tap[l.id] for l in graph.compressible_layers()}
+    return {lid: kept[lid] for lid in ids}
 
 
 # --- toy generators ---------------------------------------------------------

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,22 @@ def narrow_dir(tmp_path_factory):
         "--calib-tokens", "32", "--samples", "12", "--tokens", "6",
     ]) == 0
     assert main(compress_args(out, out / "run")) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def walkthrough_dir(tmp_path_factory):
+    """The README walkthrough: gen-toy's default toy at seed 42, compressed at
+    alpha 0.3 into run/."""
+    out = tmp_path_factory.mktemp("walkthrough")
+    assert main(["gen-toy", "--out", str(out), "--seed", "42"]) == 0
+    assert main([
+        "compress",
+        "--set", f"paths.model={out}/model.lten",
+        "--set", f"paths.calibration={out}/calib.lten",
+        "--set", "targets.alpha=0.3",
+        "--out", str(out / "run"), "--seed", "42",
+    ]) == 0
     return out
 
 
@@ -317,6 +334,20 @@ def compress_under_blas_threads(tmp_path, hidden):
             threads=threads,
         )
     return outs
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1 1 1"), ("2", "2 1 1")], ids=["unset", "preset"])
+def test_importing_the_package_defaults_blas_to_one_thread(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = f"import os, opticomp; print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))"
+    run = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    assert run.stdout == expected + "\n"
 
 
 def compress_in_subprocess(toy_dir, out_dir, block_scipy=False):
@@ -1099,6 +1130,49 @@ class TestVerify:
         with pytest.raises(ValueError, match="graph has no compressible layer.*block1.attn.k"):
             pipeline.load_compressed(path)
 
+
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["uncalibrated", "calibrated"])
+    @pytest.mark.parametrize("noise", [None, "0.03"], ids=["clean", "noise"])
+    def test_walkthrough_lines_are_pinned(self, walkthrough_dir, capsys, calibrated, noise):
+        args = ["verify", "--set", f"paths.model={walkthrough_dir}/model.lten", "--out", str(walkthrough_dir / "run")]
+        args += ["--set", f"paths.calibration={walkthrough_dir}/calib.lten"] if calibrated else []
+        args += ["--quant-noise", noise] if noise else []
+        assert main(args) == 0
+        lines = ["[PASS] condensed_matmul: max |condensed - dense| = 0.000e+00"]
+        if calibrated:
+            lines.append("[PASS] reconstruction_fidelity: max |recorded - recomputed| layer error = 6.076e-10")
+        lines.append("[PASS] psi_recomputation: psi = 0.302083 vs target 0.3")
+        lines.append("[PASS] distillation_drift: block_loss = 156.1871, logit_loss = 0.8740")
+        if noise:
+            lines.append("[PASS] quant_noise: max logit shift under quant+noise = 5.6264e-02")
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_verify_holds_one_dense_model_at_a_time(self, tmp_path):
+        # The traced peak counts every array verify makes; one float64 copy of
+        # the model's weights is the unit. One dense model at a time measures
+        # 3.8 units here; holding the original and compressed models, the
+        # quantized and noisy copies and every calibration activation at once
+        # takes about 7.
+        toy = tmp_path / "toy"
+        assert main(["gen-toy", "--out", str(toy), "--seed", "4", "--hidden", "128", "--blocks", "3",
+                     "--calib-tokens", "256"]) == 0
+        assert main(compress_args(toy, toy / "run", "--set", "decomposition.iters=4",
+                                  "--set", "decomposition.adapt_steps=2")) == 0
+        graph, _ = load_model(toy / "model.lten")
+        weight_bytes = sum(l.rows * l.cols * 8 for l in graph.layers)
+        kwargs = dict(original_path=toy / "model.lten", compressed_path=toy / "run" / "compressed.lten",
+                      plan_path=toy / "run" / "plan.json", calibration_path=toy / "calib.lten",
+                      quant_noise_ratio=0.03, seed=0)
+        pipeline.verify_artifacts(**kwargs)  # so that one-off imports and caches fall outside the trace
+        tracemalloc.start()
+        try:
+            checks = pipeline.verify_artifacts(**kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.name for c in checks if c.passed] == [
+            "condensed_matmul", "reconstruction_fidelity", "psi_recomputation", "distillation_drift", "quant_noise"]
+        assert peak <= 5 * weight_bytes, f"peak {peak / weight_bytes:.2f}x the float64 weights"
 
 class TestReport:
     def test_report_pretty_print(self, toy_dir, compressed_dir, tmp_path, capsys):

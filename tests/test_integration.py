@@ -37,8 +37,8 @@ def test_block_loss_positive_and_adaptation_helps():
     for seed in range(trials):
         tensors = gen_toy_model(graph, seed=seed)
         calib_inputs = philox_rng(seed, 60).normal(size=(12, 48))
-        calib = collect_calibration(graph, tensors, calib_inputs)
         teacher = ToyViT.from_tensors(graph, tensors)
+        calib = collect_calibration(teacher, calib_inputs)
         probe = philox_rng(seed, 61).normal(size=(12, 10))
         _, feats_t = forward(teacher, probe)
 

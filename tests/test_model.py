@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opticomp.decompose import compute_scaling
 from opticomp.model import LayerSpec, ModelGraph, load_model, save_model
 from opticomp.vit import build_toy_graph, collect_calibration, forward, gen_toy_model, ToyViT
 
@@ -73,7 +74,7 @@ class TestCollectCalibration:
         inputs = np.random.default_rng(5).normal(size=(8, 6))
         model = ToyViT.from_tensors(graph, tensors)
         tap = {}
-        forward(model, inputs, tap=tap)
+        forward(model, inputs, tap=tap.__setitem__)
         np.testing.assert_array_equal(tap["embed"], inputs)
 
     def test_identity_chain_propagates(self):
@@ -82,10 +83,10 @@ class TestCollectCalibration:
         graph = build_toy_graph(hidden=8, heads=1, mlp_ratio=1, blocks=1, classes=3, in_dim=4)
         tensors = gen_toy_model(graph, seed=6)
         inputs = np.random.default_rng(7).normal(size=(4, 5))
-        calib = collect_calibration(graph, tensors, inputs)
         model = ToyViT.from_tensors(graph, tensors)
+        calib = collect_calibration(model, inputs)
         tap = {}
-        forward(model, inputs, tap=tap)
+        forward(model, inputs, tap=tap.__setitem__)
         for lid, act in calib.items():
             np.testing.assert_array_equal(act, tap[lid])
 
@@ -93,7 +94,7 @@ class TestCollectCalibration:
         graph = build_toy_graph(hidden=12, heads=3, mlp_ratio=2, blocks=2, classes=4, in_dim=6)
         tensors = gen_toy_model(graph, seed=8)
         inputs = np.random.default_rng(9).normal(size=(6, 8))
-        calib = collect_calibration(graph, tensors, inputs)
+        calib = collect_calibration(ToyViT.from_tensors(graph, tensors), inputs)
         for layer in graph.compressible_layers():
             assert calib[layer.id].shape == (layer.cols, 8)
 
@@ -101,17 +102,27 @@ class TestCollectCalibration:
         graph = build_toy_graph(hidden=12, heads=3, mlp_ratio=2, blocks=2, classes=4, in_dim=6)
         tensors = gen_toy_model(graph, seed=8)
         inputs = np.random.default_rng(9).normal(size=(6, 8))
-        calib = collect_calibration(graph, tensors, inputs)
+        calib = collect_calibration(ToyViT.from_tensors(graph, tensors), inputs)
         assert list(calib) == [l.id for l in graph.compressible_layers()]
         for i in range(2):
             q, k, v = (calib[f"block{i}.attn.{p}"] for p in ("q", "k", "v"))
             assert np.shares_memory(q, k) and np.shares_memory(q, v)
         tap = {}
-        forward(ToyViT.from_tensors(graph, tensors), inputs, tap=tap)
+        forward(ToyViT.from_tensors(graph, tensors), inputs, tap=tap.__setitem__)
         assert set(tap) == {l.id for l in graph.layers}
+
+    def test_keep_is_applied_to_each_activation(self):
+        graph = build_toy_graph(hidden=12, heads=3, mlp_ratio=2, blocks=2, classes=4, in_dim=6)
+        model = ToyViT.from_tensors(graph, gen_toy_model(graph, seed=8))
+        inputs = np.random.default_rng(9).normal(size=(6, 8))
+        calib = collect_calibration(model, inputs)
+        scaled = collect_calibration(model, inputs, keep=compute_scaling)
+        assert list(scaled) == list(calib)
+        for lid, x in calib.items():
+            np.testing.assert_array_equal(scaled[lid].d, compute_scaling(x).d)
 
     def test_wrong_input_dim_names_layer(self):
         graph = build_toy_graph(in_dim=6)
         tensors = gen_toy_model(graph, seed=10)
         with pytest.raises(ValueError, match="embed"):
-            collect_calibration(graph, tensors, np.ones((5, 3)))
+            collect_calibration(ToyViT.from_tensors(graph, tensors), np.ones((5, 3)))

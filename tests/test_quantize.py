@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from opticomp.pipeline import quantized_matmul_weights, with_noise
 from opticomp.quantize import dequantize, inject_noise, quantize
+from opticomp.util import stable_key
 
 
 class TestQuantize:
@@ -73,3 +75,21 @@ class TestInjectNoise:
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError, match="ratio"):
             inject_noise(np.ones((2, 2)), -0.1, seed=0)
+
+    @pytest.mark.parametrize("helper", [with_noise, quantized_matmul_weights])
+    def test_negative_ratio_rejected_by_the_weight_helpers(self, helper):
+        with pytest.raises(ValueError, match="noise ratio must be >= 0"):
+            helper({"w": np.ones((2, 2))}, -0.1, seed=0)
+
+    def test_weight_helpers_make_inject_noises_products(self):
+        rng = np.random.default_rng(8)
+        weights = {"a": rng.normal(size=(4, 6)), "b": rng.normal(size=(3, 5))}
+        before = {name: w.copy() for name, w in weights.items()}
+        noisy = quantized_matmul_weights(weights, 0.03, seed=2)
+        for name, w in weights.items():
+            np.testing.assert_array_equal(w, before[name])  # the input is not written
+            expected = inject_noise(dequantize(quantize(w)), 0.03, seed=2, key=stable_key(name))
+            assert noisy[name].tobytes() == expected.tobytes()
+        arrays = dict(weights)
+        assert with_noise(weights, 0.03, seed=2) is weights
+        assert all(weights[name] is arrays[name] for name in weights)  # written in place

@@ -192,7 +192,7 @@ class TestQueryBlockedAttention:
         inputs = np.random.default_rng(7).normal(size=(8, tokens))
         tracemalloc.start()
         try:
-            collect_calibration(graph, tensors, inputs)
+            collect_calibration(ToyViT.from_tensors(graph, tensors), inputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
