@@ -1,15 +1,5 @@
 """Low-rank + structured-sparse compression for photonic tensor-core hardware."""
 
-import os
-
-# One BLAS thread unless the caller set a count: this must run before numpy
-# is first imported, and the console script imports this package first.
-# Artifacts are byte-identical per thread count, and on a 2-core host two
-# OpenBLAS threads took twice as long over a hidden-192 compress as one.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
-
 from .allocate import CompressionPlan, allocate_ranks, basis_rank, prepare_full_rank, psi
 from .decompose import (
     Decomposition,

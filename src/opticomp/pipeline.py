@@ -227,9 +227,9 @@ def verify_artifacts(
     # Each large object is released after the last check that reads it, so
     # that one dense model is held at a time: the original's float64 model
     # (its file's bytes go at once) through calibration, fidelity and its
-    # drift forward; then the compressed model's, which the quant-noise check
-    # quantizes and perturbs in place. Calibration keeps each layer's scaling,
-    # not its activation.
+    # drift forward; then the compressed model's, whose weights the quant-noise
+    # check replaces one at a time by their quantized, then noisy, values.
+    # Calibration keeps each layer's scaling, not its activation.
     model_o = ToyViT.from_tensors(graph_o, tensors_o)
     del tensors_o
     scaling = None
@@ -318,9 +318,13 @@ def quantize_weights(weights: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def with_noise(weights: dict[str, np.ndarray], ratio: float, seed: int) -> dict[str, np.ndarray]:
-    """Multiplicative noise on each weight, keyed by its name, written into
-    the arrays of ``weights`` (the products of ``quantize.inject_noise``);
-    returns ``weights``. A negative ratio raises, as ``inject_noise`` does."""
+    """Replace each weight in ``weights`` by ``quantize.inject_noise``'s
+    product, keyed by its name; returns ``weights``. A ratio of 0 leaves them
+    as they are; a negative ratio raises, as ``inject_noise`` does."""
+    if ratio < 0:
+        raise ValueError("noise ratio must be >= 0")
+    if ratio == 0.0:
+        return weights
     for name, w in weights.items():
-        w[...] = inject_noise(w, ratio, seed, key=stable_key(name))
+        weights[name] = inject_noise(w, ratio, seed, key=stable_key(name))
     return weights

@@ -90,6 +90,7 @@ class TestInjectNoise:
             np.testing.assert_array_equal(w, before[name])  # the input is not written
             expected = inject_noise(dequantize(quantize(w)), 0.03, seed=2, key=stable_key(name))
             assert noisy[name].tobytes() == expected.tobytes()
-        arrays = dict(weights)
         assert with_noise(weights, 0.03, seed=2) is weights
-        assert all(weights[name] is arrays[name] for name in weights)  # written in place
+        for name, w in weights.items():
+            assert w.tobytes() == inject_noise(before[name], 0.03, seed=2, key=stable_key(name)).tobytes()
+        assert with_noise(weights, 0.0, seed=2) is weights
