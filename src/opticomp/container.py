@@ -127,7 +127,9 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read an LTEN file, returning (manifest, tensors).
 
     f32 tensors come back as float32 arrays and i32 as int32; promotion to
-    float64 is left to the caller so storage bits stay inspectable.
+    float64 is left to the caller so storage bits stay inspectable. They are
+    read-only views of the file's bytes, held once, so a kept tensor keeps
+    the whole file's bytes alive.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16:
@@ -148,7 +150,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     check(manifest, OBJECT, f"{path}: manifest", ContainerError)
     entries = check(manifest.get("tensors", []), LIST, f"{path}: manifest 'tensors'", ContainerError)
 
-    blob = raw[16 + manifest_len :]
+    blob = memoryview(raw)[16 + manifest_len :]
     tensors: dict[str, np.ndarray] = {}
     extents: list[tuple[int, int, str]] = []
     for i, entry in enumerate(entries):

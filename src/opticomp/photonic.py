@@ -51,6 +51,13 @@ SRAM for activation traffic, at 1 byte per 8-bit value and 2 bytes per
 index. The default event energies are placeholders in picojoules, chosen
 for plausible relative magnitudes; they are configuration, not measured
 silicon.
+
+``simulate`` derives each engine's constants once per call (column blocks,
+input events per invocation and the broadcast and ADC divisors, per-event
+units, laser per cycle, the sparse operating height per g); they feed a
+per-layer ledger of a few integer block counts and multiplies per pass,
+added into running component totals. Totals are summed left to right from
+0.0 on every Python version (``sum`` of floats is compensated from 3.12).
 """
 from __future__ import annotations
 
@@ -282,6 +289,16 @@ def laser_energy(params: EnergyParams, ptc: PtcConfig, active_rows: int, cores: 
 COMPONENTS = ("data_movement", "weight_encode", "input_encode", "readout", "laser", "index_overhead")
 
 
+def _energy_sum(energy: dict[str, float]) -> float:
+    """The components added left to right from 0.0, as ``sum`` does up to
+    Python 3.11; from 3.12 ``sum`` of floats is compensated, and a report's
+    totals would change with the interpreter."""
+    total = 0.0
+    for value in energy.values():
+        total += value
+    return total
+
+
 @dataclass
 class LayerCost:
     layer_id: str
@@ -294,7 +311,7 @@ class LayerCost:
 
     @property
     def total_energy(self) -> float:
-        return sum(self.energy.values())
+        return _energy_sum(self.energy)
 
 
 @dataclass
@@ -307,7 +324,7 @@ class CostReport:
 
     @property
     def total_energy(self) -> float:
-        return sum(self.energy.values())
+        return _energy_sum(self.energy)
 
     def to_json(self) -> dict:
         return {
@@ -329,34 +346,6 @@ class CostReport:
             for lc in self.per_layer:
                 for comp in COMPONENTS:
                     writer.writerow([lc.layer_id, comp, repr(lc.energy[comp])])
-
-
-def _pass(
-    engine: EngineBlock,
-    params: EnergyParams,
-    row_blocks: int,
-    lit_rows: int,
-    inner: int,
-    batch: int,
-    broadcast: bool,
-    adc_sharing: bool,
-) -> tuple[int, float, float, float]:
-    """Invocations and (weight encode, input encode, readout) energy of one
-    engine pass: ``row_blocks`` weight row blocks of ``lit_rows`` lit rows
-    each, against an (inner x batch) input."""
-    ptc = engine.ptc
-    inv = row_blocks * ceil(inner / ptc.n_lambda) * ceil(batch / ptc.n_v)
-    input_events = inv * ptc.n_lambda * ptc.n_v
-    if broadcast and engine.tiles > 1:
-        input_events /= engine.tiles
-    outputs = inv * lit_rows * ptc.n_v
-    adc_events = outputs / engine.cores_per_tile if adc_sharing else outputs
-    return (
-        inv,
-        inv * lit_rows * ptc.n_lambda * (params.dac_weight + params.modulation),
-        input_events * (params.dac_input + params.modulation),
-        outputs * params.tia + adc_events * params.adc,
-    )
 
 
 def simulate(
@@ -386,64 +375,89 @@ def simulate(
         if sparse.cores == 0:
             raise ValueError("compressed plan given but the sparse engine has no tiles")
 
-    n_h, bc, adc = dense.ptc.n_h, engines.broadcast_enabled, engines.adc_sharing_enabled
+    # Engine constants, once per call. A pass's charges keep the IEEE
+    # operations of the ledger in the module docstring, in its order:
+    # (inv * lit_rows * n_lambda) * weight_unit, (inv * n_lambda * n_v) /
+    # broadcast divisor * input_unit, outputs * tia + outputs / ADC divisor
+    # * adc; a layer's passes are added in order, its totals layer by layer.
+    weight_unit, input_unit = params.dac_weight + params.modulation, params.dac_input + params.modulation
+    tia, adc, sharing = params.tia, params.adc, engines.adc_sharing_enabled
+    n_h, n_l, n_v = dense.ptc.n_h, dense.ptc.n_lambda, dense.ptc.n_v
+    cols_d = ceil(batch_tokens / n_v)
+    weight_d, inputs_d, outputs_d = n_h * n_l, n_l * n_v, n_h * n_v
+    bc_d = dense.tiles if engines.broadcast_enabled and dense.tiles > 1 else 1
+    adc_d = dense.cores_per_tile if sharing else 1
+    laser_d = params.laser_per_channel_cycle * n_l * n_v * dense.cores  # no splitter tree: all n_v rows lit
+    if plan_by_id:
+        s_l, s_v = sparse.ptc.n_lambda, sparse.ptc.n_v
+        cols_s, inputs_s = ceil(batch_tokens / s_v), s_l * s_v  # sparse tiles cannot broadcast
+        adc_s = sparse.cores_per_tile if sharing else 1
+        # Operating height per chunk height, checked in layer order.
+        chunk_heights = dict.fromkeys(plan_by_id[l.id].g for l in graph.layers if l.id in plan_by_id)
+        heights = {g: operating_height(g, sparse.ptc) for g in chunk_heights}
+        quarter = sparse.ptc.require_quarters()
+        laser_s = params.laser_per_channel_cycle * s_l * quarter * sparse.cores  # per cycle and lit quarter
+
     per_layer: list[LayerCost] = []
-    totals = dict.fromkeys(COMPONENTS, 0.0)
+    dm_t = weight_t = inputs_t = readout_t = laser_t = index_t = 0.0
+    total_cycles = 0
     for layer in graph.layers:
-        e = dict.fromkeys(COMPONENTS, 0.0)
-        pl = plan_by_id.get(layer.id) if layer.compressible else None
-        # Each pass: (on the sparse engine, row blocks, lit rows, inner, broadcast).
+        rows, cols = layer.rows, layer.cols
+        pl = plan_by_id.get(layer.id)
         if pl is None:
-            passes = [(False, ceil(layer.rows / n_h), n_h, layer.cols, bc)]
-            dram_bytes = layer.rows * layer.cols * WEIGHT_BYTES
-            sram_bytes = (layer.cols + layer.rows) * batch_tokens * ACT_BYTES
+            dense_inv = ceil(rows / n_h) * ceil(cols / n_l) * cols_d
+            out = dense_inv * outputs_d
+            weight = dense_inv * weight_d * weight_unit
+            inputs = dense_inv * inputs_d / bc_d * input_unit
+            readout = out * tia + out / adc_d * adc
+            sparse_inv = sparse_cycles = 0
+            dense_cycles = ceil(dense_inv / dense.cores)
+            laser = laser_d * dense_cycles
+            index = 0.0
+            dram_bytes = rows * cols * WEIGHT_BYTES
+            sram_bytes = (cols + rows) * batch_tokens * ACT_BYTES
         else:
-            chunks = ceil(layer.rows / pl.g)
-            h_op = operating_height(pl.g, sparse.ptc)
-            passes = [
-                (False, ceil(pl.r / n_h), n_h, layer.cols, bc),  # B X
-                (False, ceil(layer.rows / n_h), n_h, pl.r, bc),  # A (B X)
-                (True, chunks, h_op, pl.d, False),  # sparse tiles cannot broadcast
-            ]
-            dram_bytes = (
-                (pl.r * (layer.rows + layer.cols) + layer.rows * pl.d) * WEIGHT_BYTES
-                + chunks * pl.d * INDEX_BYTES
+            r, d, h_op = pl.r, pl.d, heights[pl.g]
+            chunks = ceil(rows / pl.g)
+            inv_bx = ceil(r / n_h) * ceil(cols / n_l) * cols_d  # B X
+            inv_abx = ceil(rows / n_h) * ceil(r / n_l) * cols_d  # A (B X)
+            sparse_inv = chunks * ceil(d / s_l) * cols_s  # condensed chunks at operating height h_op
+            out_bx, out_abx, out_s = inv_bx * outputs_d, inv_abx * outputs_d, sparse_inv * h_op * s_v
+            weight = (inv_bx * weight_d * weight_unit + inv_abx * weight_d * weight_unit
+                      + sparse_inv * h_op * s_l * weight_unit)
+            inputs = (inv_bx * inputs_d / bc_d * input_unit + inv_abx * inputs_d / bc_d * input_unit
+                      + sparse_inv * inputs_s * input_unit)
+            readout = (
+                (out_bx * tia + out_bx / adc_d * adc)
+                + (out_abx * tia + out_abx / adc_d * adc)
+                + (out_s * tia + out_s / adc_s * adc)
             )
+            dense_inv = inv_bx + inv_abx
+            dense_cycles = ceil(dense_inv / dense.cores)
+            sparse_cycles = ceil(sparse_inv / sparse.cores)
+            laser = laser_s * sparse_cycles * (h_op // quarter) + laser_d * dense_cycles
+            index = chunks * d * batch_tokens * params.index_fetch
+            dram_bytes = (r * (rows + cols) + rows * d) * WEIGHT_BYTES + chunks * d * INDEX_BYTES
             # Input read, intermediate (r x batch) write + read, output write,
             # plus per-chunk gathered input reads on the sparse side.
-            sram_bytes = (
-                (layer.cols + 2 * pl.r + layer.rows) * batch_tokens
-                + chunks * pl.d * batch_tokens
-            ) * ACT_BYTES
-            e["index_overhead"] = chunks * pl.d * batch_tokens * params.index_fetch
-
-        invocations = [0, 0]  # dense, sparse
-        for on_sparse, row_blocks, lit_rows, inner, broadcast in passes:
-            engine = sparse if on_sparse else dense
-            inv, weight, inputs, readout = _pass(engine, params, row_blocks, lit_rows, inner, batch_tokens, broadcast, adc)
-            invocations[on_sparse] += inv
-            e["weight_encode"] += weight
-            e["input_encode"] += inputs
-            e["readout"] += readout
-        dense_inv, sparse_inv = invocations
-        dense_cycles = ceil(dense_inv / dense.cores)
-        sparse_cycles = 0
-        if pl is not None:
-            sparse_cycles = ceil(sparse_inv / sparse.cores)
-            e["laser"] = laser_energy(params, sparse.ptc, h_op, sparse.cores, sparse_cycles)
-        # The dense engine has no splitter tree: all n_v rows stay lit.
-        e["laser"] += params.laser_per_channel_cycle * dense.ptc.n_lambda * dense.ptc.n_v * dense.cores * dense_cycles
-        e["data_movement"] = dram_bytes * params.dram_per_byte + sram_bytes * params.sram_per_byte
-
-        for comp in COMPONENTS:
-            totals[comp] += e[comp]
+            sram_bytes = ((cols + 2 * r + rows) * batch_tokens + chunks * d * batch_tokens) * ACT_BYTES
+        dm = dram_bytes * params.dram_per_byte + sram_bytes * params.sram_per_byte
+        dm_t += dm
+        weight_t += weight
+        inputs_t += inputs
+        readout_t += readout
+        laser_t += laser
+        index_t += index
         cycles = max(dense_cycles, sparse_cycles)
-        per_layer.append(LayerCost(layer.id, dense_inv, sparse_inv, dense_cycles, sparse_cycles, cycles, e))
+        total_cycles += cycles
+        energy = {"data_movement": dm, "weight_encode": weight, "input_encode": inputs,
+                  "readout": readout, "laser": laser, "index_overhead": index}  # COMPONENTS order
+        per_layer.append(LayerCost(layer.id, dense_inv, sparse_inv, dense_cycles, sparse_cycles, cycles, energy))
 
-    cycles = sum(lc.cycles for lc in per_layer)
-    latency = cycles / (params.clock_ghz * 1e9)
+    totals = dict(zip(COMPONENTS, (dm_t, weight_t, inputs_t, readout_t, laser_t, index_t)))
+    latency = total_cycles / (params.clock_ghz * 1e9)
     return CostReport(
-        energy=totals, cycles=cycles, latency_s=latency, edp=sum(totals.values()) * latency, per_layer=per_layer
+        energy=totals, cycles=total_cycles, latency_s=latency, edp=_energy_sum(totals) * latency, per_layer=per_layer
     )
 
 

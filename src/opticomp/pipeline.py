@@ -162,7 +162,8 @@ def load_compressed(path):
         except ValueError as exc:
             raise ValueError(f"{path}: compressed layer {lid!r}: {exc}") from None
         compressed[lid] = cl
-    others = {n: arr for n, arr in tensors.items() if not any(n.startswith(f"{lid}.") for lid in comp_meta)}
+    factors = {f"{lid}.{part}" for lid in comp_meta for part in ("a", "b", "sparse.values", "sparse.cols")}
+    others = {n: arr for n, arr in tensors.items() if n not in factors}
     return graph, compressed, others
 
 

@@ -127,7 +127,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nd
         if sums.min() < SUM_FLOOR:
             for idx in zip(*np.nonzero(sums.min(axis=-1) < SUM_FLOOR)):
                 num[idx] = _exact_shift_block(kt[idx], qa[idx][:, blk], va[idx])
-        np.divide(num[..., :dh, :], num[..., dh:, :], out=out[..., blk])
+        # Divide by the sums repeated to a contiguous (..., dh, rows) array: broadcast,
+        # they cost one inner loop per row, slow when a stack's rows are a few tokens.
+        np.divide(num[..., :dh, :], np.repeat(num[..., dh:, :], dh, axis=-2), out=out[..., blk])
     return out.reshape(q.shape)
 
 

@@ -13,7 +13,10 @@ gradient-descent loop on separate arrays that forms the error E explicitly
 and E G as E @ G, with a gradient for every candidate; the alternation
 oracle forms W D - A B afresh for each objective and the S-step. The
 plan oracle is the hand-written ``plan.json`` record that the field tables
-of ``allocate`` replace.
+of ``allocate`` replace. The cost-model oracle is ``simulate`` as a list of
+passes per layer, each charged by its own call from the engine's
+dimensions, which the per-call engine constants of ``photonic.simulate``
+replace.
 """
 from __future__ import annotations
 
@@ -250,3 +253,104 @@ def hand_written_plan_json(plan) -> dict:
             for l in plan.layers
         ],
     }
+
+
+def _pass(engine, params, row_blocks, lit_rows, inner, batch, broadcast, adc_sharing):
+    """Invocations and (weight encode, input encode, readout) energy of one
+    engine pass: ``row_blocks`` weight row blocks of ``lit_rows`` lit rows
+    each, against an (inner x batch) input."""
+    ptc = engine.ptc
+    inv = row_blocks * math.ceil(inner / ptc.n_lambda) * math.ceil(batch / ptc.n_v)
+    input_events = inv * ptc.n_lambda * ptc.n_v
+    if broadcast and engine.tiles > 1:
+        input_events /= engine.tiles
+    outputs = inv * lit_rows * ptc.n_v
+    adc_events = outputs / engine.cores_per_tile if adc_sharing else outputs
+    return (
+        inv,
+        inv * lit_rows * ptc.n_lambda * (params.dac_weight + params.modulation),
+        input_events * (params.dac_input + params.modulation),
+        outputs * params.tia + adc_events * params.adc,
+    )
+
+
+def pass_ledger_simulate(plan, graph, engines, params, batch_tokens=197):
+    """``photonic.simulate`` as one pass list per layer, each pass charged by
+    ``_pass`` from the engine's dimensions, a fresh component dict per layer
+    and a second loop for the totals; the report's total is added left to
+    right from 0.0."""
+    from opticomp.allocate import check_plan_matches
+    from opticomp.photonic import (
+        ACT_BYTES, COMPONENTS, INDEX_BYTES, WEIGHT_BYTES, CostReport, LayerCost, laser_energy, operating_height,
+    )
+
+    ceil = math.ceil
+    dense, sparse = engines.dense, engines.sparse
+    if batch_tokens < 1:
+        raise ValueError("batch_tokens must be >= 1")
+    if dense.cores < 1:
+        raise ValueError("dense engine needs at least one core")
+    plan_by_id = {}
+    if plan is not None:
+        check_plan_matches(plan, graph)
+        plan_by_id = {pl.id: pl for pl in plan.layers}
+        if sparse.cores == 0:
+            raise ValueError("compressed plan given but the sparse engine has no tiles")
+
+    n_h, bc, adc = dense.ptc.n_h, engines.broadcast_enabled, engines.adc_sharing_enabled
+    per_layer = []
+    totals = dict.fromkeys(COMPONENTS, 0.0)
+    for layer in graph.layers:
+        e = dict.fromkeys(COMPONENTS, 0.0)
+        pl = plan_by_id.get(layer.id) if layer.compressible else None
+        # Each pass: (on the sparse engine, row blocks, lit rows, inner, broadcast).
+        if pl is None:
+            passes = [(False, ceil(layer.rows / n_h), n_h, layer.cols, bc)]
+            dram_bytes = layer.rows * layer.cols * WEIGHT_BYTES
+            sram_bytes = (layer.cols + layer.rows) * batch_tokens * ACT_BYTES
+        else:
+            chunks = ceil(layer.rows / pl.g)
+            h_op = operating_height(pl.g, sparse.ptc)
+            passes = [
+                (False, ceil(pl.r / n_h), n_h, layer.cols, bc),  # B X
+                (False, ceil(layer.rows / n_h), n_h, pl.r, bc),  # A (B X)
+                (True, chunks, h_op, pl.d, False),  # sparse tiles cannot broadcast
+            ]
+            dram_bytes = (
+                (pl.r * (layer.rows + layer.cols) + layer.rows * pl.d) * WEIGHT_BYTES
+                + chunks * pl.d * INDEX_BYTES
+            )
+            sram_bytes = (
+                (layer.cols + 2 * pl.r + layer.rows) * batch_tokens
+                + chunks * pl.d * batch_tokens
+            ) * ACT_BYTES
+            e["index_overhead"] = chunks * pl.d * batch_tokens * params.index_fetch
+
+        invocations = [0, 0]  # dense, sparse
+        for on_sparse, row_blocks, lit_rows, inner, broadcast in passes:
+            engine = sparse if on_sparse else dense
+            inv, weight, inputs, readout = _pass(engine, params, row_blocks, lit_rows, inner, batch_tokens, broadcast, adc)
+            invocations[on_sparse] += inv
+            e["weight_encode"] += weight
+            e["input_encode"] += inputs
+            e["readout"] += readout
+        dense_inv, sparse_inv = invocations
+        dense_cycles = ceil(dense_inv / dense.cores)
+        sparse_cycles = 0
+        if pl is not None:
+            sparse_cycles = ceil(sparse_inv / sparse.cores)
+            e["laser"] = laser_energy(params, sparse.ptc, h_op, sparse.cores, sparse_cycles)
+        e["laser"] += params.laser_per_channel_cycle * dense.ptc.n_lambda * dense.ptc.n_v * dense.cores * dense_cycles
+        e["data_movement"] = dram_bytes * params.dram_per_byte + sram_bytes * params.sram_per_byte
+
+        for comp in COMPONENTS:
+            totals[comp] += e[comp]
+        cycles = max(dense_cycles, sparse_cycles)
+        per_layer.append(LayerCost(layer.id, dense_inv, sparse_inv, dense_cycles, sparse_cycles, cycles, e))
+
+    cycles = sum(lc.cycles for lc in per_layer)
+    latency = cycles / (params.clock_ghz * 1e9)
+    total = 0.0
+    for value in totals.values():
+        total += value
+    return CostReport(energy=totals, cycles=cycles, latency_s=latency, edp=total * latency, per_layer=per_layer)

@@ -1,6 +1,7 @@
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,23 @@ def test_tensors_are_64_byte_aligned(tmp_path):
     manifest, _ = read_container(path)
     for entry in manifest["tensors"]:
         assert entry["byte_offset"] % ALIGNMENT == 0
+
+
+def test_reading_holds_the_files_bytes_once(tmp_path):
+    # The tensors view the bytes read from the file; a second copy of the
+    # blob would take the peak to about twice the file size.
+    rng = np.random.default_rng(0)
+    path = tmp_path / "m.lten"
+    write_container(path, {f"w{i}": rng.normal(size=(128, 256)) for i in range(8)})
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        _, tensors = read_container(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tensors) == 8
+    assert peak <= 1.2 * size, f"peak {peak} bytes for a {size}-byte file"
 
 
 def test_bad_magic(tmp_path):

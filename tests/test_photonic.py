@@ -1,15 +1,22 @@
-from dataclasses import replace
+import json
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opticomp.allocate import CompressionPlan, PlanLayer
 from opticomp.decompose import structured_sparsify, expand
 from opticomp.model import LayerSpec, ModelGraph
 from opticomp.photonic import (
+    COMPONENTS,
+    CostReport,
     EngineBlock,
     EngineConfig,
     EnergyParams,
+    LayerCost,
     PtcConfig,
     SplitterState,
     comparison,
@@ -22,6 +29,8 @@ from opticomp.photonic import (
 )
 from opticomp.util import philox_rng
 from opticomp.vit import ToyViT, build_toy_graph, forward, gen_toy_model
+
+from oracles import pass_ledger_simulate
 
 PTC12 = PtcConfig(12, 12, 12)
 
@@ -165,7 +174,7 @@ class TestSimulate:
         assert lc.energy["laser"] == p.laser_per_channel_cycle * 12 * 3 * 1 * 1 * 4
         assert lc.energy["data_movement"] == 144 * p.dram_per_byte + 24 * 12 * p.sram_per_byte
         assert lc.energy["index_overhead"] == 0.0
-        assert report.total_energy == sum(lc.energy.values())
+        assert report.total_energy == lc.total_energy
 
     def test_hand_counted_compressed_layer_ledger(self):
         # One 24x36 attn_q layer at r=5, d=7, g=5, batch 20 (ragged against
@@ -326,6 +335,90 @@ class TestEdp:
         r1 = simulate(None, graph, EngineConfig.default(), p1, 24)
         r2 = simulate(None, graph, EngineConfig.default(), p2, 24)
         assert r2.edp == pytest.approx(2 * r1.edp, rel=1e-12)
+
+
+@pytest.mark.parametrize("values", [(0.1, 0.2, 0.3, 0.0, 0.0, 0.0), (1e16, 1.0, 1.0, 0.5, 0.0, 0.0)])
+def test_energy_totals_add_left_to_right_on_every_python(values):
+    # A compensated sum (built-in sum from Python 3.12, math.fsum) gives another total.
+    left_to_right = 0.0
+    for value in values:
+        left_to_right += value
+    assert left_to_right != math.fsum(values)
+    energy = dict(zip(COMPONENTS, values))
+    assert LayerCost("x", 1, 0, 1, 0, 1, energy).total_energy == left_to_right
+    assert CostReport(energy, 1, 1.0, 1.0, []).total_energy == left_to_right
+
+
+@st.composite
+def simulate_cases(draw):
+    """A random toy graph, plan, engines, energies and batch."""
+    graph = build_toy_graph(
+        hidden=draw(st.integers(1, 40)), heads=1, mlp_ratio=draw(st.integers(1, 4)),
+        blocks=draw(st.integers(1, 2)), classes=draw(st.integers(1, 12)), in_dim=draw(st.integers(1, 30)),
+    )
+
+    def block(quarters):
+        n_v = 4 * draw(st.integers(1, 4)) if quarters else draw(st.integers(1, 16))
+        return EngineBlock(draw(st.integers(1, 8)), draw(st.integers(1, 3)),
+                           PtcConfig(n_v, draw(st.integers(1, 16)), draw(st.integers(1, 16))))
+
+    engines = EngineConfig(block(False), block(True), draw(st.booleans()), draw(st.booleans()))
+    layers = []
+    for l in graph.compressible_layers():
+        r, d = draw(st.integers(1, min(l.rows, l.cols))), draw(st.integers(1, l.cols))
+        g = draw(st.integers(1, engines.sparse.ptc.n_v))
+        layers.append(PlanLayer(l.id, l.rows, l.cols, r, d, g, r * (l.rows + l.cols) + l.rows * d))
+    plan = CompressionPlan(alpha=0.3, sparse_ratio=0.1, layers=layers, psi_achieved=0.0, iterations=0)
+    energy = st.floats(0.0, 10.0, allow_subnormal=False)
+    values = {f.name: draw(energy) for f in fields(EnergyParams) if f.name != "clock_ghz"}
+    params = EnergyParams(**values, clock_ghz=draw(st.floats(0.1, 10.0)))
+    return plan, graph, engines, params, draw(st.integers(1, 1000))
+
+
+class TestSimulateMatchesPassLedger:
+    """``simulate`` against the per-pass ledger it replaced (tests/oracles.py):
+    every float from the same operations in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(simulate_cases())
+    def test_reports_are_identical(self, case):
+        plan, *rest = case
+        for p in (plan, None):  # the compressed plan and the dense baseline
+            got, want = simulate(p, *rest), pass_ledger_simulate(p, *rest)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())  # values, reprs and key order
+            assert (got.cycles, got.latency_s, got.edp) == (want.cycles, want.latency_s, want.edp)
+            assert len(got.per_layer) == len(want.per_layer)
+            for lc, ref in zip(got.per_layer, want.per_layer):
+                for f in fields(LayerCost):
+                    assert getattr(lc, f.name) == getattr(ref, f.name), f.name
+                assert list(lc.energy) == list(COMPONENTS)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("batch 0", "batch_tokens must be >= 1"),
+        ("no dense cores", "dense engine needs at least one core"),
+        ("plan mismatch", "plan/model mismatch at layer(s): block0.mlp.fc2"),
+        ("no sparse tiles", "compressed plan given but the sparse engine has no tiles"),
+        ("g > n_v", "chunk height 9 exceeds sparse PTC rows 8"),
+    ])
+    def test_errors_are_the_oracles(self, defect, message):
+        graph = build_toy_graph(hidden=24, heads=2, mlp_ratio=2, blocks=1, classes=4, in_dim=12)
+        plan, engines, batch = toy_plan(graph), EngineConfig.default(), 24
+        if defect == "batch 0":
+            batch = 0
+        elif defect == "no dense cores":
+            engines = replace(engines, dense=replace(engines.dense, tiles=0))
+        elif defect == "plan mismatch":
+            plan.layers = plan.layers[:-1]
+        elif defect == "no sparse tiles":
+            engines = replace(engines, sparse=replace(engines.sparse, tiles=0))
+        else:
+            plan.layers[2] = replace(plan.layers[2], g=9)  # sparse n_v is 8
+        raised = []
+        for fn in (simulate, pass_ledger_simulate):
+            with pytest.raises(ValueError) as info:
+                fn(plan, graph, engines, EnergyParams(), batch)
+            raised.append(str(info.value))
+        assert raised == [message, message]
 
 
 class TestPtcFunctionalFidelity:
