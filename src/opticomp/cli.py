@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .container import ContainerError, write_container
+from .container import write_container
 from .model import load_model, save_model
 from .photonic import EngineConfig, comparison, read_report, simulate
 from .pipeline import (
@@ -82,8 +82,7 @@ def _require_paths(cfg: dict, verb: str, *names: str) -> None:
 
 def cmd_gen_toy(args) -> int:
     if args.hidden % args.heads:
-        print(f"error: --hidden {args.hidden} is not divisible by --heads {args.heads}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--hidden {args.hidden} is not divisible by --heads {args.heads}")
     out = _output_dir(args.out or "toy")
     graph = build_toy_graph(
         hidden=args.hidden, heads=args.heads, mlp_ratio=args.mlp_ratio,
@@ -126,11 +125,9 @@ def cmd_simulate(args) -> int:
     _require_paths(cfg, "simulate", "model")
     engines, params = hardware_from_config(cfg)
     if bool(args.plan) == args.baseline:
-        print("error: provide exactly one of --plan PATH or --baseline", file=sys.stderr)
-        return 2
+        raise UsageError("provide exactly one of --plan PATH or --baseline")
     if args.compare and not args.plan:
-        print("error: --compare needs --plan", file=sys.stderr)
-        return 2
+        raise UsageError("--compare needs --plan")
     out = _output_dir(cfg["paths"]["output"])
     graph, _ = load_model(cfg["paths"]["model"])
     batch = cfg["hardware"]["batch_tokens"]
@@ -274,7 +271,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # a path that names a directory, or a file that cannot be read
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ContainerError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,36 +34,8 @@ ALIGNMENT = 64
 _DTYPES = {"f32": np.dtype("<f4"), "i32": np.dtype("<i4")}
 
 
-class ContainerError(Exception):
-    """Base class for LTEN container failures."""
-
-
-class BadMagicError(ContainerError):
-    pass
-
-
-class VersionMismatchError(ContainerError):
-    pass
-
-
-class TruncatedBlobError(ContainerError):
-    pass
-
-
-class ShapeDisagreementError(ContainerError):
-    """Manifest entry and blob extent disagree about a tensor's size."""
-
-
-class DuplicateTensorError(ContainerError):
-    """Two manifest entries share a tensor name."""
-
-
-class NegativeExtentError(ContainerError):
-    """A manifest entry has a negative byte offset, byte length or dimension."""
-
-
-class OverlappingTensorsError(ContainerError):
-    """Two tensors' byte extents share bytes of the blob."""
+class ContainerError(ValueError):
+    """A file that is not a well-formed LTEN container."""
 
 
 _STORED = {"f": "f32", "i": "i32", "u": "i32"}  # numpy dtype kind -> the dtype it is stored as
@@ -133,15 +105,15 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16:
-        raise TruncatedBlobError(f"{path}: file shorter than the 16-byte header")
+        raise ContainerError(f"{path}: file shorter than the 16-byte header")
     if raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+        raise ContainerError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
-        raise VersionMismatchError(f"{path}: container version {version}, expected {VERSION}")
+        raise ContainerError(f"{path}: container version {version}, expected {VERSION}")
     (manifest_len,) = struct.unpack_from("<Q", raw, 8)
     if 16 + manifest_len > len(raw):
-        raise TruncatedBlobError(f"{path}: manifest extends past end of file")
+        raise ContainerError(f"{path}: manifest extends past end of file")
     try:
         manifest = json.loads(raw[16 : 16 + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -157,33 +129,33 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         entry = read_record(entry, _ENTRY_FIELDS, f"{path}: tensor entry {i}:", ContainerError)
         name = entry["name"]
         if name in tensors:
-            raise DuplicateTensorError(f"{path}: tensor {name!r} appears more than once in the manifest")
+            raise ContainerError(f"{path}: tensor {name!r} appears more than once in the manifest")
         dtype = _DTYPES.get(entry["dtype"])
         if dtype is None:
             raise ContainerError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
         shape = tuple(entry["shape"])
         start, length = entry["byte_offset"], entry["byte_len"]
         if start < 0 or length < 0 or any(dim < 0 for dim in shape):
-            raise NegativeExtentError(
+            raise ContainerError(
                 f"{path}: tensor {name!r} has offset {start}, length {length}, shape {shape}; none may be negative"
             )
         expected = math.prod(shape) * dtype.itemsize  # exact: a JSON dimension may exceed int64
         if expected != length:
-            raise ShapeDisagreementError(
+            raise ContainerError(
                 f"{path}: tensor {name!r} shape {shape} needs {expected} bytes, manifest says {length}"
             )
         if start + length > len(blob):
-            raise TruncatedBlobError(f"{path}: tensor {name!r} extends past end of blob")
+            raise ContainerError(f"{path}: tensor {name!r} extends past end of blob")
         try:  # an empty tensor can still name a shape numpy cannot represent
             tensors[name] = np.frombuffer(blob, dtype=dtype, count=expected // dtype.itemsize, offset=start).reshape(shape)
         except ValueError as exc:
-            raise ShapeDisagreementError(f"{path}: tensor {name!r} has an unusable shape {shape}: {exc}") from exc
+            raise ContainerError(f"{path}: tensor {name!r} has an unusable shape {shape}: {exc}") from exc
         if length:
             extents.append((start, start + length, name))
     extents.sort()
     for (_, end, first), (start, _, second) in zip(extents, extents[1:]):
         if start < end:
-            raise OverlappingTensorsError(f"{path}: tensors {first!r} and {second!r} share blob bytes")
+            raise ContainerError(f"{path}: tensors {first!r} and {second!r} share blob bytes")
     return manifest, tensors
 
 

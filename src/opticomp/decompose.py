@@ -57,7 +57,6 @@ class ScalingDiag:
     """Diagonal activation scaling d_j = sqrt(sum_t X[j,t]^2), clamped below."""
 
     d: np.ndarray
-    epsilon_clamped: bool
 
     @property
     def inv(self) -> np.ndarray:
@@ -65,7 +64,7 @@ class ScalingDiag:
 
     @classmethod
     def identity(cls, n: int) -> "ScalingDiag":
-        return cls(d=np.ones(n), epsilon_clamped=False)
+        return cls(d=np.ones(n))
 
 
 def compute_scaling(x: np.ndarray) -> ScalingDiag:
@@ -75,9 +74,7 @@ def compute_scaling(x: np.ndarray) -> ScalingDiag:
     top = float(d.max())
     if top == 0.0:
         raise ValueError("calibration activations are identically zero; cannot scale")
-    floor = EPS_SCALE * top
-    clamped = bool(np.any(d < floor))
-    return ScalingDiag(d=np.maximum(d, floor), epsilon_clamped=clamped)
+    return ScalingDiag(d=np.maximum(d, EPS_SCALE * top))
 
 
 @dataclass(frozen=True)

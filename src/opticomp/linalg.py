@@ -68,8 +68,11 @@ def truncated_svd(m: np.ndarray, k: int) -> SvdResult:
 
     By Eckart-Young the reconstruction is the best rank-k approximation of
     ``m`` in Frobenius norm. Singular values come back non-increasing and
-    non-negative; a triplet with sigma = 0 has a zero left (or, for a wide
-    ``m``, right) vector.
+    non-negative. The vectors are orthonormal down to the numerical rank
+    only: past it, a left (or, for a wide ``m``, right) vector is rounding
+    noise divided by a sigma at rounding level, a unit vector that need not
+    be orthogonal to the others, or zero where sigma = 0. Those triplets are
+    scaled by their sigma, so the reconstruction holds all the same.
     """
     m = as_matrix(m, "m")
     a = _tall(m)

@@ -52,10 +52,12 @@ def compress_model(cfg: dict, engines: EngineConfig):
     if not graph.compressible_layers():
         raise ValueError(f"{cfg['paths']['model']}: model has no compressible layers")
     calib_inputs = load_calibration_inputs(cfg["paths"]["calibration"])
-    calib = collect_calibration(ToyViT.from_tensors(graph, tensors), calib_inputs)
+    model = ToyViT.from_tensors(graph, tensors)
+    calib = collect_calibration(model, calib_inputs)
 
     dcfg = cfg["decomposition"]
-    weights = {l.id: np.asarray(tensors[l.id], dtype=np.float64) for l in graph.compressible_layers()}
+    weights = {l.id: model.weights[l.id] for l in graph.compressible_layers()}
+    del model
     scaling = {lid: compute_scaling(calib[lid]) for lid in weights}
 
     state = prepare_full_rank(

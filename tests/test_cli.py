@@ -480,6 +480,27 @@ def test_an_input_path_naming_a_directory_exits_two(verb, extra, toy_dir, tmp_pa
     assert not (tmp_path / "out" / "plan.json").exists()
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("gen-toy", "--hidden", "24", "--heads", "5"), "--hidden 24 is not divisible by --heads 5"),
+        (("simulate", "--plan", "{run}/plan.json", "--baseline", "--set", "paths.model={toy}/model.lten"),
+         "provide exactly one of --plan PATH or --baseline"),
+        (("simulate", "--baseline", "--compare", "--set", "paths.model={toy}/model.lten"), "--compare needs --plan"),
+    ],
+    ids=["heads_not_dividing_hidden", "plan_with_baseline", "compare_without_plan"],
+)
+def test_a_flag_combination_that_cannot_run_exits_two_and_writes_nothing(
+    args, message, toy_dir, compressed_dir, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    assert main([*(arg.format(toy=toy_dir, run=compressed_dir) for arg in args), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_calibrate_is_an_unknown_verb(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--out", "unused"])

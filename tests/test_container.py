@@ -12,14 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from opticomp.container import (
     ALIGNMENT,
-    BadMagicError,
     ContainerError,
-    DuplicateTensorError,
-    NegativeExtentError,
-    OverlappingTensorsError,
-    ShapeDisagreementError,
-    TruncatedBlobError,
-    VersionMismatchError,
     check_tensors,
     read_container,
     write_container,
@@ -110,8 +103,9 @@ def test_bad_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[:4] = b"NOPE"
     path.write_bytes(raw)
-    with pytest.raises(BadMagicError, match="bad magic"):
+    with pytest.raises(ContainerError, match="bad magic b'NOPE'") as exc:
         read_container(path)
+    assert isinstance(exc.value, ValueError)  # one family with the table checks' defects
 
 
 def test_version_mismatch(tmp_path):
@@ -120,7 +114,7 @@ def test_version_mismatch(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4:8] = struct.pack("<I", 9)
     path.write_bytes(raw)
-    with pytest.raises(VersionMismatchError, match="version 9"):
+    with pytest.raises(ContainerError, match="container version 9, expected 1"):
         read_container(path)
 
 
@@ -129,7 +123,7 @@ def test_truncated_blob(tmp_path):
     write_container(path, {"a": np.ones((8, 8))})
     raw = path.read_bytes()
     path.write_bytes(raw[:-17])
-    with pytest.raises(TruncatedBlobError):
+    with pytest.raises(ContainerError, match="tensor 'a' extends past end of blob"):
         read_container(path)
 
 
@@ -141,7 +135,7 @@ def test_manifest_blob_shape_disagreement(tmp_path):
         manifest["tensors"][0]["shape"] = [3, 3]  # lies about the stored extent
 
     rewrite_manifest(path, lie)
-    with pytest.raises(ShapeDisagreementError):
+    with pytest.raises(ContainerError, match=r"tensor 'a' shape \(3, 3\) needs 36 bytes, manifest says 16"):
         read_container(path)
 
 
@@ -153,7 +147,7 @@ def test_duplicate_tensor_name(tmp_path):
         manifest["tensors"][1]["name"] = "a"  # would silently shadow the first "a"
 
     rewrite_manifest(path, rename)
-    with pytest.raises(DuplicateTensorError, match="'a'"):
+    with pytest.raises(ContainerError, match="tensor 'a' appears more than once"):
         read_container(path)
 
 
@@ -166,7 +160,7 @@ def test_negative_extent(tmp_path, field, value):
         manifest["tensors"][1][field] = value
 
     rewrite_manifest(path, negate)
-    with pytest.raises(NegativeExtentError, match="'b'"):
+    with pytest.raises(ContainerError, match="tensor 'b' has offset .* none may be negative"):
         read_container(path)
 
 
@@ -178,7 +172,7 @@ def test_overlapping_tensors(tmp_path):
         manifest["tensors"][1]["byte_offset"] = 32  # inside a's 64 bytes
 
     rewrite_manifest(path, alias)
-    with pytest.raises(OverlappingTensorsError, match="'a' and 'b'"):
+    with pytest.raises(ContainerError, match="tensors 'a' and 'b' share blob bytes"):
         read_container(path)
 
 
@@ -223,7 +217,7 @@ def test_shape_beyond_int64_is_a_container_error(tmp_path, shape):
         manifest["tensors"][0]["byte_len"] = 0 if 0 in shape else 4 * 2
 
     rewrite_manifest(path, enlarge)
-    with pytest.raises(ShapeDisagreementError, match="'a'"):
+    with pytest.raises(ContainerError, match=r"tensor 'a' (shape .* needs \d+ bytes|has an unusable shape)"):
         read_container(path)
 
 

@@ -54,13 +54,11 @@ class TestComputeScaling:
     def test_identity_activations(self):
         d = compute_scaling(np.eye(2))
         np.testing.assert_array_equal(d.d, [1.0, 1.0])
-        assert not d.epsilon_clamped
 
     def test_zero_row_clamps(self):
         d = compute_scaling(np.array([[3.0, 4.0], [0.0, 0.0]]))
         assert d.d[0] == 5.0
         assert d.d[1] == EPS_SCALE * 5.0
-        assert d.epsilon_clamped
 
     def test_matches_row_norm_oracle(self):
         rng = np.random.default_rng(0)

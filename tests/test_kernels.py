@@ -49,7 +49,7 @@ class TestWarmLStep:
         m, n, k, seed = case
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(m, n))
-        d = ScalingDiag(d=rng.uniform(0.5, 2.0, size=n), epsilon_clamped=False)
+        d = ScalingDiag(d=rng.uniform(0.5, 2.0, size=n))
         dec = decompose_layer(w, d, r=k, s=0.5, g=2, iters=iters)
         wd = w * d.d[None, :]
         a, b = balanced_factors(truncated_svd(wd, k))
@@ -70,7 +70,7 @@ class TestWarmLStep:
         m, n, k, seed = case
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(m, n))
-        d = ScalingDiag(d=rng.uniform(0.5, 2.0, size=n), epsilon_clamped=False)
+        d = ScalingDiag(d=rng.uniform(0.5, 2.0, size=n))
         top = truncated_svd(w * d.d[None, :], min(m, n))
         plain = decompose_layer(w, d, r=k, s=0.5, g=2, iters=iters)
         started = decompose_layer(w, d, r=k, s=0.5, g=2, iters=iters, start=top)

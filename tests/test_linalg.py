@@ -72,6 +72,22 @@ class TestTruncatedSvd:
         assert np.all(np.diff(res.singular_values) <= 0)
         assert np.all(res.singular_values >= 0)
 
+    def test_past_the_numerical_rank_of_a_wide_matrix(self):
+        # Rank 1 at k = 4: the three trailing values are at rounding level and
+        # their right vectors are noise divided by them, not orthogonal to the
+        # first. What holds is the reconstruction, the values and the vectors
+        # down to the numerical rank.
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=4), rng.normal(size=7)
+        m = np.outer(x, y)
+        res = truncated_svd(m, 4)
+        sigma = np.linalg.norm(x) * np.linalg.norm(y)
+        assert frobenius_norm(m - res.reconstruct()) <= 1e-14 * sigma
+        assert res.singular_values[0] == pytest.approx(sigma, rel=1e-14)
+        assert np.all(res.singular_values[1:] <= 1e-14 * sigma)
+        np.testing.assert_allclose(np.abs(res.u[:, 0]), np.abs(x) / np.linalg.norm(x), atol=1e-14)
+        np.testing.assert_allclose(np.abs(res.vt[0]), np.abs(y) / np.linalg.norm(y), atol=1e-14)
+
     def test_equal_values_come_back_non_increasing(self):
         # All twelve values are 1; their column norms differ in the last bits,
         # in no particular order.
