@@ -32,7 +32,8 @@ That ``Decomposition`` is the one fitted-layer type: the pipeline writes
 it to the compressed file, and ``pipeline.load_compressed`` reads it back.
 
 Local adaptation works in Gram form, G = X X^T, on one flat vector of
-adapters of rank q = max(1, floor(r/4)). The error
+adapters of rank q = max(1, floor(r/4)); it takes X or G, and the
+pipeline passes the G it formed at calibration capture. The error
 E = (A + Ua Va)(B + Ub Vb) - (W - S) is the fixed E0 = A B - (W - S) plus
 a term of rank 2q, so E and E G follow from E0 and E0 G, formed once per
 layer, and the factors: an objective costs O(q n^2 + m q n), where one
@@ -137,12 +138,16 @@ def structured_sparsify(residual: np.ndarray, g: int, s: float) -> StructuredSpa
         mag = np.concatenate([mag, np.zeros((num_chunks * g - m, n))])
     norms = mag.reshape(num_chunks, g, n).sum(axis=1)
     # Each chunk keeps every column above its d-th largest norm, then fills
-    # the places left with the columns tied at it, lowest index first.
+    # the places left with the columns tied at it, lowest index first. Every
+    # chunk has at least d columns at or above it, so when all of them hold
+    # exactly d, those are the kept set and there is no tie to break.
     kth = np.partition(norms, n - d, axis=1)[:, n - d, None]
-    above = norms > kth
-    tied = norms == kth
-    room = d - np.count_nonzero(above, axis=1, keepdims=True)
-    keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    keep = norms >= kth
+    if np.count_nonzero(keep) != num_chunks * d:
+        above = norms > kth
+        tied = norms == kth
+        room = d - np.count_nonzero(above, axis=1, keepdims=True)
+        keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
     kept = np.nonzero(keep)[1].reshape(num_chunks, d)  # ascending per chunk
     rows = np.arange(m)
     condensed = residual[rows[:, None], kept[rows // g]]
@@ -400,13 +405,18 @@ def adapter_objective_and_grads(
 def local_adapt(
     dec: Decomposition,
     w: np.ndarray,
-    x: np.ndarray,
+    x: np.ndarray | None = None,
     steps: int = 100,
     lr: float = 1e-2,
     seed: int = 0,
     key: int = 0,
+    *,
+    gram: np.ndarray | None = None,
 ) -> Decomposition:
-    """Refine (A, B) with rank-limited adapters against raw calibration data.
+    """Refine (A, B) with rank-limited adapters against calibration data:
+    the raw activations ``x`` (n x T), or their Gram ``gram`` = X X^T (n x n),
+    exactly one of the two. The objective reads X only through its Gram, so
+    passing ``x @ x.T`` as ``gram`` takes the same steps, bit for bit.
 
     The adapters start from the random stream keyed on (seed, 3, key); the
     pipeline passes the layer name's ``stable_key`` so that a layer's stream
@@ -422,11 +432,15 @@ def local_adapt(
     ``FIT_FLOOR`` times <W - S, (W - S) X X^T>, an exact fit, takes no step:
     there rounding alone would decide it.
     """
+    if (x is None) == (gram is None):
+        raise ValueError("pass exactly one of x and gram")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return dec
-    kernel = _GramAdapter(dec.a, dec.b, w - expand(dec.sparse), x @ x.T, max(1, dec.rank // 4))
+    if gram is None:
+        gram = x @ x.T
+    kernel = _GramAdapter(dec.a, dec.b, w - expand(dec.sparse), gram, max(1, dec.rank // 4))
     # The current point, the candidate and the gradient, each one flat vector
     # with its adapter views; the first two swap when a candidate is taken.
     theta, cand, grad = (np.zeros(kernel.size) for _ in range(3))

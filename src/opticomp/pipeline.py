@@ -1,12 +1,13 @@
 """End-to-end compression pipeline and artifact verification.
 
-Glues the stages together: calibration capture -> activation scaling ->
-one-step rank-r_max guide -> greedy rank allocation -> per-layer
-decomposition at the assigned rank (``decomposition.iters`` alternations,
-starting from the guide's SVD of W D) -> local adaptation -> serialized
-compressed model + plan. Every tensor file is checked against its table
-(``container.check_tensors``) where it is read. Verification
-re-derives every stored quantity from the artifacts themselves.
+Glues the stages together: calibration capture (each layer input's
+activation scaling and Gram) -> one-step rank-r_max guide -> greedy rank
+allocation -> per-layer decomposition at the assigned rank
+(``decomposition.iters`` alternations, starting from the guide's SVD of
+W D) -> local adaptation -> serialized compressed model + plan. Every
+tensor file is checked against its table (``container.check_tensors``)
+where it is read. Verification re-derives every stored quantity from the
+artifacts themselves.
 Each fitted layer is a ``decompose.Decomposition``, also when read back
 (with an empty ``objective_trace``); ``plan.json`` is owned by ``allocate``.
 """
@@ -23,6 +24,7 @@ from .config import ConfigError
 from .container import check_tensors, read_container, read_tensors, write_container
 from .decompose import (
     Decomposition,
+    ScalingDiag,
     StructuredSparse,
     compute_scaling,
     decompose_layer,
@@ -42,8 +44,20 @@ def load_calibration_inputs(path) -> np.ndarray:
     return np.asarray(inputs, dtype=np.float64)
 
 
+def input_statistics(x: np.ndarray) -> tuple[ScalingDiag, np.ndarray]:
+    """What the pipeline reads of one layer input X: its scaling and its Gram X X^T."""
+    return compute_scaling(x), x @ x.T
+
+
 def compress_model(cfg: dict, engines: EngineConfig):
-    """Run the full pipeline; returns (graph, compressed layers, plan, summary)."""
+    """Run the full pipeline; returns (graph, tensors, compressed layers,
+    plan, summary), where ``tensors`` are the model file's.
+
+    The calibration pass keeps each distinct layer input's statistics
+    (``input_statistics``), not the activation, so its memory does not grow
+    with the calibration tokens; q, k and v share one entry, which goes once
+    the last of them is fit.
+    """
     t = cfg["targets"]
     n_v = engines.sparse.ptc.n_v
     if t["granularity"] > n_v:
@@ -53,12 +67,12 @@ def compress_model(cfg: dict, engines: EngineConfig):
         raise ValueError(f"{cfg['paths']['model']}: model has no compressible layers")
     calib_inputs = load_calibration_inputs(cfg["paths"]["calibration"])
     model = ToyViT.from_tensors(graph, tensors)
-    calib = collect_calibration(model, calib_inputs)
+    calib = collect_calibration(model, calib_inputs, keep=input_statistics)
 
     dcfg = cfg["decomposition"]
     weights = {l.id: model.weights[l.id] for l in graph.compressible_layers()}
     del model
-    scaling = {lid: compute_scaling(calib[lid]) for lid in weights}
+    scaling = {lid: calib[lid][0] for lid in weights}
 
     state = prepare_full_rank(
         [(lid, weights[lid]) for lid in weights],
@@ -85,7 +99,7 @@ def compress_model(cfg: dict, engines: EngineConfig):
             w, d, pl.r, t["sparse_ratio"], t["granularity"], iters=dcfg["iters"], start=state.starts.pop(lid)
         )
         dec = local_adapt(
-            dec, w, calib[lid],
+            dec, w, gram=calib.pop(lid)[1],
             steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"],
             seed=cfg["seed"], key=stable_key(lid),
         )

@@ -34,6 +34,7 @@ layer 'embed', also for ``collect_calibration``; weights come checked
 """
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import sqrt
@@ -349,17 +350,25 @@ def evaluate(model: ToyViT, dataset: ToyDataset) -> float:
 
 def collect_calibration(model: ToyViT, inputs: np.ndarray, keep=None) -> dict:
     """Map each compressible layer's id to the (cols x tokens) activation it
-    consumes, or to ``keep(activation)`` when ``keep`` is given. ``keep`` runs
-    as the forward reaches the layer, so an activation outlives the pass only
-    if it is kept; layers fed the same matrix (q, k, v) share one array."""
+    consumes, or to ``keep(activation)`` when ``keep`` is given.
+
+    ``keep`` runs as the forward reaches the layer, once per distinct
+    activation: layers fed the same matrix (q, k, v) share one result (one
+    array when ``keep`` is not given). No activation outlives the pass
+    unless it is what is kept; ``pipeline.compress_model`` keeps each
+    input's scaling and Gram, ``pipeline.verify_artifacts`` its scaling."""
     if np.shape(inputs)[-1] < 1:
         raise ValueError("calibration inputs hold no tokens; need at least one")
     ids = [l.id for l in model.graph.compressible_layers()]
     wanted, kept = set(ids), {}
+    last = None  # (weak reference to the last activation kept, what was kept of it)
 
     def tap(layer_id: str, x: np.ndarray) -> None:
+        nonlocal last
         if layer_id in wanted:
-            kept[layer_id] = x if keep is None else keep(x)
+            if last is None or last[0]() is not x:
+                last = weakref.ref(x), x if keep is None else keep(x)
+            kept[layer_id] = last[1]
 
     forward(model, inputs, tap=tap)
     return {lid: kept[lid] for lid in ids}

@@ -12,7 +12,8 @@ query-blocked attention kernel does not. The adapter oracle is the
 gradient-descent loop on separate arrays that forms the error E explicitly
 and E G as E @ G, with a gradient for every candidate; the alternation
 oracle forms W D - A B afresh for each objective and the S-step. The
-plan oracle is the hand-written ``plan.json`` record that the field tables
+compress oracle keeps each layer's raw activation through the fit, where
+``compress_model`` keeps its scaling and Gram. The plan oracle is the hand-written ``plan.json`` record that the field tables
 of ``allocate`` replace. The cost-model oracle is ``simulate`` as a list of
 passes per layer, each charged by its own call from the engine's
 dimensions, which the per-call engine constants of ``photonic.simulate``
@@ -24,9 +25,21 @@ import math
 
 import numpy as np
 
-from opticomp.decompose import FIT_FLOOR, expand, structured_sparsify
+from opticomp.allocate import allocate_ranks, basis_rank, prepare_full_rank
+from opticomp.decompose import (
+    FIT_FLOOR,
+    compute_scaling,
+    decompose_layer,
+    expand,
+    layer_error,
+    local_adapt,
+    structured_sparsify,
+)
 from opticomp.linalg import balanced_factors, frobenius_norm
-from opticomp.util import philox_rng
+from opticomp.model import load_model
+from opticomp.pipeline import load_calibration_inputs
+from opticomp.util import philox_rng, stable_key
+from opticomp.vit import ToyViT, collect_calibration
 
 
 def jacobi_svd(m: np.ndarray, max_sweeps: int = 60, tol: float = 1e-12):
@@ -230,6 +243,41 @@ def recomputing_alternate(wd, first, s, g, iters):
         if obj < best[0]:
             best = (obj, sparse)
     return trace, best[1]
+
+
+def activation_keeping_compress(cfg: dict, engines):
+    """``pipeline.compress_model`` as it was when the calibration pass kept
+    every layer's raw activation X: ``compute_scaling`` of X after the pass,
+    and ``local_adapt`` given X; returns (graph, tensors, compressed, plan)."""
+    t, dcfg = cfg["targets"], cfg["decomposition"]
+    graph, tensors = load_model(cfg["paths"]["model"])
+    model = ToyViT.from_tensors(graph, tensors)
+    calib = collect_calibration(model, load_calibration_inputs(cfg["paths"]["calibration"]))
+    weights = {l.id: model.weights[l.id] for l in graph.compressible_layers()}
+    scaling = {lid: compute_scaling(calib[lid]) for lid in weights}
+    state = prepare_full_rank(list(weights.items()), scaling, s=t["sparse_ratio"], g=t["granularity"])
+    plan = allocate_ranks(
+        state,
+        alpha=t["alpha"],
+        sparse_ratio=t["sparse_ratio"],
+        g=t["granularity"],
+        b=basis_rank(graph.hidden_size, engines.dense.ptc.n_h, override=cfg["allocator"]["basis_rank"]),
+        threshold=cfg["allocator"]["threshold"],
+        temperature=cfg["allocator"]["temperature"],
+    )
+    compressed = {}
+    plan_by_id = {pl.id: pl for pl in plan.layers}
+    for lid in weights:
+        w, d, pl = weights[lid], scaling[lid], plan_by_id[lid]
+        dec = decompose_layer(
+            w, d, pl.r, t["sparse_ratio"], t["granularity"], iters=dcfg["iters"], start=state.starts[lid]
+        )
+        dec = local_adapt(
+            dec, w, calib[lid], steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"], seed=cfg["seed"], key=stable_key(lid)
+        )
+        compressed[lid] = dec
+        pl.error = layer_error(w, d, dec)
+    return graph, tensors, compressed, plan
 
 
 def hand_written_plan_json(plan) -> dict:

@@ -208,6 +208,16 @@ class TestGenToy:
         ]) == 0
         assert (tmp_path / "model.lten").read_bytes() == (toy_dir / "model.lten").read_bytes()
 
+    def test_walkthrough_inputs_are_pinned(self, walkthrough_dir):
+        # The README walkthrough's `gen-toy --seed 42`; the same bytes at 1
+        # and 2 OpenBLAS threads (OpenBLAS 0.3.31, numpy 2.4.6).
+        pins = {
+            "model.lten": "4b1a14041426c6028a6f7c40f256eb8d1c3be4a92a74c620132823bf8128ab81",
+            "calib.lten": "2916c97b97741db248941cf763d6b331694101b2112714211d35ee647e2b67a4",
+            "data.lten": "ef152864674ce03053ad7923e94653c98c9792b9ceb583e10f1674e24c084847",
+        }
+        assert {name: hashlib.sha256((walkthrough_dir / name).read_bytes()).hexdigest() for name in pins} == pins
+
     @pytest.mark.parametrize(
         "flag,value",
         [

@@ -16,6 +16,8 @@ from opticomp.pipeline import compress_model, effective_tensors
 from opticomp.util import philox_rng, stable_key
 from opticomp.vit import ToyViT, block_loss, build_toy_graph, collect_calibration, forward, gen_toy_model
 
+from oracles import activation_keeping_compress
+
 
 def compress_all_layers(graph, tensors, calib, rank, adapt_steps, seed):
     compressed = {}
@@ -66,7 +68,7 @@ def test_adapter_stream_does_not_depend_on_layer_position(tmp_path, monkeypatch)
     ])
     streams = []
 
-    def record(dec, w, x, **kwargs):
+    def record(dec, w, **kwargs):
         # seed and key select the adapter's random stream
         streams[-1][w.tobytes()] = (kwargs["seed"], kwargs["key"])
         return dec
@@ -140,3 +142,58 @@ def test_compress_scans_each_weight_each_full_svd_input_and_the_calibration_once
     graph = compress_model(cfg, EngineConfig.default())[0]
     layers = len(graph.compressible_layers())
     assert Counter(name for _, name in calls) == {"weight": layers, "m": 2 * layers, "inputs": 1}
+
+
+def gen_small_toy(out, calib_tokens, blocks=1) -> list[str]:
+    """A hidden-16 toy in ``out``; returns the settings that compress it."""
+    assert main([
+        "gen-toy", "--out", str(out), "--seed", "8", "--hidden", "16", "--heads", "2",
+        "--blocks", str(blocks), "--in-dim", "12", "--calib-tokens", str(calib_tokens), "--samples", "4",
+    ]) == 0
+    return [
+        f"paths.model={out}/model.lten", f"paths.calibration={out}/calib.lten",
+        "targets.alpha=0.3", "decomposition.iters=4", "decomposition.adapt_steps=20", "seed=8",
+    ]
+
+
+class TestCompressKeepsInputStatistics:
+    """The calibration pass leaves compress each distinct layer input's scaling
+    and Gram X X^T, not the (cols x tokens) activation."""
+
+    @staticmethod
+    def kept_by_compress(settings, monkeypatch) -> dict:
+        kept = []
+
+        def spy(*args, **kwargs):
+            stats = collect_calibration(*args, **kwargs)
+            kept.append(dict(stats))  # compress drops each entry once its last layer is fit
+            return stats
+
+        monkeypatch.setattr(pipeline, "collect_calibration", spy)
+        compress_model(load_config(None, settings), EngineConfig.default())
+        (stats,) = kept
+        return stats
+
+    def test_what_is_kept_does_not_grow_with_the_calibration_tokens(self, tmp_path, monkeypatch):
+        held = []
+        for tokens in (64, 1024):
+            stats = self.kept_by_compress(gen_small_toy(tmp_path / str(tokens), tokens), monkeypatch)
+            distinct = {id(entry): entry for entry in stats.values()}.values()
+            held.append(sum(d.d.nbytes + gram.nbytes for d, gram in distinct))
+        assert held[0] == held[1] > 0
+
+    def test_q_k_and_v_share_one_entry(self, tmp_path, monkeypatch):
+        stats = self.kept_by_compress(gen_small_toy(tmp_path, 64, blocks=2), monkeypatch)
+        for block in ("block0", "block1"):
+            q, k, v = (stats[f"{block}.attn.{p}"] for p in "qkv")
+            assert q is k is v
+        assert len({id(entry) for entry in stats.values()}) == 2 * 4  # per block: qkv, o, fc1, fc2
+
+    def test_artifacts_match_the_activation_keeping_flow(self, tmp_path):
+        settings = gen_small_toy(tmp_path / "toy", 256, blocks=2)
+        assert main(["compress", *(arg for s in settings for arg in ("--set", s)), "--out", str(tmp_path / "run")]) == 0
+        graph, tensors, compressed, plan = activation_keeping_compress(load_config(None, settings), EngineConfig.default())
+        pipeline.save_compressed(tmp_path / "compressed.lten", graph, tensors, compressed)
+        pipeline.write_plan(tmp_path / "plan.json", plan)
+        for name in ("plan.json", "compressed.lten"):
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()

@@ -150,6 +150,27 @@ class TestStructuredSparsify:
         np.testing.assert_array_equal(sp.kept_cols, kept)
         np.testing.assert_array_equal(sp.condensed, condensed)
 
+    @pytest.mark.parametrize("residual, g, s, ties", [
+        (np.zeros((6, 8)), 2, 0.25, True),  # alternate's S = 0 start: every norm tied
+        (np.arange(35.0).reshape(7, 5) % 3, 3, 0.45, True),
+        (np.ones((6, 8)), 1, 0.3, True),
+        (np.ones((5, 10)), 1, 0.35, True),
+        (np.arange(70.0).reshape(7, 10) % 4, 3, 0.96, False),  # d == n keeps every column
+        (np.random.default_rng(0).normal(size=(9, 12)), 2, 0.25, False),
+    ])
+    def test_breaks_ties_only_where_more_than_d_columns_reach_the_dth_norm(self, residual, g, s, ties, monkeypatch):
+        calls = []
+        cumsum = np.cumsum
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counting)
+        sp = structured_sparsify(residual, g, s)
+        assert len(calls) == ties
+        np.testing.assert_array_equal(sp.kept_cols, stable_sort_sparsify(residual, g, s)[0])
+
 
 class TestGramFormAdapter:
     @SETTINGS
@@ -241,6 +262,28 @@ class TestLocalAdaptLoop:
         assert len(got.objective_trace) == len(want_trace) == 1
         np.testing.assert_array_equal(got.a, dec.a)
         np.testing.assert_array_equal(got.b, dec.b)
+
+    @SETTINGS
+    @given(adapt_cases(), st.booleans())
+    def test_the_gram_takes_the_steps_of_the_activations(self, case, exact):
+        # exact: r = min(m, n), where the fit is exact and no step is taken
+        m, n, r, tokens, steps, seed = case
+        rng = np.random.default_rng(seed)
+        w, x = rng.normal(size=(m, n)), rng.normal(size=(n, tokens))
+        dec = decompose_layer(w, compute_scaling(x), r=min(m, n) if exact else r, s=0.25, g=2, iters=3)
+        want = local_adapt(dec, w, x, steps=steps, seed=seed, key=7)
+        got = local_adapt(dec, w, gram=x @ x.T, steps=steps, seed=seed, key=7)
+        np.testing.assert_array_equal(got.a, want.a)
+        np.testing.assert_array_equal(got.b, want.b)
+        assert got.objective_trace == want.objective_trace
+
+    def test_takes_exactly_one_of_the_activations_and_the_gram(self):
+        rng = np.random.default_rng(0)
+        w, x = rng.normal(size=(8, 6)), rng.normal(size=(6, 10))
+        dec = decompose_layer(w, compute_scaling(x), r=2, s=0.25, g=2, iters=2)
+        for kwargs in ({"x": x, "gram": x @ x.T}, {}):
+            with pytest.raises(ValueError, match="exactly one of x and gram"):
+                local_adapt(dec, w, steps=5, **kwargs)
 
     def test_a_non_finite_gradient_raises_naming_the_step(self):
         # A weight near the float64 limit overflows E G once the adapters move.
