@@ -116,10 +116,8 @@ def prepare_full_rank(
     return RankState(layers=states, starts=starts)
 
 
-def basis_rank(hidden_size: int, ptc_dim: int, override: int | None = None) -> int:
+def basis_rank(hidden_size: int, ptc_dim: int) -> int:
     """Rank-step quantum: the PTC dimension, halved below base-scale models."""
-    if override is not None:
-        return int(override)
     if ptc_dim < 2:
         raise ValueError(f"PTC dimension must be >= 2, got {ptc_dim}")
     if hidden_size >= BASE_SCALE_HIDDEN:
@@ -291,10 +289,12 @@ def allocate_ranks(
     sparse_ratio: float,
     g: int,
     b: int,
-    threshold: float = 0.5,
-    temperature: float = 1.0,
 ) -> CompressionPlan:
-    """Greedy batch-wise rank search; see module docstring for the loop."""
+    """Greedy batch-wise rank search; see module docstring for the loop.
+
+    Each batch is ``select_batch``'s at its default mass and temperature.
+    The plan's layers carry no error: the guide's prediction stays on
+    ``state.layers``, and the pipeline records each fit's own error."""
     layers = state.layers
     original = sum(l.rows * l.cols for l in layers)
     sparse_params = sum(l.rows * l.d for l in layers)
@@ -320,7 +320,7 @@ def allocate_ranks(
     iterations = 0
     while True:
         saturated = np.array([l.rank >= l.r_max for l in layers])
-        batch, probs = select_batch([l.error for l in layers], threshold, temperature, saturated)
+        batch, probs = select_batch([l.error for l in layers], saturated=saturated)
         if not batch:
             break
         delta_r = step_size(budget - spent, budget, b)
@@ -348,7 +348,6 @@ def allocate_ranks(
             d=l.d,
             g=g,
             params=l.rank * l.unit_cost + l.rows * l.d,
-            error=l.error,
         )
         for l in layers
     ]

@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import json
 
-from .util import COUNT, FINITE, NATURAL, OBJECT, POSITIVE, STRING, check, from_text, nullable
+from .util import COUNT, FINITE, NATURAL, OBJECT, STRING, check, from_text, nullable
 
 # Allowed values beyond util's: (description, test). Float bounds exclude inf and NaN.
 _UNIT_OPEN = ("a number in (0, 1)", lambda v: FINITE[1](v) and 0.0 < v < 1.0)
-_UNIT_HALF_OPEN = ("a number in (0, 1]", lambda v: FINITE[1](v) and 0.0 < v <= 1.0)
 _PATH = nullable(STRING)
 
 # Every config field: dotted name -> (allowed values, default). A field with
@@ -19,12 +18,8 @@ _FIELDS = {
     "targets.alpha": (_UNIT_OPEN, 0.3),
     "targets.sparse_ratio": (_UNIT_OPEN, 0.125),
     "targets.granularity": (COUNT, 4),
-    "allocator.threshold": (_UNIT_HALF_OPEN, 0.5),
-    "allocator.temperature": (POSITIVE, 1.0),
-    "allocator.basis_rank": (nullable(COUNT), None),
     "decomposition.iters": (COUNT, 80),
     "decomposition.adapt_steps": (NATURAL, 100),
-    "decomposition.adapt_lr": (POSITIVE, 1e-2),
     "hardware.engine_config": (_PATH, None),
     "hardware.energy_params": (_PATH, None),
     "hardware.batch_tokens": (COUNT, 197),

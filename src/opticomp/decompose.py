@@ -51,6 +51,7 @@ from .util import as_matrix, philox_rng
 
 EPS_SCALE = 1e-8  # floor for D entries, relative to the largest entry
 FIT_FLOOR = 1e-24  # local_adapt's stop: f at rounding level against <T, T G>
+ADAPT_LR = 1e-2  # local_adapt's first learning rate
 
 
 @dataclass(frozen=True)
@@ -407,7 +408,6 @@ def local_adapt(
     w: np.ndarray,
     x: np.ndarray | None = None,
     steps: int = 100,
-    lr: float = 1e-2,
     seed: int = 0,
     key: int = 0,
     *,
@@ -424,8 +424,9 @@ def local_adapt(
 
     Adapters dA = Ua Va and dB = Ub Vb have rank at most floor(r/4) (min 1)
     and are merged back on return, so the parameter count is unchanged. Uses
-    plain gradient descent; a step that raises the objective is rejected and
-    retried at half the learning rate (floor 1e-8). A step is taken only if
+    plain gradient descent from learning rate ``ADAPT_LR``; a step that
+    raises the objective is rejected and retried at half the learning rate
+    (floor 1e-8). A step is taken only if
     it does not raise the objective, so the returned objective never
     exceeds the input's. A rejected step costs one objective evaluation; the
     gradient is formed only at the points taken. An objective at most
@@ -451,7 +452,7 @@ def local_adapt(
 
     f = kernel.objective(theta_v)
     trace = [f]
-    step_lr = lr
+    step_lr = ADAPT_LR
     for step in range(steps):
         if f <= FIT_FLOOR * kernel.energy:
             break

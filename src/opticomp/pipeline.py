@@ -80,15 +80,12 @@ def compress_model(cfg: dict, engines: EngineConfig):
         s=t["sparse_ratio"],
         g=t["granularity"],
     )
-    b = basis_rank(graph.hidden_size, engines.dense.ptc.n_h, override=cfg["allocator"]["basis_rank"])
     plan = allocate_ranks(
         state,
         alpha=t["alpha"],
         sparse_ratio=t["sparse_ratio"],
         g=t["granularity"],
-        b=b,
-        threshold=cfg["allocator"]["threshold"],
-        temperature=cfg["allocator"]["temperature"],
+        b=basis_rank(graph.hidden_size, engines.dense.ptc.n_h),
     )
 
     compressed: dict[str, Decomposition] = {}
@@ -99,9 +96,7 @@ def compress_model(cfg: dict, engines: EngineConfig):
             w, d, pl.r, t["sparse_ratio"], t["granularity"], iters=dcfg["iters"], start=state.starts.pop(lid)
         )
         dec = local_adapt(
-            dec, w, gram=calib.pop(lid)[1],
-            steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"],
-            seed=cfg["seed"], key=stable_key(lid),
+            dec, w, gram=calib.pop(lid)[1], steps=dcfg["adapt_steps"], seed=cfg["seed"], key=stable_key(lid)
         )
         compressed[lid] = dec
         pl.error = layer_error(w, d, dec)

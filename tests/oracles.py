@@ -170,7 +170,7 @@ def full_matrix_forward(model, inputs: np.ndarray):
     return w["head"] @ x.mean(axis=1), feats
 
 
-def explicit_error_local_adapt(dec, w, x, steps=100, lr=1e-2, seed=0, key=0):
+def explicit_error_local_adapt(dec, w, x, steps=100, seed=0, key=0):
     """``local_adapt`` with E = A_eff B_eff - (W - S) and E @ G formed at
     every candidate, and the stopping floor from (W - S) @ G; returns the
     merged (a, b) and the objective trace."""
@@ -197,7 +197,7 @@ def explicit_error_local_adapt(dec, w, x, steps=100, lr=1e-2, seed=0, key=0):
     gram = x @ x.T
     f, grads = objective_and_grads(*params)
     trace = [f]
-    step_lr = lr
+    step_lr = 1e-2  # decompose.ADAPT_LR
     floor = FIT_FLOOR * float(np.sum(target * (target @ gram)))
     for _ in range(steps):
         if f <= floor:
@@ -261,9 +261,7 @@ def activation_keeping_compress(cfg: dict, engines):
         alpha=t["alpha"],
         sparse_ratio=t["sparse_ratio"],
         g=t["granularity"],
-        b=basis_rank(graph.hidden_size, engines.dense.ptc.n_h, override=cfg["allocator"]["basis_rank"]),
-        threshold=cfg["allocator"]["threshold"],
-        temperature=cfg["allocator"]["temperature"],
+        b=basis_rank(graph.hidden_size, engines.dense.ptc.n_h),
     )
     compressed = {}
     plan_by_id = {pl.id: pl for pl in plan.layers}
@@ -273,7 +271,7 @@ def activation_keeping_compress(cfg: dict, engines):
             w, d, pl.r, t["sparse_ratio"], t["granularity"], iters=dcfg["iters"], start=state.starts[lid]
         )
         dec = local_adapt(
-            dec, w, calib[lid], steps=dcfg["adapt_steps"], lr=dcfg["adapt_lr"], seed=cfg["seed"], key=stable_key(lid)
+            dec, w, calib[lid], steps=dcfg["adapt_steps"], seed=cfg["seed"], key=stable_key(lid)
         )
         compressed[lid] = dec
         pl.error = layer_error(w, d, dec)

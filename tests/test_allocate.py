@@ -116,9 +116,6 @@ class TestBasisRank:
     def test_small_scale(self):
         assert basis_rank(384, 12) == 6
 
-    def test_override(self):
-        assert basis_rank(768, 12, override=4) == 4
-
 
 class TestStepSize:
     @pytest.mark.parametrize(
@@ -194,7 +191,7 @@ class TestAllocateRanks:
         state = prepare_full_rank(layers, scaling, s=0.022, g=3, iters=3)
         r_max = state.layers[0].r_max
         alpha = 1.0 - (r_max * 51 + 6 * 1) / 270  # budget exactly funds r_max
-        plan = allocate_ranks(state, alpha=alpha, sparse_ratio=0.022, g=3, b=2, threshold=0.5)
+        plan = allocate_ranks(state, alpha=alpha, sparse_ratio=0.022, g=3, b=2)
         assert plan.layers[0].r == r_max
 
     def test_two_identical_layers_near_symmetric(self):
@@ -263,6 +260,15 @@ class TestAllocateRanks:
             if _ == 0:
                 first = ranks
         assert ranks == first
+
+    def test_the_prediction_stays_on_the_state_and_off_the_plan(self):
+        # A plan layer's error is the fit's, recorded by the pipeline; the
+        # guide's prediction at the assigned rank is the state's.
+        layers, scaling = random_layers(7, 4)
+        state = prepare_full_rank(layers, scaling, s=0.125, g=4)
+        plan = allocate_ranks(state, alpha=0.45, sparse_ratio=0.125, g=4, b=4)
+        assert [pl.error for pl in plan.layers] == [None] * 4
+        assert all(l.error == l.error_at(pl.r) for l, pl in zip(state.layers, plan.layers))
 
 
 class TestPsi:

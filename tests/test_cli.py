@@ -275,22 +275,13 @@ class TestCompress:
             (("--set", "targets.sparse_ratio=0"), "targets.sparse_ratio"),
             (("--set", "targets.granularity=0"), "targets.granularity"),
             (("--set", "decomposition.iters=0"), "decomposition.iters"),
-            (("--set", "allocator.threshold=2"), "allocator.threshold"),
-            (("--set", "allocator.temperature=0"), "allocator.temperature"),
-            (("--set", "allocator.temperature=-1"), "allocator.temperature"),
-            (("--set", "allocator.basis_rank=0"), "allocator.basis_rank"),
-            (("--set", "allocator.basis_rank=-3"), "allocator.basis_rank"),
             (("--set", "decomposition.adapt_steps=-5"), "decomposition.adapt_steps"),
-            (("--set", "decomposition.adapt_lr=0"), "decomposition.adapt_lr"),
-            (("--set", "decomposition.adapt_lr=-1"), "decomposition.adapt_lr"),
             (("--set", "hardware.batch_tokens=0"), "hardware.batch_tokens"),
             (("--seed", "-1"), "seed"),
         ],
         ids=[
             "alpha_above_one", "sparse_ratio_zero", "granularity_zero", "iters_zero",
-            "threshold_above_one", "temperature_zero", "temperature_negative", "basis_rank_zero",
-            "basis_rank_negative", "adapt_steps_negative", "adapt_lr_zero", "adapt_lr_negative",
-            "batch_tokens_zero", "seed_negative",
+            "adapt_steps_negative", "batch_tokens_zero", "seed_negative",
         ],
     )
     def test_invalid_alpha_exits_two(self, toy_dir, tmp_path, capsys, model_never_loaded, extra, field):
@@ -298,6 +289,31 @@ class TestCompress:
         err = capsys.readouterr().err
         assert "config error" in err and repr(field) in err and "Traceback" not in err
         assert not (tmp_path / "plan.json").exists()
+
+    # Fields that are no longer settings, each at its old default: the
+    # allocator's batch mass, softmax temperature and rank quantum, and the
+    # adapter's learning rate.
+    @pytest.mark.parametrize(
+        "setting", ["allocator.threshold=0.5", "allocator.temperature=1.0", "allocator.basis_rank=null",
+                    "decomposition.adapt_lr=0.01"],
+        ids=lambda setting: setting.partition("=")[0],
+    )
+    def test_a_removed_field_exits_two(self, toy_dir, tmp_path, capsys, model_never_loaded, setting):
+        assert main(compress_args(toy_dir, tmp_path, "--set", setting)) == 2
+        field = setting.partition("=")[0]
+        assert capsys.readouterr().err == f"config error: unknown config field {field!r}\n"
+        assert not (tmp_path / "plan.json").exists()
+
+    def test_a_config_file_with_the_allocator_section_exits_two(self, toy_dir, tmp_path, capsys, model_never_loaded):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "targets": {"alpha": 0.3, "sparse_ratio": 0.125, "granularity": 4},
+            "allocator": {"threshold": 0.5, "temperature": 1.0, "basis_rank": None},
+            "decomposition": {"iters": 80, "adapt_steps": 100, "adapt_lr": 0.01},
+        }))
+        assert main(compress_args(toy_dir, tmp_path / "run", "--config", str(path))) == 2
+        assert capsys.readouterr().err == f"config error: {path}: unknown config field 'allocator'\n"
+        assert not (tmp_path / "run").exists()
 
     def test_granularity_above_sparse_ptc_rows_exits_two(self, toy_dir, tmp_path, capsys, model_never_loaded):
         code = main(compress_args(toy_dir, tmp_path, "--set", "targets.granularity=9"))
