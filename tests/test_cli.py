@@ -276,12 +276,22 @@ class TestCompress:
             (("--set", "targets.granularity=0"), "targets.granularity"),
             (("--set", "decomposition.iters=0"), "decomposition.iters"),
             (("--set", "decomposition.adapt_steps=-5"), "decomposition.adapt_steps"),
+            # Removed fields: any value for them is a config error naming the field.
+            (("--set", "allocator.threshold=2"), "allocator.threshold"),
+            (("--set", "allocator.temperature=0"), "allocator.temperature"),
+            (("--set", "allocator.temperature=-1"), "allocator.temperature"),
+            (("--set", "allocator.basis_rank=0"), "allocator.basis_rank"),
+            (("--set", "allocator.basis_rank=-3"), "allocator.basis_rank"),
+            (("--set", "decomposition.adapt_lr=0"), "decomposition.adapt_lr"),
+            (("--set", "decomposition.adapt_lr=-1"), "decomposition.adapt_lr"),
             (("--set", "hardware.batch_tokens=0"), "hardware.batch_tokens"),
             (("--seed", "-1"), "seed"),
         ],
         ids=[
             "alpha_above_one", "sparse_ratio_zero", "granularity_zero", "iters_zero",
-            "adapt_steps_negative", "batch_tokens_zero", "seed_negative",
+            "adapt_steps_negative", "threshold_above_one", "temperature_zero", "temperature_negative",
+            "basis_rank_zero", "basis_rank_negative", "adapt_lr_zero", "adapt_lr_negative",
+            "batch_tokens_zero", "seed_negative",
         ],
     )
     def test_invalid_alpha_exits_two(self, toy_dir, tmp_path, capsys, model_never_loaded, extra, field):
