@@ -324,10 +324,12 @@ def pass_ledger_simulate(plan, graph, engines, params, batch_tokens=197):
     """``photonic.simulate`` as one pass list per layer, each pass charged by
     ``_pass`` from the engine's dimensions, a fresh component dict per layer
     and a second loop for the totals; the report's total is added left to
-    right from 0.0."""
+    right from 0.0. The ``LayerCost`` list is packaged into the report's
+    arrays at the end."""
     from opticomp.allocate import check_plan_matches
     from opticomp.photonic import (
-        ACT_BYTES, COMPONENTS, INDEX_BYTES, WEIGHT_BYTES, CostReport, LayerCost, laser_energy, operating_height,
+        ACT_BYTES, COMPONENTS, INDEX_BYTES, LAYER_COUNTS, WEIGHT_BYTES, CostReport, LayerCost, laser_energy,
+        operating_height,
     )
 
     ceil = math.ceil
@@ -399,4 +401,11 @@ def pass_ledger_simulate(plan, graph, engines, params, batch_tokens=197):
     total = 0.0
     for value in totals.values():
         total += value
-    return CostReport(energy=totals, cycles=cycles, latency_s=latency, edp=total * latency, per_layer=per_layer)
+    return CostReport(
+        energy=totals, cycles=cycles, latency_s=latency, edp=total * latency,
+        layer_ids=tuple(lc.layer_id for lc in per_layer),
+        counts=np.array([[getattr(lc, name) for name in LAYER_COUNTS] for lc in per_layer], dtype=np.int64)
+        .reshape(-1, len(LAYER_COUNTS)),
+        energies=np.array([[lc.energy[comp] for comp in COMPONENTS] for lc in per_layer], dtype=np.float64)
+        .reshape(-1, len(COMPONENTS)),
+    )

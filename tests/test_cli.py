@@ -676,6 +676,17 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err == f"config error: {path}: energy params has unknown field 'bogus'\n"
 
+    def test_batch_with_counts_past_int64_exits_one(self, walkthrough_dir, tmp_path, capsys):
+        # The README walkthrough's model: 16 row and inner blocks of 12 in an
+        # attention layer, times ceil(10**19 / 12) column blocks.
+        batch = ("--set", "hardware.batch_tokens=10000000000000000000")
+        assert self.simulate_baseline(walkthrough_dir, tmp_path, *batch) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: batch_tokens=10000000000000000000: layer 'block0.attn.q' needs more invocations than int64 holds\n"
+        )
+        assert captured.out == "" and list((tmp_path / "out").iterdir()) == []
+
     def test_engine_config_missing_n_lambda_exits_two(self, toy_dir, tmp_path, capsys):
         engines = EngineConfig.default().to_json()
         del engines["dense"]["ptc"]["n_lambda"]

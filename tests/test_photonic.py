@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from opticomp.photonic import (
     EngineBlock,
     EngineConfig,
     EnergyParams,
+    LAYER_COUNTS,
     LayerCost,
     PtcConfig,
     SplitterState,
@@ -320,6 +322,47 @@ class TestSimulate:
         lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 6  # header + one layer x six components
 
+    def test_counts_past_int64_name_batch_tokens(self):
+        with pytest.raises(ValueError, match=(
+            r"^batch_tokens=10000000000000000000: layer 'block0\.attn\.q' needs more invocations than int64 holds$"
+        )):
+            simulate(None, build_toy_graph(), EngineConfig.default(), EnergyParams(), 10**19)
+
+    def test_counts_below_int64_stay_exact(self):
+        # The widest layers (fc1, fc2) run 8 * 4 row and inner blocks, each
+        # over batch / n_v = 2**57 column blocks: 2**62 invocations.
+        layers = simulate(None, build_toy_graph(), EngineConfig.default(), EnergyParams(), 12 * 2**57).per_layer
+        assert max(lc.dense_invocations for lc in layers) == 2**62
+        assert type(layers[0].dense_invocations) is int
+
+    def test_whole_number_energy_params_give_float_layer_energies(self):
+        # A hardware file may give whole numbers; a layer's energies are
+        # floats, as the totals are.
+        params = EnergyParams(**{name: int(value) + 1 for name, value in EnergyParams().to_json().items()})
+        report = simulate(None, one_layer_graph(), EngineConfig.default(), params, 12)
+        assert all(type(value) is float for value in report.to_json()["per_layer"][0]["energy_pj"].values())
+
+    def test_a_report_holds_its_layers_in_two_arrays(self):
+        # A dse sweep holds its reports until it checks them. Each keeps a
+        # layer's counts and energies as rows of two arrays (about 2.3 KB a
+        # report here); a LayerCost and an energy dict per layer took 9.3 KB.
+        graph = build_toy_graph(hidden=64, blocks=2)
+        plan, engines, params = toy_plan(graph, g=4), EngineConfig.default(), EnergyParams()
+        simulate(plan, graph, engines, params, 197)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reports = [simulate(plan, graph, engines, params, 197) for _ in range(200)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert held / len(reports) <= 4 * 1024
+        assert reports[0].counts.shape == (len(graph.layers), len(LAYER_COUNTS))
+        assert reports[0].energies.shape == (len(graph.layers), len(COMPONENTS))
+
 
 class TestEdp:
     def test_product(self):
@@ -346,7 +389,8 @@ def test_energy_totals_add_left_to_right_on_every_python(values):
     assert left_to_right != math.fsum(values)
     energy = dict(zip(COMPONENTS, values))
     assert LayerCost("x", 1, 0, 1, 0, 1, energy).total_energy == left_to_right
-    assert CostReport(energy, 1, 1.0, 1.0, []).total_energy == left_to_right
+    no_layers = (), np.zeros((0, len(LAYER_COUNTS)), np.int64), np.zeros((0, len(COMPONENTS)))
+    assert CostReport(energy, 1, 1.0, 1.0, *no_layers).total_energy == left_to_right
 
 
 @st.composite
@@ -381,8 +425,9 @@ class TestSimulateMatchesPassLedger:
 
     @settings(max_examples=200, deadline=None)
     @given(simulate_cases())
-    def test_reports_are_identical(self, case):
+    def test_reports_are_identical(self, tmp_path_factory, case):
         plan, *rest = case
+        csv_path = tmp_path_factory.mktemp("csv") / "report.csv"
         for p in (plan, None):  # the compressed plan and the dense baseline
             got, want = simulate(p, *rest), pass_ledger_simulate(p, *rest)
             assert json.dumps(got.to_json()) == json.dumps(want.to_json())  # values, reprs and key order
@@ -392,6 +437,14 @@ class TestSimulateMatchesPassLedger:
                 for f in fields(LayerCost):
                     assert getattr(lc, f.name) == getattr(ref, f.name), f.name
                 assert list(lc.energy) == list(COMPONENTS)
+                assert all(type(getattr(lc, name)) is int for name in LAYER_COUNTS)
+                assert all(type(value) is float for value in lc.energy.values())
+            # report.csv as the oracle's layers give it: the repr of a Python
+            # float, where a numpy scalar's repr reads "np.float64(...)".
+            got.write_csv(csv_path)
+            rows = [("layer", "component", "energy_pj")]
+            rows += [(ref.layer_id, comp, repr(ref.energy[comp])) for ref in want.per_layer for comp in COMPONENTS]
+            assert csv_path.read_bytes() == "".join(f"{','.join(row)}\r\n" for row in rows).encode()
 
     @pytest.mark.parametrize("defect, message", [
         ("batch 0", "batch_tokens must be >= 1"),
