@@ -32,6 +32,7 @@ from .model import ModelGraph
 from .util import COUNT, FINITE, INTEGER, LIST, STRING, nullable, read_record
 
 BASE_SCALE_HIDDEN = 768  # hidden sizes at or above this use the full basis rank
+BATCH_MASS = 0.5  # softmax mass a batch of high-error layers reaches
 
 
 def max_rank(rows: int, cols: int) -> int:
@@ -118,8 +119,6 @@ def prepare_full_rank(
 
 def basis_rank(hidden_size: int, ptc_dim: int) -> int:
     """Rank-step quantum: the PTC dimension, halved below base-scale models."""
-    if ptc_dim < 2:
-        raise ValueError(f"PTC dimension must be >= 2, got {ptc_dim}")
     if hidden_size >= BASE_SCALE_HIDDEN:
         return ptc_dim
     return max(1, ptc_dim // 2)
@@ -127,8 +126,6 @@ def basis_rank(hidden_size: int, ptc_dim: int) -> int:
 
 def step_size(remaining: int, budget: int, b: int) -> int:
     """Linear-decay step schedule: 2b, then b, then ceil(b/2)."""
-    if budget <= 0:
-        raise ValueError("total budget must be positive")
     if remaining >= budget / 2:
         return 2 * b
     if remaining >= budget / 4:
@@ -136,27 +133,19 @@ def step_size(remaining: int, budget: int, b: int) -> int:
     return max(1, -(-b // 2))
 
 
-def select_batch(
-    errors: np.ndarray,
-    threshold: float = 0.5,
-    temperature: float = 1.0,
-    saturated: np.ndarray | None = None,
-) -> tuple[list[int], np.ndarray]:
-    """Pick the smallest high-error prefix whose softmax mass reaches threshold.
+def select_batch(errors: np.ndarray, saturated: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Pick the smallest high-error prefix whose softmax mass reaches ``BATCH_MASS``.
 
     Saturated layers are dropped before the softmax. Returns (indices,
     probabilities) ordered by descending probability, ties broken toward
     the lower layer index. Empty when everything is saturated.
     """
     errors = np.asarray(errors, dtype=np.float64)
-    active = np.arange(len(errors))
-    if saturated is not None:
-        active = active[~np.asarray(saturated, dtype=bool)]
+    active = np.arange(len(errors))[~np.asarray(saturated, dtype=bool)]
     if len(active) == 0:
         return [], np.empty(0)
-    z = errors[active] / temperature
-    z = z - z.max()
-    p = np.exp(z)
+    z = errors[active]
+    p = np.exp(z - z.max())
     p /= p.sum()
     order = np.argsort(-p, kind="stable")
     cum = 0.0
@@ -166,17 +155,12 @@ def select_batch(
         batch.append(int(active[j]))
         probs.append(float(p[j]))
         cum += p[j]
-        if cum >= threshold:
+        if cum >= BATCH_MASS:
             break
     return batch, np.array(probs)
 
 
-def redistribute(
-    batch: list[int],
-    probs: np.ndarray,
-    delta_r: int,
-    headroom: list[int] | None = None,
-) -> list[int]:
+def redistribute(batch: list[int], probs: np.ndarray, delta_r: int, headroom: list[int]) -> list[int]:
     """Split |batch| * delta_r rank units proportionally to probability.
 
     Every member gets at least one unit; the proportional remainder is
@@ -184,13 +168,9 @@ def redistribute(
     Headroom caps are honored, with overflow re-offered down the same
     order.
     """
-    if not batch:
-        raise ValueError("batch is empty")
     n = len(batch)
-    total = n * delta_r
-    caps = list(headroom) if headroom is not None else [total] * n
     inc = [1] * n
-    rem = total - n
+    rem = n * delta_r - n
     psum = float(np.sum(probs))
     extra = [int(rem * p / psum) for p in probs]
     leftover = rem - sum(extra)
@@ -203,13 +183,13 @@ def redistribute(
         leftover -= 1
     overflow = 0
     for i in range(n):
-        if inc[i] > caps[i]:
-            overflow += inc[i] - caps[i]
-            inc[i] = caps[i]
+        if inc[i] > headroom[i]:
+            overflow += inc[i] - headroom[i]
+            inc[i] = headroom[i]
     for i in range(n):
         if overflow == 0:
             break
-        room = caps[i] - inc[i]
+        room = headroom[i] - inc[i]
         take = min(room, overflow)
         inc[i] += take
         overflow -= take
@@ -292,7 +272,8 @@ def allocate_ranks(
 ) -> CompressionPlan:
     """Greedy batch-wise rank search; see module docstring for the loop.
 
-    Each batch is ``select_batch``'s at its default mass and temperature.
+    Each batch is ``select_batch``'s: the highest-error unsaturated layers
+    whose softmax mass reaches ``BATCH_MASS``.
     The plan's layers carry no error: the guide's prediction stays on
     ``state.layers``, and the pipeline records each fit's own error."""
     layers = state.layers

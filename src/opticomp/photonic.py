@@ -56,8 +56,10 @@ silicon.
 input events per invocation and the broadcast and ADC divisors, per-event
 units, laser per cycle, the sparse operating height per g); they feed a
 per-layer ledger of a few integer block counts and multiplies per pass,
-added into running component totals. Totals are summed left to right from
-0.0 on every Python version (``sum`` of floats is compensated from 3.12).
+added into running component totals. Column blocks and cycles, whose
+operands grow with ``batch_tokens``, are integer ceilings, exact past 2**53.
+Totals are summed left to right from 0.0 on every Python version (``sum``
+of floats is compensated from 3.12).
 A layer's five counts and six energies are appended as one row to each of
 two lists, and the report keeps them as two arrays made once per call:
 ``counts``, int64 rows in ``LAYER_COUNTS`` order, and ``energies``, float64
@@ -407,14 +409,14 @@ def simulate(
     weight_unit, input_unit = params.dac_weight + params.modulation, params.dac_input + params.modulation
     tia, adc, sharing = params.tia, params.adc, engines.adc_sharing_enabled
     n_h, n_l, n_v = dense.ptc.n_h, dense.ptc.n_lambda, dense.ptc.n_v
-    cols_d = ceil(batch_tokens / n_v)
+    cols_d = -(-batch_tokens // n_v)
     weight_d, inputs_d, outputs_d = n_h * n_l, n_l * n_v, n_h * n_v
     bc_d = dense.tiles if engines.broadcast_enabled and dense.tiles > 1 else 1
     adc_d = dense.cores_per_tile if sharing else 1
     laser_d = params.laser_per_channel_cycle * n_l * n_v * dense.cores  # no splitter tree: all n_v rows lit
     if plan_by_id:
         s_l, s_v = sparse.ptc.n_lambda, sparse.ptc.n_v
-        cols_s, inputs_s = ceil(batch_tokens / s_v), s_l * s_v  # sparse tiles cannot broadcast
+        cols_s, inputs_s = -(-batch_tokens // s_v), s_l * s_v  # sparse tiles cannot broadcast
         adc_s = sparse.cores_per_tile if sharing else 1
         # Operating height per chunk height, checked in layer order.
         chunk_heights = dict.fromkeys(plan_by_id[l.id].g for l in graph.layers if l.id in plan_by_id)
@@ -436,7 +438,7 @@ def simulate(
             inputs = dense_inv * inputs_d / bc_d * input_unit
             readout = out * tia + out / adc_d * adc
             sparse_inv = sparse_cycles = 0
-            dense_cycles = ceil(dense_inv / dense.cores)
+            dense_cycles = -(-dense_inv // dense.cores)
             laser = laser_d * dense_cycles
             index = 0.0
             dram_bytes = rows * cols * WEIGHT_BYTES
@@ -458,8 +460,8 @@ def simulate(
                 + (out_s * tia + out_s / adc_s * adc)
             )
             dense_inv = inv_bx + inv_abx
-            dense_cycles = ceil(dense_inv / dense.cores)
-            sparse_cycles = ceil(sparse_inv / sparse.cores)
+            dense_cycles = -(-dense_inv // dense.cores)
+            sparse_cycles = -(-sparse_inv // sparse.cores)
             laser = laser_s * sparse_cycles * (h_op // quarter) + laser_d * dense_cycles
             index = chunks * d * batch_tokens * params.index_fetch
             dram_bytes = (r * (rows + cols) + rows * d) * WEIGHT_BYTES + chunks * d * INDEX_BYTES
@@ -496,10 +498,7 @@ def simulate(
 
 def _rows(rows: list[tuple], width: int, dtype) -> np.ndarray:
     """``rows`` as a (len(rows), width) array, made in one step with one
-    allocation for its data. A sweep keeps hundreds of reports. Built from a
-    flat list grown per layer, then reshaped and copied, the arrays raised
-    the ``longcalib`` benchmark's peak RSS above that of a LayerCost per
-    layer (63.2 against 62.1 MB); built this way, it fell to 59.4 MB."""
+    allocation for its data, since a sweep keeps hundreds of reports."""
     return np.array(rows, dtype=dtype) if rows else np.zeros((0, width), dtype)
 
 

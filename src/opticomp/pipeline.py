@@ -65,6 +65,10 @@ def compress_model(cfg: dict, engines: EngineConfig):
     graph, tensors = load_model(cfg["paths"]["model"])
     if not graph.compressible_layers():
         raise ValueError(f"{cfg['paths']['model']}: model has no compressible layers")
+    narrowest = min(graph.compressible_layers(), key=lambda l: l.cols)
+    if round(narrowest.cols * t["sparse_ratio"]) == 0:
+        raise ConfigError(f"targets.sparse_ratio={t['sparse_ratio']} keeps no column of layer "
+                          f"{narrowest.id!r} ({narrowest.cols} columns)")
     calib_inputs = load_calibration_inputs(cfg["paths"]["calibration"])
     model = ToyViT.from_tensors(graph, tensors)
     calib = collect_calibration(model, calib_inputs, keep=input_statistics)
@@ -332,9 +336,7 @@ def quantize_weights(weights: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 def with_noise(weights: dict[str, np.ndarray], ratio: float, seed: int) -> dict[str, np.ndarray]:
     """Replace each weight in ``weights`` by ``quantize.inject_noise``'s
     product, keyed by its name; returns ``weights``. A ratio of 0 leaves them
-    as they are; a negative ratio raises, as ``inject_noise`` does."""
-    if ratio < 0:
-        raise ValueError("noise ratio must be >= 0")
+    as they are; ``inject_noise`` rejects a negative ratio."""
     if ratio == 0.0:
         return weights
     for name, w in weights.items():

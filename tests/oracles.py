@@ -306,7 +306,7 @@ def _pass(engine, params, row_blocks, lit_rows, inner, batch, broadcast, adc_sha
     engine pass: ``row_blocks`` weight row blocks of ``lit_rows`` lit rows
     each, against an (inner x batch) input."""
     ptc = engine.ptc
-    inv = row_blocks * math.ceil(inner / ptc.n_lambda) * math.ceil(batch / ptc.n_v)
+    inv = row_blocks * math.ceil(inner / ptc.n_lambda) * -(-batch // ptc.n_v)
     input_events = inv * ptc.n_lambda * ptc.n_v
     if broadcast and engine.tiles > 1:
         input_events /= engine.tiles
@@ -383,10 +383,10 @@ def pass_ledger_simulate(plan, graph, engines, params, batch_tokens=197):
             e["input_encode"] += inputs
             e["readout"] += readout
         dense_inv, sparse_inv = invocations
-        dense_cycles = ceil(dense_inv / dense.cores)
+        dense_cycles = -(-dense_inv // dense.cores)
         sparse_cycles = 0
         if pl is not None:
-            sparse_cycles = ceil(sparse_inv / sparse.cores)
+            sparse_cycles = -(-sparse_inv // sparse.cores)
             e["laser"] = laser_energy(params, sparse.ptc, h_op, sparse.cores, sparse_cycles)
         e["laser"] += params.laser_per_channel_cycle * dense.ptc.n_lambda * dense.ptc.n_v * dense.cores * dense_cycles
         e["data_movement"] = dram_bytes * params.dram_per_byte + sram_bytes * params.sram_per_byte

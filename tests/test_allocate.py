@@ -133,19 +133,22 @@ class TestStepSize:
 
 class TestSelectBatch:
     def test_uniform_errors_tie_break(self):
-        batch, probs = select_batch(np.array([1.0, 1.0, 1.0, 1.0]), threshold=0.5)
+        batch, probs = select_batch(np.array([1.0, 1.0, 1.0, 1.0]), saturated=np.zeros(4, bool))
         assert batch == [0, 1]
         np.testing.assert_allclose(probs, [0.25, 0.25])
 
     def test_peaked_softmax_single_layer(self):
-        batch, probs = select_batch(np.array([10.0, 0.0, 0.0, 0.0]), threshold=0.5)
+        batch, probs = select_batch(np.array([10.0, 0.0, 0.0, 0.0]), saturated=np.zeros(4, bool))
         assert batch == [0]
         assert probs[0] > 0.5
 
-    def test_threshold_one_takes_all_unsaturated(self):
+    def test_saturated_layers_are_left_out_of_the_mass(self):
+        # Unsaturated errors 1, 2, 3: layer 3 alone holds 0.665 > BATCH_MASS
+        # of the softmax, while the saturated layer 1 would outweigh all three.
         saturated = np.array([False, True, False, False])
-        batch, _ = select_batch(np.array([1.0, 9.0, 2.0, 3.0]), threshold=1.0, saturated=saturated)
-        assert sorted(batch) == [0, 2, 3]
+        batch, _ = select_batch(np.array([1.0, 9.0, 2.0, 3.0]), saturated=saturated)
+        assert allocate.BATCH_MASS == 0.5
+        assert batch == [3]
 
     def test_all_saturated_empty(self):
         batch, probs = select_batch(np.array([1.0, 2.0]), saturated=np.array([True, True]))
@@ -154,17 +157,17 @@ class TestSelectBatch:
 
 class TestRedistribute:
     def test_equal_probs(self):
-        assert redistribute([0, 1], np.array([0.5, 0.5]), 6) == [6, 6]
+        assert redistribute([0, 1], np.array([0.5, 0.5]), 6, [100] * 2) == [6, 6]
 
     def test_proportional(self):
-        assert redistribute([0, 1], np.array([0.75, 0.25]), 6) == [9, 3]
+        assert redistribute([0, 1], np.array([0.75, 0.25]), 6, [100] * 2) == [9, 3]
 
     def test_cap_and_spill(self):
         inc = redistribute([0, 1], np.array([0.75, 0.25]), 6, headroom=[1, 100])
         assert inc == [1, 11]
 
     def test_every_increment_at_least_one(self):
-        inc = redistribute([0, 1, 2], np.array([0.98, 0.01, 0.01]), 4)
+        inc = redistribute([0, 1, 2], np.array([0.98, 0.01, 0.01]), 4, [100] * 3)
         assert min(inc) >= 1
         assert sum(inc) == 12
 

@@ -332,6 +332,34 @@ class TestCompress:
         assert "config error" in err and "targets.granularity=9" in err and "n_v=8" in err
         assert not (tmp_path / "plan.json").exists()
 
+    def test_a_sparse_ratio_that_keeps_no_column_exits_two_before_calibration(self, toy_dir, tmp_path, capsys):
+        # The calibration file does not exist: the check comes before it is read.
+        missing = ("--set", f"paths.calibration={tmp_path}/missing.lten")
+        assert main(compress_args(toy_dir, tmp_path, "--set", "targets.sparse_ratio=0.01", *missing)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: targets.sparse_ratio=0.01 keeps no column of layer 'block0.attn.q' (24 columns)\n"
+        )
+        assert not (tmp_path / "plan.json").exists()
+
+    def test_a_dense_ptc_one_row_high_compresses_simulates_and_verifies(self, toy_dir, tmp_path, capsys):
+        engines = EngineConfig.default().to_json()
+        engines["dense"]["ptc"]["n_h"] = 1
+        path = tmp_path / "engines.json"
+        path.write_text(json.dumps(engines))
+        hardware = ("--set", f"hardware.engine_config={path}")
+        run = tmp_path / "run"
+        assert main(compress_args(toy_dir, run, *hardware)) == 0
+        assert main([
+            "simulate", "--plan", str(run / "plan.json"), "--compare",
+            "--set", f"paths.model={toy_dir}/model.lten", "--out", str(run), *hardware,
+        ]) == 0
+        assert main([
+            "verify", "--set", f"paths.model={toy_dir}/model.lten",
+            "--set", f"paths.calibration={toy_dir}/calib.lten", "--out", str(run), *hardware,
+        ]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_an_svd_that_fails_exits_one(self, toy_dir, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -112,10 +112,6 @@ class TestStructuredSparsify:
         assert sp.chunk_rows(2) == (6, 7)
         sp.validate()
 
-    def test_budget_rounds_to_zero(self):
-        with pytest.raises(ValueError, match="rounds to zero"):
-            structured_sparsify(np.ones((4, 4)), g=2, s=0.1)
-
     def test_invariants_on_random_instances(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

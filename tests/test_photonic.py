@@ -335,6 +335,14 @@ class TestSimulate:
         assert max(lc.dense_invocations for lc in layers) == 2**62
         assert type(layers[0].dense_invocations) is int
 
+    def test_counts_past_two_to_the_53_are_exact(self):
+        # fc1: 8 * 4 row and inner blocks times ceil(10**18 / 12) column
+        # blocks, on 8 dense cores; a float ceiling is off in the last digits.
+        report = simulate(None, build_toy_graph(), EngineConfig.default(), EnergyParams(), 10**18)
+        fc1 = next(lc for lc in report.per_layer if lc.layer_id == "block0.mlp.fc1")
+        assert fc1.dense_invocations == 32 * -(-10**18 // 12) == 2666666666666666688
+        assert fc1.dense_cycles == fc1.cycles == 333333333333333336
+
     def test_whole_number_energy_params_give_float_layer_energies(self):
         # A hardware file may give whole numbers; a layer's energies are
         # floats, as the totals are.
