@@ -251,8 +251,8 @@ def check_plan_matches(plan: CompressionPlan, graph: ModelGraph) -> None:
     graph's (rows, cols); otherwise ValueError naming the layers that differ."""
     want = {l.id: (l.rows, l.cols) for l in graph.compressible_layers()}
     have = {pl.id: (pl.rows, pl.cols) for pl in plan.layers}
-    off = sorted(lid for lid in want.keys() | have.keys() if want.get(lid) != have.get(lid))
-    if off:
+    if want != have:
+        off = sorted(lid for lid in want.keys() | have.keys() if want.get(lid) != have.get(lid))
         raise ValueError(f"plan/model mismatch at layer(s): {', '.join(off)}")
 
 

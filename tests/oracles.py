@@ -6,7 +6,9 @@ validated against hand cases in test_linalg before it is trusted anywhere
 else. The structured-sparsify oracle ranks each chunk's column norms with
 a full stable sort, where the S-step partially sorts all chunks at once.
 The PTC and condensed-sparse oracles are the plain per-block and
-per-chunk loops that the batched functional model replaces, and the ViT
+per-chunk loops that the batched functional model replaces; the slice-loop
+PTC oracle is the one-product-per-slice loop that its stacked slice groups
+must match byte for byte. The ViT
 oracle forms each head's whole (tokens x tokens) softmax at once, as the
 query-blocked attention kernel does not. The adapter oracle is the
 gradient-descent loop on separate arrays that forms the error E explicitly
@@ -122,6 +124,16 @@ def blockwise_ptc_matmul(w: np.ndarray, x: np.ndarray, ptc) -> np.ndarray:
                 acc += wp[rs, ks] @ xp[ks, cs]
             out[rs, cs] = acc
     return out[:m, :batch]
+
+
+def slice_loop_ptc_matmul(w: np.ndarray, x: np.ndarray, ptc) -> np.ndarray:
+    """W @ X as one 2-D product per inner slice of n_lambda, added into
+    zeros in slice order."""
+    n_l = ptc.n_lambda
+    acc = np.zeros((w.shape[0], x.shape[1]))
+    for k in range(0, w.shape[1], n_l):
+        acc += w[:, k:k + n_l] @ x[k:k + n_l]
+    return acc
 
 
 def chunkwise_condensed_matmul(sp, x: np.ndarray) -> np.ndarray:

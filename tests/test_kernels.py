@@ -1,7 +1,7 @@
 """Property tests for the vectorized kernels: the projection L-step and
 its start from a higher-rank SVD, the alternation's shared residual, the partial-sort structured sparsify, the
-factored Gram-form adapter kernel and its loop, and the batched functional PTC model (the slice-by-slice layer
-product and the condensed sparse gather)."""
+factored Gram-form adapter kernel and its loop, and the batched functional PTC model (the layer product in stacked
+slice groups and the condensed sparse gather)."""
 import tracemalloc
 
 import numpy as np
@@ -28,6 +28,7 @@ from oracles import (
     chunkwise_condensed_matmul,
     explicit_error_local_adapt,
     recomputing_alternate,
+    slice_loop_ptc_matmul,
     stable_sort_sparsify,
 )
 
@@ -317,6 +318,27 @@ class TestBatchedPtc:
         assert got.shape == (m, batch)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 80), st.integers(1, 80), st.integers(1, 80), ptc_dims, st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.5]))
+    @example(25, 13, 7, 4, 0, 0.0)  # three slices and a ragged tail of one
+    @example(9, 80, 6, 1, 1, 0.0)  # n_lambda = 1: one slice per inner index
+    @example(30, 5, 9, 12, 2, 0.0)  # inner < n_lambda: the tail alone
+    @example(27, 40, 1, 12, 3, 0.0)  # batch = 1
+    @example(12, 40, 10, 4, 4, 0.5)  # signed zeros in W and X
+    @example(1, 80, 1, 1, 5, 0.0)  # one output element: numpy would sum a stack of it pairwise
+    @example(64, 259, 64, 2, 6, 0.25)  # 129 slices in groups of 2**18 // 64**2 = 64, then a ragged tail
+    def test_layer_matmul_is_byte_identical_to_the_slice_loop(self, m, inner, batch, n_lambda, seed, zeros):
+        rng = np.random.default_rng(seed)
+        w, x = rng.normal(size=(m, inner)), rng.normal(size=(inner, batch))
+        for a in (w, x):  # a share of entries becomes +0.0 or -0.0
+            a[rng.random(a.shape) < zeros] = 0.0
+            np.copysign(a, rng.normal(size=a.shape), out=a, where=a == 0)
+        ptc = PtcConfig(1, 1, n_lambda)
+        got = ptc_layer_matmul(w, x, ptc)
+        want = slice_loop_ptc_matmul(w, x, ptc)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("operand", ["weight", "input"])
     def test_nan_is_rejected(self, operand):
         ptc = PtcConfig(4, 3, 2)
@@ -327,8 +349,9 @@ class TestBatchedPtc:
 
     def test_peak_memory_holds_no_product_tensor(self):
         # A (pr, pb, pk, n_h, n_v) tensor of every invocation's product would
-        # be pk = 64 times the output; the slice-by-slice path holds the
-        # output accumulator and one slice's product, and pads nothing. The
+        # be pk = 64 times the output; the path holds the output accumulator
+        # and one group of slice products of at most PRODUCT_ELEMENTS (here
+        # one slice, as the output alone is larger), and pads nothing. The
         # bound still allows for padded operands.
         ptc = PtcConfig(12, 12, 12)
         rng = np.random.default_rng(0)
