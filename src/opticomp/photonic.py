@@ -5,8 +5,11 @@ multiplies an (n_h x n_lambda) weight block by an (n_lambda x n_v)
 activation block per invocation. In ``ptc_layer_matmul`` the invocations of
 one inner slice of n_lambda are blocks of one 2-D product, and the slices'
 products are summed in slice order, the analog accumulation over the inner
-dimension. Whole slices are formed in stacked groups, one ``np.matmul`` per
-group of at most ``PRODUCT_ELEMENTS`` product elements, and the result is
+dimension. Two or more whole slices are formed in stacked groups, one
+``np.matmul`` per group of at most ``PRODUCT_ELEMENTS`` product elements (a
+layer with fewer runs one 2-D product per slice), each summed onto the
+accumulator in slice order by numpy's axis-0 reduce (the condition that
+holds the order is in ``ptc_layer_matmul``'s docstring), and the result is
 byte-identical to adding one product per slice into zeros.
 Condensed sparse chunks run on a reconfigurable engine whose input light
 can be gated in quarters of its n_v rows through a two-stage splitter tree
@@ -212,7 +215,7 @@ _PARAMS_FIELDS = dict.fromkeys((f.name for f in fields(EnergyParams)), NON_NEGAT
 
 # Product elements one stacked slice product of ``ptc_layer_matmul`` may hold
 # (2 MiB of float64): every bench layer's slices fit in one group, and a
-# paper-scale (3072 x 197) output forms one slice at a time.
+# paper-scale (3072 x 197) output forms one slice per group.
 PRODUCT_ELEMENTS = 2**18
 
 
@@ -223,41 +226,38 @@ def ptc_layer_matmul(w: np.ndarray, x: np.ndarray, ptc: PtcConfig) -> np.ndarray
     pr * pb invocations are independent blocks of that product, and padding
     would only add cut-away outputs and exact zeros, so nothing is padded.
 
-    Whole slices are formed in groups, one stacked ``np.matmul`` of a
-    (slices, m, n_lambda) view of W by a (slices, n_lambda, batch) view of X
-    per group, holding at most ``PRODUCT_ELEMENTS`` product elements; a
-    short last slice is one 2-D product. Each slice is the gemm call of a
-    product per slice, and each group is summed in slice order onto the
-    accumulator, so the result is byte-identical to adding one product per
-    slice into zeros."""
+    With two or more whole slices, they are formed in groups, one stacked
+    ``np.matmul`` of a (slices, m, n_lambda) view of W by a
+    (slices, n_lambda, batch) view of X per group, holding at most
+    ``PRODUCT_ELEMENTS`` product elements (and at least one slice); a short
+    last slice is one 2-D product. With fewer, each slice is one 2-D
+    product, as a stack of one slice costs more. Each slice is the gemm call
+    of a product per slice. The accumulator, zeros at the start, is added
+    into each group's first product, and an axis-0 ``np.add.reduce`` sums
+    the group into it. numpy runs that reduce's inner loop over the output,
+    adding the slices in order, while the output has more than one element;
+    a one-element output would be summed pairwise, so it goes one slice per
+    group. The result is then byte-identical to adding one product per slice
+    into zeros, which ``test_layer_matmul_is_byte_identical_to_the_slice_loop``
+    pins."""
     w = as_matrix(w, "weight")
     x = as_matrix(x, "input")
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"cannot multiply {w.shape} by {x.shape}")
     (m, inner), batch, n_l = w.shape, x.shape[1], ptc.n_lambda
     slices, ragged = divmod(inner, n_l)
-    # Summing along the leading axis keeps slice order only while numpy's
-    # inner loop runs over the output; a one-element output puts the sum
-    # there, and numpy sums it pairwise.
-    group = PRODUCT_ELEMENTS // (m * batch) if m * batch > 1 else 1
-    if min(group, slices) < 2:  # a stack would hold one slice: one product per slice
-        acc = np.zeros((m, batch))
-        for k in range(0, inner, n_l):
-            acc += w[:, k:k + n_l] @ x[k:k + n_l]
-        return acc
-    full = inner - ragged
-    w_slices = w[:, :full].reshape(m, slices, n_l).swapaxes(0, 1)
-    x_slices = x[:full].reshape(slices, n_l, batch)
-    acc = None
-    for lo in range(0, slices, group):
-        prods = np.matmul(w_slices[lo:lo + group], x_slices[lo:lo + group])
-        if acc is None:  # 0.0 + P0 + P1 + ..., as into zeros
-            acc = np.add.reduce(prods, axis=0, initial=0.0)
-        else:
+    acc = np.zeros((m, batch))
+    full = inner - ragged if slices > 1 else 0  # a stack of one slice costs more than its 2-D product
+    if full:
+        w_slices = w[:, :full].reshape(m, slices, n_l).swapaxes(0, 1)
+        x_slices = x[:full].reshape(slices, n_l, batch)
+        group = max(1, PRODUCT_ELEMENTS // (m * batch)) if m * batch > 1 else 1
+        for lo in range(0, slices, group):
+            prods = np.matmul(w_slices[lo:lo + group], x_slices[lo:lo + group])
             prods[0] += acc
             np.add.reduce(prods, axis=0, out=acc)
-    if ragged:
-        acc += w[:, full:] @ x[full:]
+    for k in range(full, inner, n_l):  # the slices left unstacked, a short last one among them
+        acc += w[:, k:k + n_l] @ x[k:k + n_l]
     return acc
 
 
@@ -428,16 +428,15 @@ def simulate(
     compressible layers at their shapes, so a plan with no layers is rejected.
     """
     dense, sparse = engines.dense, engines.sparse
-    dense_cores, sparse_cores = dense.cores, sparse.cores
     if batch_tokens < 1:
         raise ValueError("batch_tokens must be >= 1")
-    if dense_cores < 1:
+    if dense.cores < 1:
         raise ValueError("dense engine needs at least one core")
     plan_by_id = {}
     if plan is not None:
         check_plan_matches(plan, graph)
         plan_by_id = {pl.id: pl for pl in plan.layers}
-        if sparse_cores == 0:
+        if sparse.cores == 0:
             raise ValueError("compressed plan given but the sparse engine has no tiles")
 
     # Engine constants, once per call. A pass's charges keep the IEEE
@@ -452,7 +451,7 @@ def simulate(
     weight_d, inputs_d, outputs_d = n_h * n_l, n_l * n_v, n_h * n_v
     bc_d = dense.tiles if engines.broadcast_enabled and dense.tiles > 1 else 1
     adc_d = dense.cores_per_tile if sharing else 1
-    laser_d = params.laser_per_channel_cycle * n_l * n_v * dense_cores  # no splitter tree: all n_v rows lit
+    laser_d = params.laser_per_channel_cycle * n_l * n_v * dense.cores  # no splitter tree: all n_v rows lit
     if plan_by_id:
         s_l, s_v = sparse.ptc.n_lambda, sparse.ptc.n_v
         cols_s, inputs_s = -(-batch_tokens // s_v), s_l * s_v  # sparse tiles cannot broadcast
@@ -461,7 +460,7 @@ def simulate(
         chunk_heights = dict.fromkeys(plan_by_id[l.id].g for l in graph.layers if l.id in plan_by_id)
         heights = {g: operating_height(g, sparse.ptc) for g in chunk_heights}
         quarter = sparse.ptc.require_quarters()
-        laser_s = params.laser_per_channel_cycle * s_l * quarter * sparse_cores  # per cycle and lit quarter
+        laser_s = params.laser_per_channel_cycle * s_l * quarter * sparse.cores  # per cycle and lit quarter
 
     counts: list[tuple[int, ...]] = []  # one LAYER_COUNTS row per layer
     energies: list[tuple[float, ...]] = []  # one COMPONENTS row per layer
@@ -477,7 +476,7 @@ def simulate(
             inputs = dense_inv * inputs_d / bc_d * input_unit
             readout = out * tia + out / adc_d * adc
             sparse_inv = sparse_cycles = 0
-            dense_cycles = -(-dense_inv // dense_cores)
+            dense_cycles = -(-dense_inv // dense.cores)
             laser = laser_d * dense_cycles
             index = 0.0
             dram_bytes = rows * cols * WEIGHT_BYTES
@@ -499,8 +498,8 @@ def simulate(
                 + (out_s * tia + out_s / adc_s * adc)
             )
             dense_inv = inv_bx + inv_abx
-            dense_cycles = -(-dense_inv // dense_cores)
-            sparse_cycles = -(-sparse_inv // sparse_cores)
+            dense_cycles = -(-dense_inv // dense.cores)
+            sparse_cycles = -(-sparse_inv // sparse.cores)
             laser = laser_s * sparse_cycles * (h_op // quarter) + laser_d * dense_cycles
             index = chunks * d * batch_tokens * params.index_fetch
             dram_bytes = (r * (rows + cols) + rows * d) * WEIGHT_BYTES + chunks * d * INDEX_BYTES
