@@ -14,7 +14,9 @@ r triplets as its first L-step instead of decomposing W D again.
 The search raises ranks of high-error layers in batches until the
 parameter budget runs out, leaving the achieved reduction psi at or above
 the target alpha. The plan's file, plan.json, is defined here as well: its
-field tables, its writer and reader, and its check against a model.
+field tables, its writer and reader, and its check against a model, made
+by ``check_layers_match``, the one listing of the layers at which two
+per-layer maps differ, which ``pipeline.verify_artifacts`` uses as well.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decompose import ScalingDiag, alternate, expand
+from .decompose import ScalingDiag, alternate, expand, stored_params
 from .linalg import SvdResult, frobenius_norm, singular_values, truncated_svd
 from .model import ModelGraph
 from .util import COUNT, FINITE, INTEGER, LIST, STRING, nullable, read_record
@@ -246,20 +248,26 @@ def read_plan(path) -> CompressionPlan:
     return CompressionPlan(**obj)
 
 
+def check_layers_match(what: str, want: dict, have: dict) -> None:
+    """``want`` and ``have`` map the same layer ids to equal values; otherwise
+    ValueError "<what> mismatch at layer(s): <ids>", the sorted ids of the
+    layers whose values differ or that only one of the two holds."""
+    if want != have:
+        off = sorted(lid for lid in want.keys() | have.keys() if want.get(lid) != have.get(lid))
+        raise ValueError(f"{what} mismatch at layer(s): {', '.join(off)}")
+
+
 def check_plan_matches(plan: CompressionPlan, graph: ModelGraph) -> None:
     """The plan holds exactly the graph's compressible layers, each with the
     graph's (rows, cols); otherwise ValueError naming the layers that differ."""
-    want = {l.id: (l.rows, l.cols) for l in graph.compressible_layers()}
-    have = {pl.id: (pl.rows, pl.cols) for pl in plan.layers}
-    if want != have:
-        off = sorted(lid for lid in want.keys() | have.keys() if want.get(lid) != have.get(lid))
-        raise ValueError(f"plan/model mismatch at layer(s): {', '.join(off)}")
+    check_layers_match("plan/model", {l.id: (l.rows, l.cols) for l in graph.compressible_layers()},
+                       {pl.id: (pl.rows, pl.cols) for pl in plan.layers})
 
 
 def psi(plan: CompressionPlan) -> float:
     """Achieved parameter reduction; index storage is reported separately."""
     orig = sum(l.rows * l.cols for l in plan.layers)
-    kept = sum(l.r * (l.rows + l.cols) + l.rows * l.d for l in plan.layers)
+    kept = sum(stored_params(l.rows, l.cols, l.r, l.d) for l in plan.layers)
     return 1.0 - kept / orig
 
 
@@ -328,7 +336,7 @@ def allocate_ranks(
             r=l.rank,
             d=l.d,
             g=g,
-            params=l.rank * l.unit_cost + l.rows * l.d,
+            params=stored_params(l.rows, l.cols, l.rank, l.d),
         )
         for l in layers
     ]

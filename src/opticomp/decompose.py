@@ -79,11 +79,32 @@ def compute_scaling(x: np.ndarray) -> ScalingDiag:
     return ScalingDiag(d=np.maximum(d, EPS_SCALE * top))
 
 
+# --- a compressed layer's layout --------------------------------------------
+
+
+def kept_columns(cols: int, s: float) -> int:
+    """d, the columns each row chunk keeps at sparse ratio s: round(cols * s)."""
+    return int(round(cols * s))
+
+
+def num_chunks(rows: int, g: int) -> int:
+    """Row chunks of height g over ``rows`` rows, the last possibly shorter:
+    ceil(rows / g), as an exact integer."""
+    return -(-rows // g)
+
+
+def stored_params(rows: int, cols: int, r: int, d: int) -> int:
+    """Values a (rows x cols) layer stores at rank r with d kept columns per
+    chunk: A (rows x r), B (r x cols) and the condensed sparse values
+    (rows x d). The kept-column indices are not counted."""
+    return r * (rows + cols) + rows * d
+
+
 @dataclass(frozen=True)
 class StructuredSparse:
     """Column-pruned sparse component in condensed form.
 
-    Rows are split into ceil(m / g) chunks of height g (last may be
+    Rows are split into ``num_chunks(m, g)`` chunks of height g (last may be
     shorter). Chunk i keeps the d column indices ``kept_cols[i]`` (sorted
     ascending) and stores their values in the matching rows of
     ``condensed`` (m x d), i.e. condensed row blocks line up with chunks.
@@ -97,7 +118,7 @@ class StructuredSparse:
 
     @property
     def num_chunks(self) -> int:
-        return -(-self.full_rows // self.granularity)
+        return num_chunks(self.full_rows, self.granularity)
 
     @property
     def kept_per_chunk(self) -> int:
@@ -119,31 +140,31 @@ class StructuredSparse:
 
 
 def structured_sparsify(residual: np.ndarray, g: int, s: float) -> StructuredSparse:
-    """Keep, per row-chunk of height g, the top round(n*s) columns by L1 norm.
+    """Keep, per row-chunk of height g, the top ``kept_columns(n, s)`` columns by L1 norm.
 
     Ties rank the lower column index first so results are platform stable:
     the kept set is the one a stable descending sort of the norms gives.
-    g >= 1 and round(n*s) >= 1 are checked where they enter, by compress.
+    g >= 1 and d >= 1 are checked where they enter, by compress.
     """
     m, n = residual.shape
-    d = int(round(n * s))
-    num_chunks = -(-m // g)
+    d = kept_columns(n, s)
+    chunks = num_chunks(m, g)
     mag = np.abs(residual)
-    if num_chunks * g != m:  # zero rows pad the ragged last chunk
-        mag = np.concatenate([mag, np.zeros((num_chunks * g - m, n))])
-    norms = mag.reshape(num_chunks, g, n).sum(axis=1)
+    if chunks * g != m:  # zero rows pad the ragged last chunk
+        mag = np.concatenate([mag, np.zeros((chunks * g - m, n))])
+    norms = mag.reshape(chunks, g, n).sum(axis=1)
     # Each chunk keeps every column above its d-th largest norm, then fills
     # the places left with the columns tied at it, lowest index first. Every
     # chunk has at least d columns at or above it, so when all of them hold
     # exactly d, those are the kept set and there is no tie to break.
     kth = np.partition(norms, n - d, axis=1)[:, n - d, None]
     keep = norms >= kth
-    if np.count_nonzero(keep) != num_chunks * d:
+    if np.count_nonzero(keep) != chunks * d:
         above = norms > kth
         tied = norms == kth
         room = d - np.count_nonzero(above, axis=1, keepdims=True)
         keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
-    kept = np.nonzero(keep)[1].reshape(num_chunks, d)  # ascending per chunk
+    kept = np.nonzero(keep)[1].reshape(chunks, d)  # ascending per chunk
     rows = np.arange(m)
     condensed = residual[rows[:, None], kept[rows // g]]
     return StructuredSparse(granularity=g, full_rows=m, full_cols=n, kept_cols=kept, condensed=condensed)
@@ -201,8 +222,12 @@ def alternate(wd: np.ndarray, first: SvdResult, s: float, g: int, iters: int):
     is logged after every half-step. Returns the trace and the sparse part
     of the best iterate.
     """
-    sparse = structured_sparsify(np.zeros_like(wd), g, s)  # S = 0 start
-    sparse_exp = expand(sparse)
+    m, n = wd.shape
+    d = kept_columns(n, s)
+    # S = 0: each chunk keeps its first d columns, the set structured_sparsify
+    # keeps at all-zero norms, and the expanded zeros are the scalar 0.0.
+    sparse = StructuredSparse(g, m, n, np.tile(np.arange(d), (num_chunks(m, g), 1)), np.zeros((m, d)))
+    sparse_exp = 0.0
     trace: list[float] = []
     best: tuple[float, StructuredSparse] | None = None
     a, b = balanced_factors(first)

@@ -61,8 +61,12 @@ silicon.
 input events per invocation and the broadcast and ADC divisors, per-event
 units, laser per cycle, the sparse operating height per g); they feed a
 per-layer ledger of a few integer block counts and multiplies per pass,
-added into running component totals. Column blocks and cycles, whose
-operands grow with ``batch_tokens``, are integer ceilings, exact past 2**53.
+added into running component totals. Every ceiling (row, inner and column
+blocks, chunks, kept-column blocks, cycles and the operating height) is an
+exact integer one, so no count rounds past 2**53, whether its operand is
+``batch_tokens`` or a plan's ``r`` or ``d``. A compressed layer's chunk
+count and stored values are ``decompose.num_chunks`` and
+``decompose.stored_params``.
 Totals are summed left to right from 0.0 on every Python version (``sum``
 of floats is compensated from 3.12).
 A layer's five counts and six energies are appended as one row to each of
@@ -80,14 +84,13 @@ import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from math import ceil
 from pathlib import Path
 
 import numpy as np
 
 from .allocate import CompressionPlan, check_plan_matches
 from .config import ConfigError
-from .decompose import StructuredSparse
+from .decompose import StructuredSparse, num_chunks, stored_params
 from .model import ModelGraph
 from .util import (
     BOOL, COUNT, FINITE, INTEGER, LIST, NATURAL, NON_NEGATIVE, OBJECT, POSITIVE, STRING, as_matrix, read_record,
@@ -321,7 +324,7 @@ def operating_height(g: int, ptc: PtcConfig) -> int:
     quarter = ptc.require_quarters()
     if g > ptc.n_v:
         raise ValueError(f"chunk height {g} exceeds sparse PTC rows {ptc.n_v}")
-    return quarter * ceil(g / quarter)
+    return quarter * -(-g // quarter)
 
 
 def laser_energy(params: EnergyParams, ptc: PtcConfig, active_rows: int, cores: int, cycles: int) -> float:
@@ -470,7 +473,7 @@ def simulate(
         rows, cols = layer.rows, layer.cols
         pl = plan_by_id.get(layer.id)
         if pl is None:
-            dense_inv = ceil(rows / n_h) * ceil(cols / n_l) * cols_d
+            dense_inv = -(-rows // n_h) * -(-cols // n_l) * cols_d
             out = dense_inv * outputs_d
             weight = dense_inv * weight_d * weight_unit
             inputs = dense_inv * inputs_d / bc_d * input_unit
@@ -483,10 +486,10 @@ def simulate(
             sram_bytes = (cols + rows) * batch_tokens * ACT_BYTES
         else:
             r, d, h_op = pl.r, pl.d, heights[pl.g]
-            chunks = ceil(rows / pl.g)
-            inv_bx = ceil(r / n_h) * ceil(cols / n_l) * cols_d  # B X
-            inv_abx = ceil(rows / n_h) * ceil(r / n_l) * cols_d  # A (B X)
-            sparse_inv = chunks * ceil(d / s_l) * cols_s  # condensed chunks at operating height h_op
+            chunks = num_chunks(rows, pl.g)
+            inv_bx = -(-r // n_h) * -(-cols // n_l) * cols_d  # B X
+            inv_abx = -(-rows // n_h) * -(-r // n_l) * cols_d  # A (B X)
+            sparse_inv = chunks * -(-d // s_l) * cols_s  # condensed chunks at operating height h_op
             out_bx, out_abx, out_s = inv_bx * outputs_d, inv_abx * outputs_d, sparse_inv * h_op * s_v
             weight = (inv_bx * weight_d * weight_unit + inv_abx * weight_d * weight_unit
                       + sparse_inv * h_op * s_l * weight_unit)
@@ -502,7 +505,7 @@ def simulate(
             sparse_cycles = -(-sparse_inv // sparse.cores)
             laser = laser_s * sparse_cycles * (h_op // quarter) + laser_d * dense_cycles
             index = chunks * d * batch_tokens * params.index_fetch
-            dram_bytes = (r * (rows + cols) + rows * d) * WEIGHT_BYTES + chunks * d * INDEX_BYTES
+            dram_bytes = stored_params(rows, cols, r, d) * WEIGHT_BYTES + chunks * d * INDEX_BYTES
             # Input read, intermediate (r x batch) write + read, output write,
             # plus per-chunk gathered input reads on the sparse side.
             sram_bytes = ((cols + 2 * r + rows) * batch_tokens + chunks * d * batch_tokens) * ACT_BYTES

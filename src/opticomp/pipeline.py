@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .allocate import allocate_ranks, basis_rank, check_plan_matches, prepare_full_rank, read_plan
+from .allocate import allocate_ranks, basis_rank, check_layers_match, check_plan_matches, prepare_full_rank, read_plan
 from .allocate import write_plan  # noqa: F401 (plans are written and read through this module too)
 from .config import ConfigError
 from .container import check_tensors, read_container, read_tensors, write_container
@@ -29,8 +29,11 @@ from .decompose import (
     compute_scaling,
     decompose_layer,
     expand,
+    kept_columns,
     layer_error,
     local_adapt,
+    num_chunks,
+    stored_params,
 )
 from .model import ModelGraph, dense_shapes, load_model, read_graph
 from .photonic import EngineConfig, EnergyParams, condensed_matmul, load_energy_params, load_engine_config
@@ -66,7 +69,7 @@ def compress_model(cfg: dict, engines: EngineConfig):
     if not graph.compressible_layers():
         raise ValueError(f"{cfg['paths']['model']}: model has no compressible layers")
     narrowest = min(graph.compressible_layers(), key=lambda l: l.cols)
-    if round(narrowest.cols * t["sparse_ratio"]) == 0:
+    if kept_columns(narrowest.cols, t["sparse_ratio"]) == 0:
         raise ConfigError(f"targets.sparse_ratio={t['sparse_ratio']} keeps no column of layer "
                           f"{narrowest.id!r} ({narrowest.cols} columns)")
     calib_inputs = load_calibration_inputs(cfg["paths"]["calibration"])
@@ -158,7 +161,7 @@ def load_compressed(path):
             f"{lid}.a": ("f32", (rows, r)),
             f"{lid}.b": ("f32", (r, spec.cols)),
             f"{lid}.sparse.values": ("f32", (rows, d)),
-            f"{lid}.sparse.cols": ("i32", (-(-rows // info["g"]), d)),
+            f"{lid}.sparse.cols": ("i32", (num_chunks(rows, info["g"]), d)),
         })
         cl = Decomposition(
             a=np.asarray(tensors[f"{lid}.a"], dtype=np.float64),
@@ -225,16 +228,13 @@ def verify_artifacts(
     plan = read_plan(plan_path)
     plan_by_id = {pl.id: pl for pl in plan.layers}
     want = {l.id: (l.rows, l.cols) for l in graph_o.compressible_layers()}
-    have = {lid: (cl.a.shape[0], cl.b.shape[1]) for lid, cl in compressed.items()}
-    off = sorted(lid for lid in want.keys() | have.keys() if want.get(lid) != have.get(lid))
-    if off:
-        raise ValueError(f"compressed/original model mismatch at layer(s): {', '.join(off)}")
+    shapes = {lid: (cl.a.shape[0], cl.b.shape[1]) for lid, cl in compressed.items()}
+    check_layers_match("compressed/original model", want, shapes)
     check_plan_matches(plan, graph_o)
-    stored = {lid: (cl.a.shape[1], cl.sparse.kept_per_chunk, cl.sparse.granularity) for lid, cl in compressed.items()}
-    off = sorted(lid for lid, pl in plan_by_id.items()
-                 if (pl.r, pl.d, pl.g, pl.params) != (*stored[lid], pl.r * (pl.rows + pl.cols) + pl.rows * pl.d))
-    if off:
-        raise ValueError(f"plan/compressed model mismatch at layer(s): {', '.join(off)}")
+    # Each stored layer's (r, d, g) and the parameter count they give, from the file's tensor shapes.
+    stored = {lid: (cl.rank, cl.sparse.kept_per_chunk, cl.sparse.granularity) for lid, cl in compressed.items()}
+    stored = {lid: (r, d, g, stored_params(*shapes[lid], r, d)) for lid, (r, d, g) in stored.items()}
+    check_layers_match("plan/compressed model", {pl.id: (pl.r, pl.d, pl.g, pl.params) for pl in plan.layers}, stored)
     shape_o, shape_c = _forward_shape(graph_o), _forward_shape(graph_c)
     off = [f"{name} {shape_c[name]} vs {value}" for name, value in shape_o.items() if shape_c[name] != value]
     if off:
@@ -254,9 +254,8 @@ def verify_artifacts(
 
     # One pass over layers that load_compressed has checked: condensed matmul
     # against expand-then-multiply, the recorded activation-aware error against
-    # a recomputation (needs calibration), and the kept parameter count.
+    # a recomputation (needs calibration).
     worst_matmul = worst_error = 0.0
-    kept = 0
     unrecorded = sorted(lid for lid, pl in plan_by_id.items() if pl.error is None)
     for lid, cl in compressed.items():
         x = philox_rng(seed, 5, stable_key(lid)).standard_normal((cl.sparse.full_cols, 8))
@@ -264,7 +263,6 @@ def verify_artifacts(
         if scaling is not None and not unrecorded:
             recomputed = layer_error(model_o.weights[lid], scaling[lid], cl)
             worst_error = max(worst_error, abs(recomputed - plan_by_id[lid].error))
-        kept += cl.a.shape[1] * (cl.a.shape[0] + cl.b.shape[1]) + cl.sparse.full_rows * cl.sparse.kept_per_chunk
 
     checks = [CheckResult("condensed_matmul", worst_matmul <= 1e-9, f"max |condensed - dense| = {worst_matmul:.3e}")]
     if scaling is not None:
@@ -275,6 +273,7 @@ def verify_artifacts(
 
     # psi recomputed from actual stored tensor shapes, exact rational check.
     orig = sum(l.rows * l.cols for l in graph_c.compressible_layers())
+    kept = sum(params for *_, params in stored.values())
     psi_exact = Fraction(orig - kept, orig)
     psi_ok = abs(float(psi_exact) - plan.psi_achieved) <= 1e-12 and psi_exact >= Fraction(plan.alpha)
     checks.append(

@@ -5,6 +5,7 @@ from opticomp.decompose import (
     EPS_SCALE,
     ScalingDiag,
     adapter_objective_and_grads,
+    alternate,
     calibration_objective,
     compute_scaling,
     decompose_layer,
@@ -148,6 +149,21 @@ class TestExpand:
         np.testing.assert_array_equal(sp.kept_cols, sp2.kept_cols)
         np.testing.assert_array_equal(sp.condensed, sp2.condensed)
         assert (sp.granularity, sp.full_rows, sp.full_cols) == (sp2.granularity, sp2.full_rows, sp2.full_cols)
+
+
+class TestAlternate:
+    def test_zero_start_is_structured_sparsify_of_zeros(self):
+        # At an all-zero weight no step improves on the S = 0 start, so the
+        # best iterate is that start: each chunk's first d columns, zero values.
+        m, n, g, s = 10, 16, 4, 0.25
+        wd = np.zeros((m, n))
+        _, best = alternate(wd, truncated_svd(wd, 2), s, g, 3)
+        want = structured_sparsify(np.zeros((m, n)), g, s)
+        assert best.kept_cols.dtype == want.kept_cols.dtype
+        np.testing.assert_array_equal(best.kept_cols, want.kept_cols)
+        assert best.condensed.dtype == want.condensed.dtype
+        np.testing.assert_array_equal(best.condensed, want.condensed)
+        assert (best.granularity, best.full_rows, best.full_cols) == (g, m, n)
 
 
 class TestDecomposeLayer:

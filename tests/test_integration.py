@@ -4,15 +4,21 @@ import pkgutil
 from collections import Counter
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import opticomp
 from opticomp import pipeline, util
+from opticomp.allocate import allocate_ranks, prepare_full_rank
 from opticomp.cli import main
 from opticomp.config import load_config
-from opticomp.decompose import compute_scaling, decompose_layer, local_adapt
-from opticomp.model import ModelGraph
+from opticomp.container import read_container
+from opticomp.decompose import (
+    ScalingDiag, compute_scaling, decompose_layer, kept_columns, local_adapt, num_chunks, stored_params,
+)
+from opticomp.model import LayerSpec, ModelGraph
 from opticomp.photonic import EngineConfig
-from opticomp.pipeline import compress_model, effective_tensors
+from opticomp.pipeline import compress_model, effective_tensors, save_compressed
 from opticomp.util import philox_rng, stable_key
 from opticomp.vit import ToyViT, block_loss, build_toy_graph, collect_calibration, forward, gen_toy_model
 
@@ -197,3 +203,55 @@ class TestCompressKeepsInputStatistics:
         pipeline.write_plan(tmp_path / "plan.json", plan)
         for name in ("plan.json", "compressed.lten"):
             assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@st.composite
+def fitted_layers(draw):
+    """A few small random layers, each (id, weight, scaling), at one chunk
+    height g and a sparse ratio s that keeps at least one column of each."""
+    g = draw(st.integers(1, 6))
+    layers = []
+    for i in range(draw(st.integers(1, 3))):
+        rows, cols = draw(st.integers(2, 14)), draw(st.integers(2, 14))
+        rng = philox_rng(draw(st.integers(0, 2**16)), 70, i)
+        layers.append((f"l{i}", rng.normal(size=(rows, cols)), ScalingDiag(rng.uniform(0.5, 2.0, size=cols))))
+    narrowest = min(w.shape[1] for _, w, _ in layers)
+    s = draw(st.floats(0.5 / narrowest + 1e-9, 0.6))
+    return layers, g, s
+
+
+class TestLayoutRules:
+    """``decompose.kept_columns``, ``num_chunks`` and ``stored_params`` are what
+    the allocator plans and what the compressed file holds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fitted_layers(), st.data())
+    def test_the_file_holds_stored_params_values_and_num_chunks_index_rows(self, tmp_path_factory, case, data):
+        layers, g, s = case
+        compressed, expected = {}, {}
+        for lid, w, scaling in layers:
+            (rows, cols), r = w.shape, data.draw(st.integers(1, min(w.shape)))
+            compressed[lid] = decompose_layer(w, scaling, r, s, g, iters=2)
+            expected[lid] = stored_params(rows, cols, r, kept_columns(cols, s)), num_chunks(rows, g)
+        graph = ModelGraph([LayerSpec(lid, "attn_q", *w.shape) for lid, w, _ in layers], [{"attn": list(compressed)}], 1)
+        path = tmp_path_factory.mktemp("layout") / "compressed.lten"
+        save_compressed(path, graph, {}, compressed)
+        _, tensors = read_container(path)
+        for lid, (params, chunks) in expected.items():
+            assert sum(tensors[f"{lid}.{part}"].size for part in ("a", "b", "sparse.values")) == params
+            assert tensors[f"{lid}.sparse.cols"].shape[0] == chunks
+            rows = tensors[f"{lid}.a"].shape[0]
+            assert (chunks - 1) * g < rows <= chunks * g  # every row in one chunk, none of them empty
+
+    @settings(max_examples=40, deadline=None)
+    @given(fitted_layers(), st.floats(0.0, 0.4))
+    def test_every_planned_layer_counts_stored_params(self, case, alpha):
+        layers, g, s = case
+        state = prepare_full_rank([(lid, w) for lid, w, _ in layers], {lid: d for lid, _, d in layers}, s, g)
+        try:
+            plan = allocate_ranks(state, alpha, s, g, b=2)
+        except ValueError:  # the sparse part or the 10% rank floor alone breaks the target
+            assume(False)
+        for pl in plan.layers:
+            assert pl.d == kept_columns(pl.cols, s)
+            assert pl.params == stored_params(pl.rows, pl.cols, pl.r, pl.d)

@@ -343,6 +343,37 @@ class TestSimulate:
         assert fc1.dense_invocations == 32 * -(-10**18 // 12) == 2666666666666666688
         assert fc1.dense_cycles == fc1.cycles == 333333333333333336
 
+    def test_counts_from_a_plan_past_two_to_the_53_are_exact(self):
+        # A plan's d is read unchecked. At d = 2**53 + 1 and one wavelength a
+        # float ceiling of d / n_lambda reads 2**53; the 24 rows run 6 chunks
+        # of g = 4 on 6 sparse cores.
+        graph = build_toy_graph(hidden=24, heads=2, mlp_ratio=2, blocks=1, classes=4, in_dim=12)
+        plan = toy_plan(graph, g=4)
+        plan.layers[0].d = 2**53 + 1
+        engines = replace(EngineConfig.default(), sparse=EngineBlock(3, 2, PtcConfig(8, 12, 1)))
+        report = simulate(plan, graph, engines, EnergyParams(), 1)
+        lc = next(lc for lc in report.per_layer if lc.layer_id == plan.layers[0].id)
+        assert lc.sparse_invocations == 6 * (2**53 + 1) == 54043195528445958
+        assert lc.sparse_cycles == lc.cycles == 2**53 + 1
+
+    @pytest.mark.parametrize("batch", [1, 64, 197])
+    def test_laser_charge_is_laser_energy(self, batch):
+        # The dse workload's shapes: each layer's laser is the sparse engine's
+        # laser_energy at its operating height plus the dense engine's, with
+        # every one of its n_v rows lit, exactly.
+        graph = build_toy_graph(hidden=64, blocks=2)
+        plan, engines, params = toy_plan(graph, g=4), EngineConfig.default(), EnergyParams()
+        plan_by_id = {pl.id: pl for pl in plan.layers}
+        dense, sparse = engines.dense, engines.sparse
+        for lc in simulate(plan, graph, engines, params, batch).per_layer:
+            pl = plan_by_id.get(lc.layer_id)
+            sparse_laser = 0.0 if pl is None else laser_energy(
+                params, sparse.ptc, operating_height(pl.g, sparse.ptc), sparse.cores, lc.sparse_cycles
+            )
+            dense_laser = (params.laser_per_channel_cycle * dense.ptc.n_lambda * dense.ptc.n_v * dense.cores
+                           * lc.dense_cycles)
+            assert lc.energy["laser"] == sparse_laser + dense_laser, lc.layer_id
+
     def test_whole_number_energy_params_give_float_layer_energies(self):
         # A hardware file may give whole numbers; a layer's energies are
         # floats, as the totals are.
