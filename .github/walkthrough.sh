@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The README walkthrough (seed 42) through the installed `opticomp` entry
-# point, then four error cases; tests/test_cli.py pins every input defect.
+# point, then five error cases; tests/test_cli.py pins every input defect.
 # Runs in a fresh temporary directory and stops at the first step that fails:
 #   bash .github/walkthrough.sh
 set -e
@@ -51,3 +51,16 @@ opticomp simulate --baseline --set paths.model=toy/model.lten \
 test "$code" -eq 1
 grep -q "batch_tokens=10000000000000000000" batch.err
 if grep -q Traceback batch.err; then exit 1; fi
+# A plan that lists layer 0 twice (exit 1, the layer named).
+python3 -c '
+import json, sys
+plan = json.load(open(sys.argv[1]))
+plan["layers"].append(plan["layers"][0])
+print(plan["layers"][0]["id"])
+json.dump(plan, open(sys.argv[2], "w"))
+' run/plan.json twice.json > twice.id
+code=0
+opticomp simulate --plan twice.json --set paths.model=toy/model.lten --out twice 2> twice.err || code=$?
+test "$code" -eq 1
+grep -q "plan lists layer '$(cat twice.id)' twice" twice.err
+if grep -q Traceback twice.err; then exit 1; fi

@@ -236,13 +236,19 @@ def write_plan(path, plan: CompressionPlan) -> None:
 
 def read_plan(path) -> CompressionPlan:
     """Read a plan, every field checked against its table; a defect raises
-    ValueError naming the file, the layer and the field."""
+    ValueError naming the file, the layer and the field, and a layer id
+    listed twice raises one naming the file and the id."""
     try:
         obj = read_record(json.loads(Path(path).read_text()), PLAN_FIELDS, "plan")
         obj["layers"] = [
             PlanLayer(**read_record(l, LAYER_FIELDS, f"plan layer {i}:", optional=("error",)))
             for i, l in enumerate(obj["layers"])
         ]
+        seen = set()
+        for pl in obj["layers"]:
+            if pl.id in seen:
+                raise ValueError(f"plan lists layer {pl.id!r} twice")
+            seen.add(pl.id)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return CompressionPlan(**obj)

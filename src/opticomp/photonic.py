@@ -5,11 +5,12 @@ multiplies an (n_h x n_lambda) weight block by an (n_lambda x n_v)
 activation block per invocation. In ``ptc_layer_matmul`` the invocations of
 one inner slice of n_lambda are blocks of one 2-D product, and the slices'
 products are summed in slice order, the analog accumulation over the inner
-dimension. Two or more whole slices are formed in stacked groups, one
-``np.matmul`` per group of at most ``PRODUCT_ELEMENTS`` product elements (a
-layer with fewer runs one 2-D product per slice), each summed onto the
-accumulator in slice order by numpy's axis-0 reduce (the condition that
-holds the order is in ``ptc_layer_matmul``'s docstring), and the result is
+dimension. A layer takes one of two paths. With at least two whole slices,
+more than one output element and at most ``PRODUCT_ELEMENTS`` elements in
+all its whole-slice products, those are one stacked ``np.matmul``, summed
+onto the zero accumulator in slice order by numpy's axis-0 reduce. Any
+other layer runs the slice loop, one 2-D product per slice, which also
+takes a stacked layer's short last slice. Either way the result is
 byte-identical to adding one product per slice into zeros.
 Condensed sparse chunks run on a reconfigurable engine whose input light
 can be gated in quarters of its n_v rows through a two-stage splitter tree
@@ -57,9 +58,10 @@ index. The default event energies are placeholders in picojoules, chosen
 for plausible relative magnitudes; they are configuration, not measured
 silicon.
 
-``simulate`` derives each engine's constants once per call (column blocks,
-input events per invocation and the broadcast and ADC divisors, per-event
-units, laser per cycle, the sparse operating height per g); they feed a
+``simulate`` derives each engine's constants once per call (cores, column
+blocks, input events per invocation and the broadcast and ADC divisors,
+per-event units, per-byte and index-fetch energies, byte sizes, laser per
+cycle, the sparse operating height per g); they feed a
 per-layer ledger of a few integer block counts and multiplies per pass,
 added into running component totals. Every ceiling (row, inner and column
 blocks, chunks, kept-column blocks, cycles and the operating height) is an
@@ -216,9 +218,9 @@ _PARAMS_FIELDS = dict.fromkeys((f.name for f in fields(EnergyParams)), NON_NEGAT
 
 # --- functional PTC model ----------------------------------------------------
 
-# Product elements one stacked slice product of ``ptc_layer_matmul`` may hold
-# (2 MiB of float64): every bench layer's slices fit in one group, and a
-# paper-scale (3072 x 197) output forms one slice per group.
+# Product elements the one stacked slice product of ``ptc_layer_matmul`` may
+# hold (2 MiB of float64). Every bench layer's whole slices fit; a larger
+# layer, such as a paper-scale (3072 x 197) output, runs the slice loop.
 PRODUCT_ELEMENTS = 2**18
 
 
@@ -229,37 +231,32 @@ def ptc_layer_matmul(w: np.ndarray, x: np.ndarray, ptc: PtcConfig) -> np.ndarray
     pr * pb invocations are independent blocks of that product, and padding
     would only add cut-away outputs and exact zeros, so nothing is padded.
 
-    With two or more whole slices, they are formed in groups, one stacked
-    ``np.matmul`` of a (slices, m, n_lambda) view of W by a
-    (slices, n_lambda, batch) view of X per group, holding at most
-    ``PRODUCT_ELEMENTS`` product elements (and at least one slice); a short
-    last slice is one 2-D product. With fewer, each slice is one 2-D
-    product, as a stack of one slice costs more. Each slice is the gemm call
-    of a product per slice. The accumulator, zeros at the start, is added
-    into each group's first product, and an axis-0 ``np.add.reduce`` sums
-    the group into it. numpy runs that reduce's inner loop over the output,
-    adding the slices in order, while the output has more than one element;
-    a one-element output would be summed pairwise, so it goes one slice per
-    group. The result is then byte-identical to adding one product per slice
-    into zeros, which ``test_layer_matmul_is_byte_identical_to_the_slice_loop``
-    pins."""
+    A layer with at least two whole slices, an output of more than one
+    element and at most ``PRODUCT_ELEMENTS`` elements in all its whole-slice
+    products forms them as one stacked ``np.matmul`` of a (slices, m,
+    n_lambda) view of W by a (slices, n_lambda, batch) view of X. The zero
+    accumulator is added into the first product, and an axis-0
+    ``np.add.reduce`` sums the stack into it; numpy runs that reduce's inner
+    loop over the output, adding the slices in order (a one-element output
+    would be summed pairwise, hence the second condition). Every other
+    layer, and a stacked layer's short last slice, runs the slice loop: one
+    2-D product per slice, added in order. The result is byte-identical to
+    adding one product per slice into zeros, which
+    ``test_layer_matmul_is_byte_identical_to_the_slice_loop`` pins."""
     w = as_matrix(w, "weight")
     x = as_matrix(x, "input")
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"cannot multiply {w.shape} by {x.shape}")
     (m, inner), batch, n_l = w.shape, x.shape[1], ptc.n_lambda
-    slices, ragged = divmod(inner, n_l)
+    slices = inner // n_l
     acc = np.zeros((m, batch))
-    full = inner - ragged if slices > 1 else 0  # a stack of one slice costs more than its 2-D product
-    if full:
-        w_slices = w[:, :full].reshape(m, slices, n_l).swapaxes(0, 1)
-        x_slices = x[:full].reshape(slices, n_l, batch)
-        group = max(1, PRODUCT_ELEMENTS // (m * batch)) if m * batch > 1 else 1
-        for lo in range(0, slices, group):
-            prods = np.matmul(w_slices[lo:lo + group], x_slices[lo:lo + group])
-            prods[0] += acc
-            np.add.reduce(prods, axis=0, out=acc)
-    for k in range(full, inner, n_l):  # the slices left unstacked, a short last one among them
+    full = 0
+    if slices > 1 and m * batch > 1 and slices * m * batch <= PRODUCT_ELEMENTS:
+        full = slices * n_l
+        prods = np.matmul(w[:, :full].reshape(m, slices, n_l).swapaxes(0, 1), x[:full].reshape(slices, n_l, batch))
+        prods[0] += acc
+        np.add.reduce(prods, axis=0, out=acc)
+    for k in range(full, inner, n_l):  # the slice loop, or the short last slice after the stack
         acc += w[:, k:k + n_l] @ x[k:k + n_l]
     return acc
 
@@ -449,21 +446,23 @@ def simulate(
     # * adc; a layer's passes are added in order, its totals layer by layer.
     weight_unit, input_unit = params.dac_weight + params.modulation, params.dac_input + params.modulation
     tia, adc, sharing = params.tia, params.adc, engines.adc_sharing_enabled
-    n_h, n_l, n_v = dense.ptc.n_h, dense.ptc.n_lambda, dense.ptc.n_v
+    dram_unit, sram_unit, index_unit = params.dram_per_byte, params.sram_per_byte, params.index_fetch
+    weight_b, act_b, index_b = WEIGHT_BYTES, ACT_BYTES, INDEX_BYTES
+    n_h, n_l, n_v, cores_d = dense.ptc.n_h, dense.ptc.n_lambda, dense.ptc.n_v, dense.cores
     cols_d = -(-batch_tokens // n_v)
     weight_d, inputs_d, outputs_d = n_h * n_l, n_l * n_v, n_h * n_v
     bc_d = dense.tiles if engines.broadcast_enabled and dense.tiles > 1 else 1
     adc_d = dense.cores_per_tile if sharing else 1
-    laser_d = params.laser_per_channel_cycle * n_l * n_v * dense.cores  # no splitter tree: all n_v rows lit
+    laser_d = params.laser_per_channel_cycle * n_l * n_v * cores_d  # no splitter tree: all n_v rows lit
     if plan_by_id:
-        s_l, s_v = sparse.ptc.n_lambda, sparse.ptc.n_v
+        s_l, s_v, cores_s = sparse.ptc.n_lambda, sparse.ptc.n_v, sparse.cores
         cols_s, inputs_s = -(-batch_tokens // s_v), s_l * s_v  # sparse tiles cannot broadcast
         adc_s = sparse.cores_per_tile if sharing else 1
         # Operating height per chunk height, checked in layer order.
         chunk_heights = dict.fromkeys(plan_by_id[l.id].g for l in graph.layers if l.id in plan_by_id)
         heights = {g: operating_height(g, sparse.ptc) for g in chunk_heights}
         quarter = sparse.ptc.require_quarters()
-        laser_s = params.laser_per_channel_cycle * s_l * quarter * sparse.cores  # per cycle and lit quarter
+        laser_s = params.laser_per_channel_cycle * s_l * quarter * cores_s  # per cycle and lit quarter
 
     counts: list[tuple[int, ...]] = []  # one LAYER_COUNTS row per layer
     energies: list[tuple[float, ...]] = []  # one COMPONENTS row per layer
@@ -479,11 +478,11 @@ def simulate(
             inputs = dense_inv * inputs_d / bc_d * input_unit
             readout = out * tia + out / adc_d * adc
             sparse_inv = sparse_cycles = 0
-            dense_cycles = -(-dense_inv // dense.cores)
+            dense_cycles = -(-dense_inv // cores_d)
             laser = laser_d * dense_cycles
             index = 0.0
-            dram_bytes = rows * cols * WEIGHT_BYTES
-            sram_bytes = (cols + rows) * batch_tokens * ACT_BYTES
+            dram_bytes = rows * cols * weight_b
+            sram_bytes = (cols + rows) * batch_tokens * act_b
         else:
             r, d, h_op = pl.r, pl.d, heights[pl.g]
             chunks = num_chunks(rows, pl.g)
@@ -501,15 +500,15 @@ def simulate(
                 + (out_s * tia + out_s / adc_s * adc)
             )
             dense_inv = inv_bx + inv_abx
-            dense_cycles = -(-dense_inv // dense.cores)
-            sparse_cycles = -(-sparse_inv // sparse.cores)
+            dense_cycles = -(-dense_inv // cores_d)
+            sparse_cycles = -(-sparse_inv // cores_s)
             laser = laser_s * sparse_cycles * (h_op // quarter) + laser_d * dense_cycles
-            index = chunks * d * batch_tokens * params.index_fetch
-            dram_bytes = stored_params(rows, cols, r, d) * WEIGHT_BYTES + chunks * d * INDEX_BYTES
+            index = chunks * d * batch_tokens * index_unit
+            dram_bytes = stored_params(rows, cols, r, d) * weight_b + chunks * d * index_b
             # Input read, intermediate (r x batch) write + read, output write,
             # plus per-chunk gathered input reads on the sparse side.
-            sram_bytes = ((cols + 2 * r + rows) * batch_tokens + chunks * d * batch_tokens) * ACT_BYTES
-        dm = dram_bytes * params.dram_per_byte + sram_bytes * params.sram_per_byte
+            sram_bytes = ((cols + 2 * r + rows) * batch_tokens + chunks * d * batch_tokens) * act_b
+        dm = dram_bytes * dram_unit + sram_bytes * sram_unit
         dm_t += dm
         weight_t += weight
         inputs_t += inputs

@@ -318,7 +318,7 @@ def _pass(engine, params, row_blocks, lit_rows, inner, batch, broadcast, adc_sha
     engine pass: ``row_blocks`` weight row blocks of ``lit_rows`` lit rows
     each, against an (inner x batch) input."""
     ptc = engine.ptc
-    inv = row_blocks * math.ceil(inner / ptc.n_lambda) * -(-batch // ptc.n_v)
+    inv = row_blocks * -(-inner // ptc.n_lambda) * -(-batch // ptc.n_v)
     input_events = inv * ptc.n_lambda * ptc.n_v
     if broadcast and engine.tiles > 1:
         input_events /= engine.tiles
@@ -337,14 +337,13 @@ def pass_ledger_simulate(plan, graph, engines, params, batch_tokens=197):
     ``_pass`` from the engine's dimensions, a fresh component dict per layer
     and a second loop for the totals; the report's total is added left to
     right from 0.0. The ``LayerCost`` list is packaged into the report's
-    arrays at the end."""
+    arrays at the end. Every ceiling is an exact integer one."""
     from opticomp.allocate import check_plan_matches
     from opticomp.photonic import (
         ACT_BYTES, COMPONENTS, INDEX_BYTES, LAYER_COUNTS, WEIGHT_BYTES, CostReport, LayerCost, laser_energy,
         operating_height,
     )
 
-    ceil = math.ceil
     dense, sparse = engines.dense, engines.sparse
     if batch_tokens < 1:
         raise ValueError("batch_tokens must be >= 1")
@@ -365,15 +364,15 @@ def pass_ledger_simulate(plan, graph, engines, params, batch_tokens=197):
         pl = plan_by_id.get(layer.id) if layer.compressible else None
         # Each pass: (on the sparse engine, row blocks, lit rows, inner, broadcast).
         if pl is None:
-            passes = [(False, ceil(layer.rows / n_h), n_h, layer.cols, bc)]
+            passes = [(False, -(-layer.rows // n_h), n_h, layer.cols, bc)]
             dram_bytes = layer.rows * layer.cols * WEIGHT_BYTES
             sram_bytes = (layer.cols + layer.rows) * batch_tokens * ACT_BYTES
         else:
-            chunks = ceil(layer.rows / pl.g)
+            chunks = -(-layer.rows // pl.g)
             h_op = operating_height(pl.g, sparse.ptc)
             passes = [
-                (False, ceil(pl.r / n_h), n_h, layer.cols, bc),  # B X
-                (False, ceil(layer.rows / n_h), n_h, pl.r, bc),  # A (B X)
+                (False, -(-pl.r // n_h), n_h, layer.cols, bc),  # B X
+                (False, -(-layer.rows // n_h), n_h, pl.r, bc),  # A (B X)
                 (True, chunks, h_op, pl.d, False),  # sparse tiles cannot broadcast
             ]
             dram_bytes = (

@@ -872,6 +872,25 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_a_plan_listing_a_layer_twice_exits_one(self, walkthrough_dir, tmp_path, capsys, command):
+        # A second entry would replace the first in every id -> layer dict.
+        plan = json.loads((walkthrough_dir / "run" / "plan.json").read_text())
+        plan["layers"].append(plan["layers"][0])
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        model = ("--set", f"paths.model={walkthrough_dir}/model.lten")
+        if command == "simulate":
+            args = ["simulate", "--plan", str(path), *model, "--out", str(tmp_path / "out")]
+        else:
+            args = ["verify", "--plan", str(path), *model, "--set", f"paths.calibration={walkthrough_dir}/calib.lten",
+                    "--out", str(walkthrough_dir / "run")]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: plan lists layer {plan['layers'][0]['id']!r} twice\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "file,tensor",
         [("model.lten", "block0.attn.q"), ("calib.lten", "inputs"), ("model.lten", "block0.ln1.weight")],

@@ -21,7 +21,7 @@ from opticomp.decompose import (
     structured_sparsify,
 )
 from opticomp.linalg import balanced_factors, frobenius_norm, truncated_svd
-from opticomp.photonic import PtcConfig, condensed_matmul, ptc_layer_matmul
+from opticomp.photonic import PRODUCT_ELEMENTS, PtcConfig, condensed_matmul, ptc_layer_matmul
 
 from oracles import (
     blockwise_ptc_matmul,
@@ -327,7 +327,9 @@ class TestBatchedPtc:
     @example(27, 40, 1, 12, 3, 0.0)  # batch = 1
     @example(12, 40, 10, 4, 4, 0.5)  # signed zeros in W and X
     @example(1, 80, 1, 1, 5, 0.0)  # one output element: numpy would sum a stack of it pairwise
-    @example(64, 259, 64, 2, 6, 0.25)  # 129 slices in groups of 2**18 // 64**2 = 64, then a ragged tail
+    @example(64, 259, 64, 2, 6, 0.25)  # 129 * 64**2 > 2**18 product elements: the slice loop, a ragged tail last
+    @example(64, 64, 64, 1, 7, 0.0)  # 64 * 64**2 = 2**18 product elements: one stacked product
+    @example(64, 65, 64, 1, 8, 0.0)  # 65 * 64**2 > 2**18: the slice loop
     def test_layer_matmul_is_byte_identical_to_the_slice_loop(self, m, inner, batch, n_lambda, seed, zeros):
         rng = np.random.default_rng(seed)
         w, x = rng.normal(size=(m, inner)), rng.normal(size=(inner, batch))
@@ -350,9 +352,9 @@ class TestBatchedPtc:
     def test_peak_memory_holds_no_product_tensor(self):
         # A (pr, pb, pk, n_h, n_v) tensor of every invocation's product would
         # be pk = 64 times the output; the path holds the output accumulator
-        # and one group of slice products of at most PRODUCT_ELEMENTS (here
-        # one slice, as the output alone is larger), and pads nothing. The
-        # bound still allows for padded operands.
+        # and at most PRODUCT_ELEMENTS stacked slice products (here none, as
+        # the output alone is larger, so the slice loop holds one slice's
+        # product), and pads nothing. The bound still allows for padded operands.
         ptc = PtcConfig(12, 12, 12)
         rng = np.random.default_rng(0)
         w, x = rng.normal(size=(3072, 768)), rng.normal(size=(768, 197))
@@ -366,6 +368,22 @@ class TestBatchedPtc:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * (padded_w + padded_x + out)
+
+    @pytest.mark.parametrize("inner,stacked", [(64, True), (65, False)])
+    def test_one_stacked_product_only_within_the_bound(self, inner, stacked):
+        # The two paths give the same bytes, so the path shows in memory: at
+        # m = batch = 64 and n_lambda = 1, 64 slices hold PRODUCT_ELEMENTS
+        # product elements and form one stack of them; 65 run the slice loop,
+        # which holds one 64 x 64 product at a time.
+        rng = np.random.default_rng(0)
+        w, x = rng.normal(size=(64, inner)), rng.normal(size=(inner, 64))
+        tracemalloc.start()
+        try:
+            ptc_layer_matmul(w, x, PtcConfig(1, 1, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak >= PRODUCT_ELEMENTS * 8) is stacked, peak
 
 
 @st.composite

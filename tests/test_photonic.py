@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opticomp.allocate import CompressionPlan, PlanLayer
@@ -458,12 +458,24 @@ def simulate_cases(draw):
     return plan, graph, engines, params, draw(st.integers(1, 1000))
 
 
+def plan_past_two_to_the_53_case():
+    """The default engines on a hidden-24 toy whose first plan layer has
+    r = d = 12 * 2**52 + 1: either over n_h = n_lambda = 12 is 2**52 + 1/12,
+    which a float rounds to 2**52, so a float ceiling comes out one short.
+    Its 24 columns and a batch of 1 keep every count within int64."""
+    graph = build_toy_graph(hidden=24, heads=2, mlp_ratio=2, blocks=1, classes=4, in_dim=12)
+    plan = toy_plan(graph, g=4)
+    plan.layers[0].r = plan.layers[0].d = 12 * 2**52 + 1
+    return plan, graph, EngineConfig.default(), EnergyParams(), 1
+
+
 class TestSimulateMatchesPassLedger:
     """``simulate`` against the per-pass ledger it replaced (tests/oracles.py):
     every float from the same operations in the same order."""
 
     @settings(max_examples=200, deadline=None)
     @given(simulate_cases())
+    @example(case=plan_past_two_to_the_53_case())
     def test_reports_are_identical(self, tmp_path_factory, case):
         plan, *rest = case
         csv_path = tmp_path_factory.mktemp("csv") / "report.csv"
