@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The README walkthrough (seed 42) through the installed `opticomp` entry
-# point, then five error cases; tests/test_cli.py pins every input defect.
+# point, a digest check of the baseline report, then five error cases;
+# tests/test_cli.py pins every input defect.
 # Runs in a fresh temporary directory and stops at the first step that fails:
 #   bash .github/walkthrough.sh
 set -e
@@ -19,6 +20,10 @@ opticomp verify \
     --out run --quant-noise 0.03
 opticomp report run/report.json
 opticomp report run/comparison.json
+# The dense baseline's report.json has the bytes that
+# tests/test_photonic.py::test_report_json_bytes_are_pinned pins.
+opticomp simulate --baseline --set paths.model=toy/model.lten --out base
+echo "5c5149fa5709f5bcd71928f2cafd0e8ca3bc51ba43b1568db54b5ea3d0002236  base/report.json" | sha256sum -c
 # A sparse ratio that keeps no column of the narrowest layer (exit 2).
 code=0
 opticomp compress \

@@ -57,9 +57,13 @@ class ModelGraph:
                 raise ValueError(f"layer {layer.id!r} belongs to no block group")
             if not layer.compressible and in_group:
                 raise ValueError(f"layer {layer.id!r} is embedding/head but grouped in a block")
-        heads = self.meta.get("heads", 1)
-        if self.hidden_size % heads:
-            raise ValueError(f"graph hidden_size {self.hidden_size} is not divisible by meta.heads {heads}")
+        if self.hidden_size % self.heads:
+            raise ValueError(f"graph hidden_size {self.hidden_size} is not divisible by meta.heads {self.heads}")
+
+    @property
+    def heads(self) -> int:
+        """Attention heads per block, 1 when ``meta`` leaves them out."""
+        return self.meta.get("heads", 1)
 
     def layer(self, layer_id: str) -> LayerSpec:
         for layer in self.layers:
@@ -131,10 +135,13 @@ def save_model(path, graph: ModelGraph, tensors: dict[str, np.ndarray]) -> None:
 
 
 def layernorm_names(graph: ModelGraph) -> list[str]:
-    """The ``block{i}.ln{1,2}.{weight,bias}`` vectors a model of this graph holds."""
-    return [
-        f"block{i}.{ln}.{part}" for i in range(len(graph.blocks)) for ln in ("ln1", "ln2") for part in ("weight", "bias")
-    ]
+    """The layernorm vectors a model of this graph holds, block by block."""
+    return [name for i in range(len(graph.blocks)) for name in block_layernorms(i)]
+
+
+def block_layernorms(i: int) -> list[str]:
+    """Block ``i``'s ``ln1`` weight and bias, then its ``ln2`` weight and bias."""
+    return [f"block{i}.{ln}.{part}" for ln in ("ln1", "ln2") for part in ("weight", "bias")]
 
 
 def dense_shapes(graph: ModelGraph, skip=()) -> dict[str, tuple]:

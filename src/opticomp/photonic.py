@@ -61,21 +61,21 @@ silicon.
 ``simulate`` derives each engine's constants once per call (cores, column
 blocks, input events per invocation and the broadcast and ADC divisors,
 per-event units, per-byte and index-fetch energies, byte sizes, laser per
-cycle, the sparse operating height per g); they feed a
-per-layer ledger of a few integer block counts and multiplies per pass,
-added into running component totals. Every ceiling (row, inner and column
-blocks, chunks, kept-column blocks, cycles and the operating height) is an
-exact integer one, so no count rounds past 2**53, whether its operand is
-``batch_tokens`` or a plan's ``r`` or ``d``. A compressed layer's chunk
-count and stored values are ``decompose.num_chunks`` and
-``decompose.stored_params``.
-Totals are summed left to right from 0.0 on every Python version (``sum``
-of floats is compensated from 3.12).
+cycle, the sparse operating height per g); they feed a per-layer ledger of
+a few integer block counts and multiplies per pass. Every ceiling (row,
+inner and column blocks, chunks, kept-column blocks, cycles and the
+operating height) is an exact integer one, so no count rounds past 2**53,
+whether its operand is ``batch_tokens`` or a plan's ``r`` or ``d``. A
+compressed layer's chunk count and stored values are
+``decompose.num_chunks`` and ``decompose.stored_params``.
 A layer's five counts and six energies are appended as one row to each of
 two lists, and the report keeps them as two arrays made once per call:
 ``counts``, int64 rows in ``LAYER_COUNTS`` order, and ``energies``, float64
 rows in ``COMPONENTS`` order, beside the tuple ``layer_ids``. A count past
-int64 (a huge ``batch_tokens``) is a ValueError naming it. ``per_layer``
+int64 (a huge ``batch_tokens``) is a ValueError naming it. The totals are
+the left-to-right sums of those rows: each component's energy column added
+from 0.0 in layer order, on every Python version (``sum`` of floats is
+compensated from 3.12), and the cycles as an exact int sum. ``per_layer``
 builds the ``LayerCost`` list on access, from the arrays' ``tolist()``
 values, and ``to_json`` and ``write_csv`` read it, so their output is that
 of a ledger held as one object per layer.
@@ -338,12 +338,12 @@ COMPONENTS = ("data_movement", "weight_encode", "input_encode", "readout", "lase
 LAYER_COUNTS = ("dense_invocations", "sparse_invocations", "dense_cycles", "sparse_cycles", "cycles")
 
 
-def _energy_sum(energy: dict[str, float]) -> float:
-    """The components added left to right from 0.0, as ``sum`` does up to
-    Python 3.11; from 3.12 ``sum`` of floats is compensated, and a report's
-    totals would change with the interpreter."""
+def _left_sum(values) -> float:
+    """``values`` added left to right from 0.0, as ``sum`` does up to Python
+    3.11; from 3.12 ``sum`` of floats is compensated, and a report's totals
+    would change with the interpreter."""
     total = 0.0
-    for value in energy.values():
+    for value in values:
         total += value
     return total
 
@@ -360,7 +360,7 @@ class LayerCost:
 
     @property
     def total_energy(self) -> float:
-        return _energy_sum(self.energy)
+        return _left_sum(self.energy.values())
 
 
 @dataclass
@@ -379,7 +379,7 @@ class CostReport:
 
     @property
     def total_energy(self) -> float:
-        return _energy_sum(self.energy)
+        return _left_sum(self.energy.values())
 
     @property
     def per_layer(self) -> list[LayerCost]:
@@ -466,8 +466,6 @@ def simulate(
 
     counts: list[tuple[int, ...]] = []  # one LAYER_COUNTS row per layer
     energies: list[tuple[float, ...]] = []  # one COMPONENTS row per layer
-    dm_t = weight_t = inputs_t = readout_t = laser_t = index_t = 0.0
-    total_cycles = 0
     for layer in graph.layers:
         rows, cols = layer.rows, layer.cols
         pl = plan_by_id.get(layer.id)
@@ -509,15 +507,7 @@ def simulate(
             # plus per-chunk gathered input reads on the sparse side.
             sram_bytes = ((cols + 2 * r + rows) * batch_tokens + chunks * d * batch_tokens) * act_b
         dm = dram_bytes * dram_unit + sram_bytes * sram_unit
-        dm_t += dm
-        weight_t += weight
-        inputs_t += inputs
-        readout_t += readout
-        laser_t += laser
-        index_t += index
-        cycles = max(dense_cycles, sparse_cycles)
-        total_cycles += cycles
-        counts.append((dense_inv, sparse_inv, dense_cycles, sparse_cycles, cycles))
+        counts.append((dense_inv, sparse_inv, dense_cycles, sparse_cycles, max(dense_cycles, sparse_cycles)))
         energies.append((dm, weight, inputs, readout, laser, index))
 
     try:
@@ -527,12 +517,15 @@ def simulate(
         raise ValueError(
             f"batch_tokens={batch_tokens}: layer {graph.layers[at].id!r} needs more invocations than int64 holds"
         ) from None
-    totals = dict(zip(COMPONENTS, (dm_t, weight_t, inputs_t, readout_t, laser_t, index_t)))
-    latency = total_cycles / (params.clock_ghz * 1e9)
+    energies_array = _rows(energies, len(COMPONENTS), np.float64)
+    # Totals from the rows: each component's column added left to right (a
+    # (0, 6) array still has six empty columns), and the cycles as exact ints.
+    totals = dict(zip(COMPONENTS, map(_left_sum, energies_array.T.tolist())))
+    cycles = sum(row[-1] for row in counts)
+    latency = cycles / (params.clock_ghz * 1e9)
     return CostReport(
-        energy=totals, cycles=total_cycles, latency_s=latency, edp=_energy_sum(totals) * latency,
-        layer_ids=tuple(layer.id for layer in graph.layers), counts=counts_array,
-        energies=_rows(energies, len(COMPONENTS), np.float64),
+        energy=totals, cycles=cycles, latency_s=latency, edp=_left_sum(totals.values()) * latency,
+        layer_ids=tuple(layer.id for layer in graph.layers), counts=counts_array, energies=energies_array,
     )
 
 

@@ -313,7 +313,7 @@ def verify_artifacts(
 
 def _forward_shape(graph: ModelGraph) -> dict:
     """What ``vit.forward`` reads of a graph beyond its compressible layers."""
-    shape = {"hidden_size": graph.hidden_size, "meta.heads": graph.meta.get("heads", 1), "blocks": len(graph.blocks)}
+    shape = {"hidden_size": graph.hidden_size, "meta.heads": graph.heads, "blocks": len(graph.blocks)}
     return shape | {end: (graph.layer(end).rows, graph.layer(end).cols) for end in ("embed", "head")}
 
 

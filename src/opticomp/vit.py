@@ -42,7 +42,7 @@ from math import sqrt
 import numpy as np
 
 from .container import read_tensors, write_container
-from .model import LayerSpec, ModelGraph, block_ids, layernorm_names
+from .model import LayerSpec, ModelGraph, block_ids, block_layernorms, layernorm_names
 from .util import as_matrix, philox_rng
 
 LN_EPS = 1e-6
@@ -57,7 +57,7 @@ class ToyViT:
 
     graph: ModelGraph
     weights: dict[str, np.ndarray]  # layer id -> float64 matrix
-    ln_params: dict[str, np.ndarray]  # "block{i}.ln{1,2}.{weight,bias}" -> vector
+    ln_params: dict[str, np.ndarray]  # each of ``layernorm_names(graph)`` -> vector
     hidden: int
     heads: int
     num_blocks: int
@@ -69,7 +69,7 @@ class ToyViT:
         ``effective_tensors``, so they are not scanned again here."""
         weights = {l.id: np.ascontiguousarray(tensors[l.id], dtype=np.float64) for l in graph.layers}
         ln_params = {name: np.asarray(tensors[name], dtype=np.float64) for name in layernorm_names(graph)}
-        return cls(graph, weights, ln_params, graph.hidden_size, graph.meta.get("heads", 1), len(graph.blocks))
+        return cls(graph, weights, ln_params, graph.hidden_size, graph.heads, len(graph.blocks))
 
 
 @dataclass
@@ -263,16 +263,18 @@ def forward(model: ToyViT, inputs: np.ndarray, matmul_fn=None, tap: Callable[[st
     x = apply("embed", inputs)
     feats = BlockFeatures()
     for i in range(model.num_blocks):
-        normed = _layernorm(x, model.ln_params[f"block{i}.ln1.weight"], model.ln_params[f"block{i}.ln1.bias"])
-        q = apply(f"block{i}.attn.q", normed)
-        k = apply(f"block{i}.attn.k", normed)
-        v = apply(f"block{i}.attn.v", normed)
-        x = x + apply(f"block{i}.attn.o", _attention(q, k, v, model.heads))
+        (q_id, k_id, v_id, o_id), (fc1_id, fc2_id) = block_ids(i).values()
+        ln1_w, ln1_b, ln2_w, ln2_b = (model.ln_params[name] for name in block_layernorms(i))
+        normed = _layernorm(x, ln1_w, ln1_b)
+        q = apply(q_id, normed)
+        k = apply(k_id, normed)
+        v = apply(v_id, normed)
+        x = x + apply(o_id, _attention(q, k, v, model.heads))
         feats.attn.append(np.swapaxes(x, -1, -2))
 
-        normed = _layernorm(x, model.ln_params[f"block{i}.ln2.weight"], model.ln_params[f"block{i}.ln2.bias"])
-        hidden_act = _gelu(apply(f"block{i}.mlp.fc1", normed))
-        x = x + apply(f"block{i}.mlp.fc2", hidden_act)
+        normed = _layernorm(x, ln2_w, ln2_b)
+        hidden_act = _gelu(apply(fc1_id, normed))
+        x = x + apply(fc2_id, hidden_act)
         feats.mlp.append(np.swapaxes(x, -1, -2))
 
     pooled = x.mean(axis=-1, keepdims=True)
@@ -404,10 +406,8 @@ def gen_toy_model(graph: ModelGraph, seed: int) -> dict[str, np.ndarray]:
     for idx, layer in enumerate(graph.layers):
         rng = philox_rng(seed, 1, idx)
         tensors[layer.id] = rng.normal(0.0, 1.0 / sqrt(layer.cols), size=(layer.rows, layer.cols))
-    for i in range(len(graph.blocks)):
-        for ln in ("ln1", "ln2"):
-            tensors[f"block{i}.{ln}.weight"] = np.ones(graph.hidden_size)
-            tensors[f"block{i}.{ln}.bias"] = np.zeros(graph.hidden_size)
+    for name in layernorm_names(graph):
+        tensors[name] = (np.ones if name.endswith(".weight") else np.zeros)(graph.hidden_size)
     return tensors
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opticomp.allocate import CompressionPlan, PlanLayer
-from opticomp.decompose import structured_sparsify, expand
+from opticomp.decompose import expand, stored_params, structured_sparsify
 from opticomp.model import LayerSpec, ModelGraph
 from opticomp.photonic import (
     COMPONENTS,
@@ -419,17 +420,69 @@ class TestEdp:
         assert r2.edp == pytest.approx(2 * r1.edp, rel=1e-12)
 
 
+def left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @pytest.mark.parametrize("values", [(0.1, 0.2, 0.3, 0.0, 0.0, 0.0), (1e16, 1.0, 1.0, 0.5, 0.0, 0.0)])
 def test_energy_totals_add_left_to_right_on_every_python(values):
     # A compensated sum (built-in sum from Python 3.12, math.fsum) gives another total.
-    left_to_right = 0.0
-    for value in values:
-        left_to_right += value
-    assert left_to_right != math.fsum(values)
+    assert left_to_right(values) != math.fsum(values)
     energy = dict(zip(COMPONENTS, values))
-    assert LayerCost("x", 1, 0, 1, 0, 1, energy).total_energy == left_to_right
+    assert LayerCost("x", 1, 0, 1, 0, 1, energy).total_energy == left_to_right(values)
     no_layers = (), np.zeros((0, len(LAYER_COUNTS)), np.int64), np.zeros((0, len(COMPONENTS)))
-    assert CostReport(energy, 1, 1.0, 1.0, *no_layers).total_energy == left_to_right
+    assert CostReport(energy, 1, 1.0, 1.0, *no_layers).total_energy == left_to_right(values)
+
+
+# A fixed (r, d, g) per layer kind of the default toy graph: a compressed
+# plan that no compress (and no BLAS) produces, so its report is the same on
+# every platform.
+HAND_RDG = {"attn_q": (12, 6, 4), "attn_k": (12, 6, 4), "attn_v": (16, 6, 8), "attn_o": (8, 12, 4),
+            "mlp_fc1": (20, 6, 6), "mlp_fc2": (16, 12, 3)}
+
+
+def hand_plan(graph):
+    layers = [PlanLayer(l.id, l.rows, l.cols, *HAND_RDG[l.kind], stored_params(l.rows, l.cols, *HAND_RDG[l.kind][:2]))
+              for l in graph.compressible_layers()]
+    return CompressionPlan(alpha=0.3, sparse_ratio=0.125, layers=layers, psi_achieved=0.0, iterations=0)
+
+
+@pytest.mark.parametrize("batch", [1, 197, 512])
+@pytest.mark.parametrize("compressed, engines", [
+    (True, EngineConfig.default()), (False, EngineConfig.default()), (False, EngineConfig.baseline_scaled()),
+], ids=["plan-default", "baseline-default", "baseline-scaled"])
+def test_totals_are_the_ordered_sums_of_the_rows(compressed, engines, batch):
+    graph = build_toy_graph()
+    report = simulate(hand_plan(graph) if compressed else None, graph, engines, EnergyParams(), batch)
+    for j, comp in enumerate(COMPONENTS):
+        assert report.energy[comp] == left_to_right(report.energies[:, j].tolist()), comp
+    assert type(report.cycles) is int
+    assert report.cycles == sum(report.counts[:, -1].tolist())
+    assert report.total_energy == left_to_right(report.energy.values())
+
+
+def test_a_graph_with_no_layers_has_zero_totals():
+    report = simulate(None, ModelGraph([], [], 4), EngineConfig.default(), EnergyParams(), 8)
+    assert report.to_json() == {"energy_pj": dict.fromkeys(COMPONENTS, 0.0), "total_energy_pj": 0.0, "cycles": 0,
+                                "latency_s": 0.0, "edp_pj_s": 0.0, "per_layer": []}
+    assert type(report.cycles) is int
+
+
+# SHA-256 of report.json as ``cli._write_json`` writes it, at batch 197 on
+# the default toy graph and engines; the baseline's equals ``opticomp
+# simulate --baseline`` on the README walkthrough's model.
+@pytest.mark.parametrize("compressed, digest", [
+    (False, "5c5149fa5709f5bcd71928f2cafd0e8ca3bc51ba43b1568db54b5ea3d0002236"),
+    (True, "3ca152cc1580b58b283c1105b30d96fac6f6221164bb420ba1922cf49bba1280"),
+], ids=["baseline", "hand-plan"])
+def test_report_json_bytes_are_pinned(compressed, digest):
+    graph = build_toy_graph()
+    report = simulate(hand_plan(graph) if compressed else None, graph, EngineConfig.default(), EnergyParams(), 197)
+    text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @st.composite
